@@ -46,6 +46,7 @@ from .series import (
 from .hausdorff import (
     DifferenceTable,
     MomentVector,
+    derivative_form_cells,
     derivative_form_coefficient,
     difference_table,
     moment_criterion,

@@ -47,8 +47,11 @@ from .catalog import (
     even_series_from_moments,
     sinc_even_series,
 )
+# derivative_form_coefficient is not called here but stays importable from
+# this module: perfbench/tracing.py looks it up by this path.
 from .hausdorff import (
     derivative_cells_from_power_sums,
+    derivative_form_cells,
     derivative_form_coefficient,
     moment_criterion,
 )
@@ -489,14 +492,19 @@ def certify_moment(
     if B < 0:
         raise ValueError("grid bound must be nonnegative")
     lam_policy = lam_policy or _default_lambda_policy(spec)
-    report = _moment_once(spec, B, lam_policy, sign_policy)
+    return _run_with_retry(_moment_once, spec, retry_doubling, B, lam_policy, sign_policy)
+
+
+def _run_with_retry(once, spec, retry_doubling, *args) -> CertificateReport:
+    """``once(spec, *args)``, rerun once at doubled precision if INDETERMINATE."""
+    report = once(spec, *args)
     if retry_doubling and report.verdict == "INDETERMINATE":
         new_prec = min(spec.precision * 2, MAX_RETRY_PRECISION)
         if new_prec > spec.precision:
             spec2 = replace(spec, precision=new_prec)
             if isinstance(spec2, FunctionSpec):
                 spec2._moments = None
-            report = _moment_once(spec2, B, lam_policy, sign_policy)
+            report = once(spec2, *args)
             report.metadata["retried_at_bits"] = new_prec
     return report
 
@@ -560,16 +568,7 @@ def certify_derivative(
     if B < 0:
         raise ValueError("grid bound must be nonnegative")
     rho_policy = rho_policy or RhoPolicy(kind="coefficient-bound")
-    report = _derivative_once(spec, B, rho_policy, sign_policy)
-    if retry_doubling and report.verdict == "INDETERMINATE":
-        new_prec = min(spec.precision * 2, MAX_RETRY_PRECISION)
-        if new_prec > spec.precision:
-            spec2 = replace(spec, precision=new_prec)
-            if isinstance(spec2, FunctionSpec):
-                spec2._moments = None
-            report = _derivative_once(spec2, B, rho_policy, sign_policy)
-            report.metadata["retried_at_bits"] = new_prec
-    return report
+    return _run_with_retry(_derivative_once, spec, retry_doubling, B, rho_policy, sign_policy)
 
 
 def _derivative_once(spec, B, rho_policy, sign_policy) -> CertificateReport:
@@ -597,17 +596,22 @@ def _derivative_once(spec, B, rho_policy, sign_policy) -> CertificateReport:
 
 
 def _derivative_cells(f, p, rho, B, sign_policy, bindings, precision):
-    """Cells by the series route, cross-checked against the difference route."""
+    """Cells by the series route, with their worst discrepancy from the
+    difference route."""
+    series_route, worst = _two_route_cells(f, p, rho, B, bindings, precision)
+    cells = [_nonpositive_cell(j, k, v, sign_policy, bindings, precision)
+             for (j, k), v in series_route.items()]
+    return cells, worst
+
+
+def _two_route_cells(f, p, rho, B, bindings, precision):
+    """Series-route cells for ``j+k <= B`` and the worst |series - difference|."""
+    series_route = derivative_form_cells(f, rho, B)
     diff_route = derivative_cells_from_power_sums(p, rho, B)
     worst = None
-    cells = []
-    for j in range(B + 1):
-        for k in range(B + 1 - j):
-            v = derivative_form_coefficient(f, rho, j, k)
-            d = v - diff_route[(j, k)]
-            worst = _max_abs(worst, d, bindings, precision)
-            cells.append(_nonpositive_cell(j, k, v, sign_policy, bindings, precision))
-    return cells, worst
+    for jk, v in series_route.items():
+        worst = _max_abs(worst, v - diff_route[jk], bindings, precision)
+    return series_route, worst
 
 
 def _max_abs(worst, d, bindings, precision):
@@ -663,13 +667,7 @@ def route_equality_defect(spec: FunctionSpec, B: int, rho=None) -> object:
     exact = p.domain in ("rational", "ratfunc")
     if rho is None:
         rho, _ = resolve_rho(RhoPolicy(kind="coefficient-bound"), e, f, exact, spec.precision)
-    diff_route = derivative_cells_from_power_sums(p, rho, B)
-    worst = None
-    bindings = spec.bindings()
-    for j in range(B + 1):
-        for k in range(B + 1 - j):
-            v = derivative_form_coefficient(f, rho, j, k)
-            worst = _max_abs(worst, v - diff_route[(j, k)], bindings, spec.precision)
+    _, worst = _two_route_cells(f, p, rho, B, spec.bindings(), spec.precision)
     return worst
 
 

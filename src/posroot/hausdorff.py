@@ -15,10 +15,12 @@ product ``f`` of the sequence and any ``0 < rho <= inf |roots|``,
     D(j,k) = (j+k)! * [z^(j+k)] { (z-1)^j * rho*L(rho*z) }
            = -rho * (j+k)! * (-D)^j ( rho^k p_{k+1} )
 
-must be nonpositive cell by cell.  :func:`derivative_form_coefficient`
-computes the left-hand side from series coefficients alone, giving a route
-independent of the difference table; their exact agreement is one of the
-library's core self-checks.
+must be nonpositive cell by cell.  :func:`derivative_form_cells` computes
+the left-hand side of every cell with ``j+k <= B`` from series coefficients
+alone, giving a route independent of the difference table; their exact
+agreement is one of the library's core self-checks.  It builds ``L`` once
+and reads every cell from it, so the triangle costs ``O(B^3)`` scalar
+operations: ``O(B^2)`` for ``L`` and ``O(j)`` for each cell.
 
 Float-mode tables are computed with extra working bits (one per triangle
 row+column) because iterated differencing of near-equal moments cancels
@@ -52,6 +54,7 @@ __all__ = [
     "difference_table",
     "moment_criterion",
     "derivative_form_coefficient",
+    "derivative_form_cells",
     "InsufficientMoments",
     "NonPositiveLambda",
 ]
@@ -361,40 +364,51 @@ def _cell_float(x, bindings, prec):
     return BigFloat(Fraction(x), prec)
 
 
-def derivative_form_coefficient(f: TruncatedSeries, rho, j: int, k: int):
-    """Derivative-form cell value for the positivity criterion.
+def derivative_form_cells(f: TruncatedSeries, rho, bound: int) -> dict:
+    """Every derivative-form cell with ``j+k <= bound``, keyed by ``(j, k)``.
 
-    Returns ``(j+k)! * [z^(j+k)] { (z-1)^j * d/dz log f(rho*z) }``, computed
-    purely from series coefficients.  For a genus-0 product with positive
-    roots and admissible ``rho`` this is ``<= 0`` and equals
-    ``-rho*(j+k)!*(-D)^j(rho^k p_{k+1})``.
+    Cell ``(j, k)`` is ``(j+k)! * [z^(j+k)] { (z-1)^j * d/dz log f(rho*z) }``,
+    computed purely from series coefficients.  For a genus-0 product with
+    positive roots and admissible ``rho`` it is ``<= 0`` and equals
+    ``-rho*(j+k)!*(-D)^j(rho^k p_{k+1})``.  ``f'/f`` is built once, so the
+    triangle costs ``O(bound^3)`` scalar operations.
     """
-    if j < 0 or k < 0:
-        raise ValueError("j and k must be nonnegative")
     f.require_normalized()
-    n = j + k
-    if f.order < n + 1:
+    if f.order < bound + 1:
         raise InsufficientCoefficients(
-            f"series order {f.order} too small for cell ({j},{k})")
+            f"series order {f.order} too small for cells j+k <= {bound}")
     if isinstance(rho, int):
         rho = Fraction(rho)
-    g = log_derivative_series(f, n + 1)
+    g = log_derivative_series(f, bound + 1)
     # coefficients of d/dz log f(rho z) = rho * (f'/f)(rho z)
     rho_pow = [rho]
-    for _ in range(n):
+    for _ in range(bound):
         rho_pow.append(rho_pow[-1] * rho)
-    acc = None
-    for s in range(j + 1):
-        c = comb(j, s) * ((-1) ** (j - s))
-        t = g[n - s] * rho_pow[n - s] * c
-        acc = t if acc is None else acc + t
-    return acc * factorial(n)
+    scaled = [g[m] * rho_pow[m] for m in range(bound + 1)]
+    cells = {}
+    for j in range(bound + 1):
+        signed_binomials = [comb(j, s) * ((-1) ** (j - s)) for s in range(j + 1)]
+        for k in range(bound + 1 - j):
+            n = j + k
+            acc = None
+            for s, c in enumerate(signed_binomials):
+                t = scaled[n - s] * c
+                acc = t if acc is None else acc + t
+            cells[(j, k)] = acc * factorial(n)
+    return cells
+
+
+def derivative_form_coefficient(f: TruncatedSeries, rho, j: int, k: int):
+    """The single cell ``(j, k)`` of :func:`derivative_form_cells`."""
+    if j < 0 or k < 0:
+        raise ValueError("j and k must be nonnegative")
+    return derivative_form_cells(f, rho, j + k)[(j, k)]
 
 
 def derivative_cells_from_power_sums(p: PowerSumSequence, rho, bound: int):
     """All cells ``-rho*(j+k)!*(-D)^j(rho^k p_{k+1})`` for ``j+k <= bound``.
 
-    The difference-route counterpart of :func:`derivative_form_coefficient`,
+    The difference-route counterpart of :func:`derivative_form_cells`,
     used for the two-route equality check.
     """
     if isinstance(rho, int):

@@ -32,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
 from mpmath import mpf, mpc, workprec
@@ -472,8 +472,23 @@ class RationalFunction:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        # canonical only for reduced forms; acceptable for dict-free usage
-        return hash((self.symbols, len(self.num.terms), len(self.den.terms)))
+        # Equal values may be stored unreduced, so hash only what every
+        # representation shares: the value itself when constant (matching
+        # int and Fraction), else the symbol tuple.
+        c = self._constant_ratio()
+        return hash(self.symbols) if c is None else hash(c)
+
+    def _constant_ratio(self) -> Optional[Fraction]:
+        """The constant ``c`` with ``num == c*den``, or None if there is none."""
+        if self.num.is_zero():
+            return Fraction(0)
+        if self.num.terms.keys() != self.den.terms.keys():
+            return None
+        e, d = next(iter(self.den.terms.items()))
+        c = self.num.terms[e] / d
+        if all(self.num.terms[e] == c * d for e, d in self.den.terms.items()):
+            return c
+        return None
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

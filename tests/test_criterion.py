@@ -90,6 +90,26 @@ class TestCertifyDerivative:
         cells = derivative_cells_from_power_sums(PowerSumSequence(p), F(2), 8)
         assert any(v > 0 for v in cells.values())
 
+    @pytest.mark.parametrize("B", [4, 12])
+    def test_log_derivative_built_at_most_twice(self, monkeypatch, B):
+        import posroot.hausdorff
+        import posroot.series
+
+        calls = []
+        original = posroot.series.log_derivative_series
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(posroot.hausdorff, "log_derivative_series", counting)
+        monkeypatch.setattr(posroot.series, "log_derivative_series", counting)
+        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact")
+        rep = certify_derivative(spec, B)
+        assert rep.verdict == "BOUNDED-PASS"
+        assert len(rep.cells) == (B + 1) * (B + 2) // 2
+        assert len(calls) <= 2
+
     def test_sinc_symbolic_derivative(self):
         spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=192)
         rep = certify_derivative(spec, 6, RhoPolicy(kind="explicit",

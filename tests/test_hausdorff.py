@@ -5,18 +5,28 @@ from math import comb, factorial
 import mpmath
 import pytest
 
+from posroot.catalog import FunctionKind, FunctionSpec
 from posroot.hausdorff import (
     InsufficientMoments,
     MomentVector,
     NonPositiveLambda,
     derivative_cells_from_power_sums,
+    derivative_form_cells,
     derivative_form_coefficient,
     difference_table,
     moment_criterion,
 )
 from posroot.scalars import BigFloat
-from posroot.symfun import PowerSumSequence, power_sums_from_elementary
-from posroot.series import TruncatedSeries, power_sums_from_log_derivative
+from posroot.symfun import (
+    InsufficientCoefficients,
+    PowerSumSequence,
+    power_sums_from_elementary,
+)
+from posroot.series import (
+    TruncatedSeries,
+    log_derivative_series,
+    power_sums_from_log_derivative,
+)
 
 from test_symfun import direct_power_sums
 from test_series import poly_series
@@ -25,6 +35,27 @@ from test_series import poly_series
 def brute_cell(values, j, k):
     """Independent binomial-formula evaluation of one cell."""
     return sum(comb(j, i) * (-1) ** i * values[k + i] for i in range(j + 1))
+
+
+def reference_derivative_cell(f, rho, j, k):
+    """One derivative-form cell from its own log-derivative, in the library's
+    operation order, so float results must match bit for bit."""
+    n = j + k
+    g = log_derivative_series(f, n + 1)
+    rho_pow = [rho]
+    for _ in range(n):
+        rho_pow.append(rho_pow[-1] * rho)
+    acc = None
+    for s in range(j + 1):
+        t = g[n - s] * rho_pow[n - s] * (comb(j, s) * (-1) ** (j - s))
+        acc = t if acc is None else acc + t
+    return acc * factorial(n)
+
+
+def same_scalar(a, b):
+    if isinstance(a, BigFloat):
+        return isinstance(b, BigFloat) and (a.value, a.prec) == (b.value, b.prec)
+    return type(a) is type(b) and a == b
 
 
 class TestDifferenceTable:
@@ -167,6 +198,26 @@ class TestDerivativeForm:
                     v = derivative_form_coefficient(f, rho, j, k)
                     assert v == cells[(j, k)]
                     assert v <= 0
+
+    @pytest.mark.parametrize("spec, rho", [
+        (FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact"), F(5, 4)),
+        (FunctionSpec(FunctionKind.AIRY_PRODUCT, mode="float", precision=256),
+         BigFloat("0.25", 256)),
+    ], ids=["bessel-exact", "airy-float"])
+    def test_all_cells_match_single_cells(self, spec, rho):
+        B = 8
+        f = spec.series(2 * B + 4)
+        cells = derivative_form_cells(f, rho, B)
+        assert list(cells) == [(j, k) for j in range(B + 1) for k in range(B + 1 - j)]
+        for (j, k), v in cells.items():
+            assert same_scalar(v, derivative_form_coefficient(f, rho, j, k))
+            assert same_scalar(v, reference_derivative_cell(f, rho, j, k))
+
+    def test_all_cells_need_bound_plus_one_coefficients(self):
+        f = poly_series([F(1, 2), F(1, 3)], 6)
+        assert len(derivative_form_cells(f, F(1), 5)) == 21
+        with pytest.raises(InsufficientCoefficients):
+            derivative_form_cells(f, F(1), 6)
 
     def test_route_equality_symbolic(self):
         from posroot.catalog import sinc_coeffs

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posroot.scalars import (
     BigFloat,
     DenominatorVanishes,
     DomainMismatch,
     NonFinite,
+    Polynomial,
     RationalFunction,
     SignPolicy,
     UnboundSymbol,
@@ -109,6 +111,41 @@ class TestRationalFunctionAlgebra:
         q = rf_var("q")["q"]
         with pytest.raises(DomainMismatch):
             nu + q
+
+    def test_hash_agrees_with_unreduced_equality(self):
+        g = rf_var("x", "y")
+        x, y = g["x"], g["y"]
+        a = (x * x - y * y) / (x - y)
+        assert a == x + y
+        assert hash(a) == hash(x + y)
+        assert len({a, x + y}) == 1
+        half = (x + y) / (2 * x + 2 * y)
+        assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+        three = RationalFunction.constant(("x", "y"), 3)
+        assert three == 3 and hash(three) == hash(3)
+
+
+XY = ("x", "y")
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3), max_size=3,
+).map(lambda terms: Polynomial(XY, terms))
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys, nonzero_polys, nonzero_polys, st.integers(-3, 3))
+def test_hash_consistent_with_eq(num, den, common, k):
+    """a == b implies hash(a) == hash(b), also against int and Fraction constants."""
+    a = RationalFunction(num, den)
+    b = RationalFunction(num * common, den * common)
+    assert a == b
+    assert hash(a) == hash(b)
+    c = RationalFunction(common * k, common)
+    assert c == k and c == F(k)
+    assert hash(c) == hash(k) == hash(F(k))
+    if a == c:
+        assert hash(a) == hash(c)
 
 
 class TestSignDecide:
