@@ -73,6 +73,7 @@ from .series import (
     elementary_from_series,
     even_sqrt_reduce,
     power_sums_from_log_derivative,
+    series_from_elementary,
     taylor_shift,
 )
 from .symfun import ElementarySequence, PowerSumSequence, power_sums_from_elementary
@@ -571,10 +572,18 @@ def certify_derivative(
     return _run_with_retry(_derivative_once, spec, retry_doubling, B, rho_policy, sign_policy)
 
 
+def _elementary_and_series(spec, N: int):
+    """``e_0..e_N`` and the reduced series to order N.  A catalog spec builds
+    its coefficients once and derives the series from them."""
+    e = spec.elementary(N)
+    if isinstance(spec, FunctionSpec):
+        return e, series_from_elementary(e)
+    return e, spec.series(N)
+
+
 def _derivative_once(spec, B, rho_policy, sign_policy) -> CertificateReport:
     N = 2 * B + 4
-    e = spec.elementary(N)
-    f = spec.series(N)
+    e, f = _elementary_and_series(spec, N)
     p = power_sums_from_log_derivative(f, B + 1)
     exact = p.domain in ("rational", "ratfunc")
     bindings = spec.bindings()
@@ -661,8 +670,7 @@ def _as_bigfloat(x, precision) -> BigFloat:
 def route_equality_defect(spec: FunctionSpec, B: int, rho=None) -> object:
     """Worst |series-route - difference-route| cell discrepancy at bound B."""
     N = 2 * B + 4
-    e = spec.elementary(N)
-    f = spec.series(N)
+    e, f = _elementary_and_series(spec, N)
     p = power_sums_from_log_derivative(f, B + 1)
     exact = p.domain in ("rational", "ratfunc")
     if rho is None:

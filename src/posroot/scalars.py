@@ -16,8 +16,12 @@ transcendentals: there is no simplification of algebraic relations such as
 ``sqrt(3)**2 == 3``.  Multivariate fractions are kept canonical only up to
 removal of shared monomial factors and the rational content of the
 denominator; equality is therefore decided by cross multiplication, which is
-exact regardless of representation.  Univariate fractions are fully reduced
-with a Euclidean gcd, which keeps deep recurrences over one parameter small.
+exact regardless of representation.  Univariate fractions are fully reduced,
+which keeps deep recurrences over one parameter small.  Their gcd comes from
+the heuristic GCDHEU algorithm (Char, Geddes & Gonnet, J. Symbolic Comput. 7,
+1989): one big-integer gcd of the two integer coefficient vectors evaluated
+at a point, read back as a polynomial and accepted only when it divides both
+exactly.  A Euclidean gcd over ``Fraction`` is the fallback.
 
 Sign decisions over the float domain are heuristic, not rigorous interval
 arithmetic: a value counts as NONNEGATIVE only when it clears a noise
@@ -31,7 +35,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
@@ -169,16 +174,22 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
         self._check(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
+        # Accumulate integer numerators over the product of the two common
+        # denominators; a term is dropped the moment its partial sum is zero,
+        # so the terms keep the order of a term-by-term Fraction product.
+        da, a = _common_denominator(self.terms.values())
+        db, b = _common_denominator(other.terms.values())
+        acc: dict[tuple[int, ...], int] = {}
+        for e1, c1 in zip(self.terms, a):
+            for e2, c2 in zip(other.terms, b):
+                e = tuple(map(add, e1, e2))
+                s = acc.get(e, 0) + c1 * c2
+                if s:
+                    acc[e] = s
                 else:
-                    terms[e] = s
-        return Polynomial(self.symbols, terms)
+                    acc.pop(e, None)
+        d = da * db
+        return Polynomial(self.symbols, {e: Fraction(n, d) for e, n in acc.items()})
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -313,21 +324,37 @@ class Polynomial:
     __repr__ = __str__
 
 
-def _poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of two univariate polynomials via the Euclidean algorithm."""
-    def dense(p: Polynomial) -> list[Fraction]:
-        deg = max((e[0] for e in p.terms), default=0)
-        out = [Fraction(0)] * (deg + 1)
-        for e, c in p.terms.items():
-            out[e[0]] = c
-        return out
+def _common_denominator(v: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """``(d, [n, ...])`` with the values of ``v`` equal to n/d, in order."""
+    v = list(v)
+    d = lcm(*(c.denominator for c in v))
+    return d, [c.numerator * (d // c.denominator) for c in v]
 
+
+def _dense(p: Polynomial) -> list[Fraction]:
+    """Coefficients of a univariate polynomial, constant term first, no
+    trailing zeros (empty for the zero polynomial)."""
+    out = [Fraction(0)] * (max((e[0] for e in p.terms), default=-1) + 1)
+    for e, c in p.terms.items():
+        out[e[0]] = c
+    return out
+
+
+def _primitive(v: list[Fraction]) -> tuple[Fraction, list[int]]:
+    """Split a nonzero rational vector as ``content * primitive integer vector``."""
+    d, ints = _common_denominator(v)
+    g = gcd(*ints)
+    return Fraction(g, d), [n // g for n in ints]
+
+
+def _euclid_gcd(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
+    """Monic gcd of two dense coefficient vectors by the Euclidean algorithm."""
     def trim(v: list[Fraction]) -> list[Fraction]:
         while v and v[-1] == 0:
             v.pop()
         return v
 
-    x, y = trim(dense(a)), trim(dense(b))
+    x, y = trim(x[:]), trim(y[:])
     while y:
         # remainder of x by y
         r = x[:]
@@ -342,10 +369,83 @@ def _poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
                 r[dr - dy + i] -= q * y[i]
             r = trim(r)
         x, y = y, r
-    if not x:
-        return Polynomial.constant(a.symbols, 0)
-    lead = x[-1]
-    return Polynomial(a.symbols, {(i,): c / lead for i, c in enumerate(x) if c != 0})
+    return [c / x[-1] for c in x] if x else []
+
+
+# Evaluation points GCDHEU tries before falling back to the Euclidean gcd.
+HEU_GCD_TRIES = 6
+
+
+def _horner(v: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(v):
+        acc = acc * x + c
+    return acc
+
+
+def _symmetric_digits(n: int, xi: int) -> list[int]:
+    """Digits of ``n`` in base ``xi`` taken from ``(-xi/2, xi/2]``, lowest first."""
+    digits = []
+    half = xi // 2
+    while n:
+        n, d = divmod(n, xi)
+        if d > half:
+            d -= xi
+            n += 1
+        digits.append(d)
+    return digits
+
+
+def _divexact_int(a: list[int], g: list[int]) -> Optional[list[int]]:
+    """Quotient ``a/g`` of integer coefficient vectors, or None when ``g``
+    does not divide ``a`` over the integers."""
+    m = len(g) - 1
+    if len(a) <= m:
+        return None
+    r = a[:]
+    lead = g[-1]
+    q = [0] * (len(a) - m)
+    for i in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[i + m], lead)
+        if rem:
+            return None
+        q[i] = c
+        if c:
+            for j in range(m):
+                r[i + j] -= c * g[j]
+    return None if any(r[:m]) else q
+
+
+def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """``(g, a/g, b/g)`` for primitive integer coefficient vectors, with ``g``
+    their primitive gcd.
+
+    GCDHEU: with ``xi >= 2*min(|a|, |b|) + 2`` (max-norms), the primitive
+    part ``G`` of the symmetric ``xi``-adic digits of ``gcd(a(xi), b(xi))``
+    is the gcd as soon as it divides both ``a`` and ``b``.  (A common factor
+    ``K`` of the cofactors would have ``|K(xi)| > xi/2`` by Cauchy's root
+    bound, yet must divide the content of those digits, which is at most
+    ``xi/2``.)  The cofactors' values at ``xi`` may share an integer
+    factor, which spoils the digits unless ``xi`` is well above it; for the
+    products of ``1-q^k`` in the catalog such factors reach about 12 bits,
+    so ``xi`` starts at ``2**16`` or more and is squared after each failed
+    trial division.
+    After ``HEU_GCD_TRIES`` failures the Euclidean gcd decides.
+    """
+    xi = max(2 * min(max(map(abs, a)), max(map(abs, b))) + 2, 1 << 16)
+    for _ in range(HEU_GCD_TRIES):
+        digits = _symmetric_digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
+        c = gcd(*digits)
+        g = [d // c for d in digits]
+        if len(g) == 1:
+            return [1], a, b
+        qa = _divexact_int(a, g)
+        qb = None if qa is None else _divexact_int(b, g)
+        if qb is not None:
+            return g, qa, qb
+        xi *= xi
+    g = _primitive(_euclid_gcd([Fraction(c) for c in a], [Fraction(c) for c in b]))[1]
+    return g, _divexact_int(a, g), _divexact_int(b, g)
 
 
 class RationalFunction:
@@ -353,8 +453,13 @@ class RationalFunction:
 
     The denominator is normalized to rational content 1 with a positive
     leading coefficient, and shared monomial factors are cancelled.  For a
-    single symbol the fraction is fully reduced.  Equality is decided by
-    cross multiplication, so partly-reduced representations are harmless.
+    single symbol the fraction is fully reduced, which makes it unique: both
+    sides are cleared to primitive integer vectors, their gcd is found by
+    GCDHEU and verified by exact integer trial division, whose quotients are
+    the reduced numerator and denominator; when ``HEU_GCD_TRIES`` evaluation
+    points all fail, a Euclidean gcd over ``Fraction`` is used instead.
+    Equality is decided by cross multiplication, so partly-reduced
+    (multivariate) representations are harmless.
     """
 
     __slots__ = ("symbols", "num", "den")
@@ -373,10 +478,13 @@ class RationalFunction:
                 den = den.shift_down(mg)
         # full reduction in one variable
         if len(self.symbols) == 1 and not num.is_zero() and not den.is_constant():
-            g = _poly_gcd_univariate(num, den)
-            if g.total_degree() > 0:
-                num = _poly_divexact_univariate(num, g)
-                den = _poly_divexact_univariate(den, g)
+            cn, a = _primitive(_dense(num))
+            cd, b = _primitive(_dense(den))
+            g, a, b = _gcd_cofactors(a, b)
+            if len(g) > 1:
+                ratio = cn / cd
+                num = Polynomial(self.symbols, {(i,): ratio * c for i, c in enumerate(a)})
+                den = Polynomial(self.symbols, {(i,): c for i, c in enumerate(b)})
         # denominator content 1, positive leading coefficient
         c = den.content()
         if den.lead_coefficient() < 0:
@@ -517,33 +625,6 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-def _poly_divexact_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact quotient a/b of univariate polynomials; b must divide a."""
-    def dense(p: Polynomial) -> list[Fraction]:
-        deg = max((e[0] for e in p.terms), default=0)
-        out = [Fraction(0)] * (deg + 1)
-        for e, c in p.terms.items():
-            out[e[0]] = c
-        return out
-
-    x, y = dense(a), dense(b)
-    while x and x[-1] == 0:
-        x.pop()
-    while y and y[-1] == 0:
-        y.pop()
-    if not x:
-        return Polynomial.constant(a.symbols, 0)
-    q = [Fraction(0)] * (len(x) - len(y) + 1)
-    r = x[:]
-    for i in range(len(q) - 1, -1, -1):
-        coeff = r[i + len(y) - 1] / y[-1]
-        q[i] = coeff
-        if coeff:
-            for j, yc in enumerate(y):
-                r[i + j] -= coeff * yc
-    return Polynomial(a.symbols, {(i,): c for i, c in enumerate(q) if c != 0})
 
 
 def eval_rational_function(f: RationalFunction, point: Mapping[str, object]):

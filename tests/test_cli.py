@@ -49,6 +49,17 @@ class TestCertifyCommand:
         assert data["mode"] == "DERIVATIVE"
         assert data["rho"] is not None
 
+    def test_symbolic_ramanujan_derivative_grid6(self, tmp_path):
+        # Univariate fractions in q of high degree: the gcd in every
+        # RationalFunction must stay cheap for this run to finish quickly.
+        out = tmp_path / "r.json"
+        code = main(["certify", "--function", "ramanujan-aq", "--mode", "derivative",
+                     "--grid", "6", "--symbolic", "--q", "1/2", "--output", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "BOUNDED-PASS"
+        assert data["metadata"]["route_equality_max_defect"] == "0"
+
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -23,6 +23,7 @@ from posroot.criterion import (
     draw_adversarial_spec,
     explicit_p_formulas,
     power_sums_from_moment_list,
+    route_equality_defect,
     shifted_reduced_series,
 )
 from posroot.scalars import BigFloat, RationalFunction
@@ -109,6 +110,25 @@ class TestCertifyDerivative:
         assert rep.verdict == "BOUNDED-PASS"
         assert len(rep.cells) == (B + 1) * (B + 2) // 2
         assert len(calls) <= 2
+
+    def test_catalog_coefficients_built_once(self, monkeypatch):
+        import posroot.catalog
+
+        calls = []
+        original = posroot.catalog.bessel_coeffs
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(posroot.catalog, "bessel_coeffs", counting)
+        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact")
+        rep = certify_derivative(spec, 6)
+        assert rep.verdict == "BOUNDED-PASS"
+        assert len(calls) == 1
+        calls.clear()
+        assert route_equality_defect(spec, 6) == 0
+        assert len(calls) == 1
 
     def test_sinc_symbolic_derivative(self):
         spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=192)

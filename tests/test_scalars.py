@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posroot import scalars
 from posroot.scalars import (
     BigFloat,
     DenominatorVanishes,
@@ -14,6 +15,8 @@ from posroot.scalars import (
     SignPolicy,
     UnboundSymbol,
     Verdict,
+    _dense,
+    _euclid_gcd,
     bigfloat_str,
     eval_rational_function,
     parse_bigfloat,
@@ -126,9 +129,10 @@ class TestRationalFunctionAlgebra:
 
 
 XY = ("x", "y")
+small_coeffs = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=6)
 small_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-3, 3), max_size=3,
+    small_coeffs, max_size=3,
 ).map(lambda terms: Polynomial(XY, terms))
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 
@@ -146,6 +150,107 @@ def test_hash_consistent_with_eq(num, den, common, k):
     assert hash(c) == hash(k) == hash(F(k))
     if a == c:
         assert hash(a) == hash(c)
+
+
+def termwise_product(a, b):
+    """Fraction product term by term, dropping a term when its sum is 0."""
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            s = terms.get(e, F(0)) + c1 * c2
+            if s == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return terms
+
+
+@settings(max_examples=150)
+@given(small_polys, small_polys)
+def test_integer_product_matches_termwise_fractions(a, b):
+    # list() compares the term order too: float evaluation sums in it
+    assert list((a * b).terms.items()) == list(termwise_product(a, b).items())
+    assert list((a * b * a).terms.items()) == \
+        list(termwise_product(Polynomial(XY, termwise_product(a, b)), a).items())
+
+
+X = ("x",)
+univariate_polys = st.lists(small_coeffs, max_size=5).map(
+    lambda cs: Polynomial(X, {(i,): c for i, c in enumerate(cs)}))
+nonconstant_polys = univariate_polys.filter(lambda p: p.total_degree() > 0)
+
+
+def fraction_divexact(a, y):
+    """Exact quotient of ``a`` by the dense vector ``y`` over Fraction."""
+    x = _dense(a)
+    q = [F(0)] * (len(x) - len(y) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = x[i + len(y) - 1] / y[-1]
+        for j, c in enumerate(y):
+            x[i + j] -= q[i] * c
+    assert not any(x)
+    return Polynomial(X, {(i,): c for i, c in enumerate(q)})
+
+
+def euclid_reduced(num, den):
+    """Reference terms of RationalFunction(num, den) over one symbol: the
+    Euclidean gcd divided out by Fraction long division, then the
+    denominator scaled to content 1 and a positive leading coefficient."""
+    if not num.is_zero():
+        mg = tuple(map(min, num.monomial_gcd(), den.monomial_gcd()))
+        num, den = num.shift_down(mg), den.shift_down(mg)
+    if not num.is_zero() and not den.is_constant():
+        g = _euclid_gcd(_dense(num), _dense(den))
+        if len(g) > 1:
+            num, den = fraction_divexact(num, g), fraction_divexact(den, g)
+    c = den.content() * (1 if den.lead_coefficient() > 0 else -1)
+    return (list(num.scale(1 / c).terms.items()),
+            list(den.scale(1 / c).terms.items()))
+
+
+def stored_terms(r):
+    return list(r.num.terms.items()), list(r.den.terms.items())
+
+
+@settings(max_examples=200)
+@given(univariate_polys, univariate_polys.filter(lambda p: not p.is_zero()),
+       nonconstant_polys, st.integers(0, 3))
+def test_planted_common_factor_reduces_like_euclid(a, b, h, k):
+    """(h*a)/(h*b) keeps exactly the terms, in order, of the Euclid reference."""
+    num, den = h ** k * a, h ** k * b
+    expected = euclid_reduced(num, den)
+    assert stored_terms(RationalFunction(num, den)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        # no heuristic attempt at all: the Euclidean fallback decides
+        mp.setattr(scalars, "HEU_GCD_TRIES", 0)
+        assert stored_terms(RationalFunction(num, den)) == expected
+
+
+def test_heuristic_gcd_divides_out_high_degree_factor():
+    x = Polynomial.variable(X, "x")
+    h = (x ** 7 - 3 * x ** 2 + F(1, 3)) ** 3
+    a = (2 * x + 1) ** 5 * (x ** 3 - x + 5)
+    b = (2 * x + 1) ** 2 * (x ** 4 + 7)
+    r = RationalFunction(h * a, h * b)
+    assert stored_terms(r) == euclid_reduced(h * a, h * b)
+    assert r.num.total_degree() == 6 and r.den.total_degree() == 4
+
+
+def test_heuristic_gcd_retries_at_a_larger_point(monkeypatch):
+    # gcd (x+1); at xi = 2**16 the cofactors x+3 and x+65542 take values
+    # 65539 and 2*65539, so the first candidate is all of (x+1)(x+3)
+    points = []
+    digits = scalars._symmetric_digits
+    monkeypatch.setattr(scalars, "_symmetric_digits",
+                        lambda n, xi: points.append(xi) or digits(n, xi))
+    a, b = [3, 4, 1], [65542, 65543, 1]
+    assert scalars._gcd_cofactors(a, b) == ([1, 1], [3, 1], [65542, 1])
+    assert points == [2 ** 16, 2 ** 32]
+    points.clear()
+    monkeypatch.setattr(scalars, "HEU_GCD_TRIES", 1)
+    assert scalars._gcd_cofactors(a, b) == ([1, 1], [3, 1], [65542, 1])
+    assert points == [2 ** 16]
 
 
 class TestSignDecide:
