@@ -21,7 +21,6 @@ from .scalars import (
     SignPolicy,
     SignVerdict,
     Verdict,
-    eval_rational_function,
     sign_decide,
     DEFAULT_PRECISION_BITS,
 )

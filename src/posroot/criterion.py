@@ -306,7 +306,6 @@ class SeriesSpec:
     precision: int = DEFAULT_PRECISION_BITS
     label: str = "explicit-series"
     mode: str = "exact"
-    _moments = None
 
     def series(self, N: int) -> TruncatedSeries:
         coeffs = list(self.f.coefficients)

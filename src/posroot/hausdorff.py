@@ -34,6 +34,8 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Optional, Sequence
 
+from mpmath import workprec
+
 from .scalars import (
     BigFloat,
     RationalFunction,
@@ -252,13 +254,34 @@ def _float_tolerance(values, j, k, prec):
 
 
 def binomial_scale(values, j: int, k: int, prec: int) -> BigFloat:
-    """Magnitude of the cell before cancellation; the honest noise scale."""
+    """Magnitude of the cell before cancellation; the honest noise scale.
+
+    The per-cell definition, ``sum_i C(j,i) |m_(k+i)|``; verdicts read the
+    same magnitudes from :func:`_noise_scales`.
+    """
     acc = BigFloat(0, prec)
     for i in range(j + 1):
         v = values[k + i]
         av = abs(v) if isinstance(v, BigFloat) else abs(BigFloat(v, prec))
         acc = acc + av * comb(j, i)
     return acc
+
+
+def _noise_scales(values, rows: int) -> list:
+    """``max(1, float(binomial_scale(values, j, k)))`` for every cell of rows ``j < rows``.
+
+    The magnitudes obey Pascal's rule, ``S_0[k] = |m_k|`` and ``S_j[k] =
+    S_(j-1)[k] + S_(j-1)[k+1]``, so the whole triangle costs ``O(B^2)``
+    additions instead of ``O(j)`` per cell.  ``values`` are BigFloats; the
+    sums run at their largest precision, far above the 53 bits kept.
+    """
+    with workprec(max(v.prec for v in values)):
+        s = [abs(v.value) for v in values]
+        out = []
+        for _ in range(rows):
+            out.append([max(1.0, float(x)) for x in s])
+            s = [s[k] + s[k + 1] for k in range(len(s) - 1)]
+    return out
 
 
 def moment_criterion(
@@ -318,7 +341,7 @@ def decide_table_verdicts(
 ) -> None:
     """Attach a sign verdict to every cell (of ``-cell`` when ``negate``)."""
     verdicts = []
-    float_values = None
+    scales = None
     for j, row in enumerate(table.rows):
         vrow = []
         for k, v in enumerate(row):
@@ -335,13 +358,11 @@ def decide_table_verdicts(
                     {s: _bind_value(bindings[s], verdict_precision)
                      for s in v.symbols})
             if isinstance(v, BigFloat):
-                if float_values is None:
-                    float_values = [_cell_float(x, bindings, verdict_precision)
-                                    for x in table.rows[0]]
-                cell_policy = SignPolicy(
-                    scale=max(1.0, float(binomial_scale(float_values, j, k, v.prec).value)),
-                    kappa=policy.kappa,
-                )
+                if scales is None:
+                    scales = _noise_scales(
+                        [_cell_float(x, bindings, verdict_precision) for x in table.rows[0]],
+                        len(table.rows))
+                cell_policy = SignPolicy(scale=scales[j][k], kappa=policy.kappa)
                 sv = sign_decide(-v if negate else v, cell_policy)
             else:
                 sv = sign_decide(-v if negate else v, policy)

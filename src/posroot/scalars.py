@@ -52,7 +52,6 @@ __all__ = [
     "SignVerdict",
     "SignPolicy",
     "sign_decide",
-    "eval_rational_function",
     "DEFAULT_PRECISION_BITS",
     "MIN_PRECISION_BITS",
     "ScalarError",
@@ -625,11 +624,6 @@ class RationalFunction:
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
-
-
-def eval_rational_function(f: RationalFunction, point: Mapping[str, object]):
-    """Evaluate ``f`` at ``point``; exact when every binding is rational."""
-    return f.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

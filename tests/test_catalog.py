@@ -24,8 +24,9 @@ from posroot.catalog import (
     riemann_phi,
     sinc_coeffs,
 )
+from posroot import catalog
 from posroot.characters import kronecker_character
-from posroot.scalars import RationalFunction, ScalarError
+from posroot.scalars import BigFloat, RationalFunction, ScalarError
 from posroot.symfun import power_sums_from_elementary
 
 
@@ -230,6 +231,111 @@ class TestDirichletKernel:
         p = power_sums_from_elementary(e, 2)
         expected = mr[1] / (2 * mr[0])
         assert abs(float(p[1] - expected)) < 1e-40
+
+
+def reference_riemann_terms(t, N_s_max, eps_bits):
+    """The Riemann theta kernel with one exponential per term (no recurrence)."""
+    X = mpmath.exp(-2 * t)
+    E9, E5 = mpmath.exp(-9 * t / 2), mpmath.exp(-5 * t / 2)
+    twopi = 2 * mpmath.pi
+    eps = mpmath.mpf(2) ** -eps_bits
+    acc = maxab = mpmath.mpf(0)
+    prev = None
+    for n in range(1, N_s_max + 1):
+        term = twopi * (twopi * n ** 4 * E9 - 3 * n * n * E5) * mpmath.exp(-n * n * mpmath.pi * X)
+        acc += term
+        maxab = max(maxab, abs(term))
+        if prev is not None and abs(term) < prev and abs(term) <= eps * (maxab + abs(acc)):
+            return acc, n
+        prev = abs(term)
+    raise AssertionError("reference theta series did not converge")
+
+
+def reference_dirichlet_terms(t, chi, two_c, N_s_max, eps_bits):
+    """The character theta kernel with one exponential per term and exp(-c t) damping."""
+    X = mpmath.exp(-2 * t)
+    damp = mpmath.exp(-mpmath.mpf(two_c) / 2 * t)
+    eps = mpmath.mpf(2) ** -eps_bits
+    acc = maxab = mpmath.mpf(0)
+    prev = None
+    for n in range(1, N_s_max + 1):
+        if chi(n) == 0:
+            continue
+        term = n ** chi.parity * chi(n) * mpmath.exp(-n * n * mpmath.pi * X / chi.modulus)
+        acc += term
+        maxab = max(maxab, abs(term))
+        if prev is not None and abs(term) < prev and abs(term) <= eps * (maxab + abs(acc)):
+            return 2 * damp * acc, n
+        prev = abs(term)
+    raise AssertionError("reference character series did not converge")
+
+
+class TestThetaRecurrence:
+    """The kernels' q^(n^2) recurrence against one exponential per term.
+
+    Each kernel call is paired with the reference at the same working
+    precision; the public value must agree to 2^-precision relative and
+    the series must stop after the same number of terms.
+    """
+
+    T_VALUES = (0, F(3, 10), 1, F(5, 2))
+
+    @staticmethod
+    def _paired(monkeypatch, name, reference):
+        real = getattr(catalog, name)
+        calls = []
+
+        def both(*args):
+            got = real(*args)
+            calls.append((got, reference(*args)))
+            return got
+
+        monkeypatch.setattr(catalog, name, both)
+        return calls
+
+    @staticmethod
+    def _check(value, calls, precision):
+        assert len(calls) == 1
+        (got, n), (want, n_ref) = calls.pop()
+        assert n == n_ref
+        want = BigFloat(want, precision).value
+        assert abs(value.value - want) <= mpmath.mpf(2) ** -precision * abs(want)
+
+    @pytest.mark.parametrize("precision", [96, 320, 1024])
+    def test_riemann(self, monkeypatch, precision):
+        calls = self._paired(monkeypatch, "_riemann_kernel_terms", reference_riemann_terms)
+        for t in self.T_VALUES:
+            for even in (True, False):
+                v = riemann_phi(t, precision, use_evenness=even)
+                self._check(v, calls, precision)
+
+    @pytest.mark.parametrize("precision", [96, 320, 1024])
+    def test_dirichlet(self, monkeypatch, precision):
+        calls = self._paired(monkeypatch, "_dirichlet_kernel_terms", reference_dirichlet_terms)
+        for chi in (kronecker_character(-4), kronecker_character(5)):
+            for printed in (False, True):
+                for t in self.T_VALUES:
+                    for even in (True, False):
+                        v = dirichlet_phi(t, chi, precision, use_evenness=even,
+                                          printed_exponent=printed)
+                        self._check(v, calls, precision)
+
+    def test_two_exponentials_per_node(self, monkeypatch):
+        calls = []
+        real_exp = mpmath.exp
+
+        def counting_exp(x):
+            calls.append(x)
+            return real_exp(x)
+
+        monkeypatch.setattr(mpmath, "exp", counting_exp)
+        runs = [lambda: riemann_moments(4, 160),
+                lambda: dirichlet_moments(kronecker_character(-4), 4, 160),
+                lambda: dirichlet_moments(kronecker_character(5), 4, 160)]
+        for run in runs:
+            calls.clear()
+            mr = run()
+            assert 0 < len(calls) <= 2 * mr.metadata["nodes"]
 
 
 class TestScan:

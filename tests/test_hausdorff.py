@@ -5,18 +5,23 @@ from math import comb, factorial
 import mpmath
 import pytest
 
+from posroot import hausdorff
 from posroot.catalog import FunctionKind, FunctionSpec
+from posroot.criterion import certify_moment
 from posroot.hausdorff import (
     InsufficientMoments,
     MomentVector,
     NonPositiveLambda,
+    _cell_float,
+    _noise_scales,
+    binomial_scale,
     derivative_cells_from_power_sums,
     derivative_form_cells,
     derivative_form_coefficient,
     difference_table,
     moment_criterion,
 )
-from posroot.scalars import BigFloat
+from posroot.scalars import DEFAULT_PRECISION_BITS, BigFloat
 from posroot.symfun import (
     InsufficientCoefficients,
     PowerSumSequence,
@@ -160,6 +165,37 @@ class TestMomentCriterion:
         for k in range(9):
             assert t2.rows[0][k] == t1.rows[0][k] / F(2) ** (k + 1)
         assert t1.is_pass() and t2.is_pass()
+
+
+class TestNoiseScales:
+    """The Pascal-triangle noise scales of the verdicts against ``binomial_scale``."""
+
+    @pytest.mark.parametrize("kind, params, mode, precision, B", [
+        (FunctionKind.AIRY_PRODUCT, {}, "float", 320, 40),
+        (FunctionKind.RIEMANN_XI, {}, "float", 1024, 24),
+        (FunctionKind.RAMANUJAN_AQ, {"q": F(1, 2)}, "ratfunc", DEFAULT_PRECISION_BITS, 8),
+    ], ids=["airy", "riemann-xi", "ramanujan-symbolic"])
+    def test_pascal_equals_binomial_scale(self, monkeypatch, kind, params, mode, precision, B):
+        seen = []
+        real = hausdorff.decide_table_verdicts
+
+        def capture(table, **kw):
+            seen.append((table, kw))
+            return real(table, **kw)
+
+        monkeypatch.setattr(hausdorff, "decide_table_verdicts", capture)
+        spec = FunctionSpec(kind, params=params, mode=mode, precision=precision)
+        assert certify_moment(spec, B).verdict == "BOUNDED-PASS"
+        (table, kw), = seen
+        bindings, prec = kw["bindings"], kw["verdict_precision"]
+        floats = [_cell_float(x, bindings, prec) for x in table.rows[0]]
+        scales = _noise_scales(floats, len(table.rows))
+        cells = 0
+        for j, k, cell in table.iter_cells():
+            cell_prec = _cell_float(cell, bindings, prec).prec
+            assert scales[j][k] == max(1.0, float(binomial_scale(floats, j, k, cell_prec).value))
+            cells += 1
+        assert cells == (B + 1) * (B + 2) // 2
 
 
 class TestDerivativeForm:
