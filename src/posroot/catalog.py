@@ -59,6 +59,7 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     RationalFunction,
     ScalarError,
+    _to_mp,
 )
 from .series import TruncatedSeries
 from .symfun import ElementarySequence
@@ -96,15 +97,6 @@ __all__ = [
 
 class QuadratureNotConverged(ScalarError):
     """Trapezoid refinements did not reach the target tolerance."""
-
-
-def _as_mpf(t):
-    """Convert an int/float/str/Fraction/BigFloat argument at ambient precision."""
-    if isinstance(t, BigFloat):
-        return t.value
-    if isinstance(t, Fraction):
-        return mpf(t.numerator) / t.denominator
-    return mpf(t)
 
 
 class PoleAtParameter(ScalarError):
@@ -429,6 +421,42 @@ def _theta_weights(q):
         w *= r
 
 
+def _kernel_value(terms, t, precision: int, N_s: Optional[int], use_evenness: bool,
+                  modulus: int = 1) -> BigFloat:
+    """A theta kernel at real ``t`` from ``terms(t, N_s_max, eps_bits) -> (value, n)``.
+
+    With ``use_evenness`` the series is summed at ``-|t|``, where all terms
+    are tame; the literal signed evaluation raises the working precision by
+    the estimated cancellation ``~ pi e^{2t} / (m ln 2)`` bits for a kernel
+    whose Gaussian factors are ``e^{-n^2 pi e^{-2t}/m}`` (``m = 1``: Riemann).
+    """
+    import math
+
+    cap = N_s or 200000
+    boost = 0
+    if not use_evenness and float(t) > 0:
+        boost = int(math.pi * math.exp(2 * float(t)) / (modulus * math.log(2))) + 64
+        if boost > 1 << 20:
+            raise ValueError(f"literal evaluation at t={float(t)} needs >1M bits; use evenness")
+    wp = precision + 48 + boost
+    with workprec(wp):
+        tv = _to_mp(t, wp)
+        v, _ = terms(-abs(tv) if use_evenness else tv, cap, precision + 16 + boost)
+        return BigFloat(v, precision)
+
+
+def _reflected(terms, N_s_max: int, eps_bits: int):
+    """The quadrature kernel ``t -> phi(-t)`` (tame terms for ``t >= 0``)."""
+    return lambda t: terms(-t, N_s_max, eps_bits)[0]
+
+
+def _evenness_defect(phi, t, precision: int) -> BigFloat:
+    """``|phi(t) - phi(-t)|`` from ``phi(t, precision)`` evaluated literally."""
+    a = phi(t, precision + 16)
+    b = phi(-t, precision + 16)
+    return BigFloat(abs((a - b).value), precision)
+
+
 def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
     """Literal theta-series kernel value at real t (terms may cancel).
 
@@ -473,30 +501,12 @@ def riemann_phi(
     cancellation ``~ pi e^{2t} / ln 2`` bits and is what the evenness
     self-check exercises.
     """
-    cap = N_s or 200000
-    if use_evenness:
-        with workprec(precision + 48):
-            tv = -abs(_as_mpf(t))
-            v, _ = _riemann_kernel_terms(tv, cap, precision + 16)
-            return BigFloat(v, precision)
-    import math
-
-    tf = float(t)
-    boost = 0
-    if tf > 0:
-        boost = int(math.pi * math.exp(2 * tf) / math.log(2)) + 64
-        if boost > 1 << 20:
-            raise ValueError(f"literal evaluation at t={tf} needs >1M bits; use evenness")
-    with workprec(precision + 48 + boost):
-        v, _ = _riemann_kernel_terms(_as_mpf(t), cap, precision + 16 + boost)
-        return BigFloat(v, precision)
+    return _kernel_value(_riemann_kernel_terms, t, precision, N_s, use_evenness)
 
 
 def riemann_evenness_defect(t, precision: int = DEFAULT_PRECISION_BITS) -> BigFloat:
     """|phi(t) - phi(-t)| with both sides evaluated literally."""
-    a = riemann_phi(t, precision + 16, use_evenness=False)
-    b = riemann_phi(-t, precision + 16, use_evenness=False)
-    return BigFloat(abs((a - b).value), precision)
+    return _evenness_defect(lambda s, p: riemann_phi(s, p, use_evenness=False), t, precision)
 
 
 def riemann_moments(
@@ -510,12 +520,7 @@ def riemann_moments(
     if K < 0:
         raise ValueError("K must be nonnegative")
     T = quad.T or _adaptive_T(lambda rhs: 0.5 * math.log(rhs / math.pi), K, precision)
-    cap = quad.N_s_max
-
-    def kernel(t):
-        v, _ = _riemann_kernel_terms(-t, cap, precision + 24)
-        return v
-
+    kernel = _reflected(_riemann_kernel_terms, quad.N_s_max, precision + 24)
     mr = _even_line_moments(kernel, K, precision, T, quad, "riemann_xi")
     mr.metadata["variant"] = "theta-even"
     return mr
@@ -559,6 +564,11 @@ def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, N_s_max: int
     raise QuadratureNotConverged(f"character theta series did not converge in {N_s_max} terms")
 
 
+def _character_terms(chi: DirichletCharacter, two_c: int):
+    """``_dirichlet_kernel_terms`` at one character and damping, as ``terms(t, N_s, eps_bits)``."""
+    return lambda t, N_s_max, eps_bits: _dirichlet_kernel_terms(t, chi, two_c, N_s_max, eps_bits)
+
+
 def dirichlet_phi(
     t,
     chi: DirichletCharacter,
@@ -574,25 +584,9 @@ def dirichlet_phi(
     selects ``(1+a)/2`` instead, which differs only for odd characters and
     demonstrably breaks evenness; it exists for the self-check.
     """
-    a = chi.parity
-    two_c = 1 + a if printed_exponent else 2 * a + 1
-    cap = N_s or 200000
-    if use_evenness:
-        with workprec(precision + 48):
-            tv = -abs(_as_mpf(t))
-            v, _ = _dirichlet_kernel_terms(tv, chi, two_c, cap, precision + 16)
-            return BigFloat(v, precision)
-    import math
-
-    tf = float(t)
-    boost = 0
-    if tf > 0:
-        boost = int(math.pi * math.exp(2 * tf) / (chi.modulus * math.log(2))) + 64
-        if boost > 1 << 20:
-            raise ValueError(f"literal evaluation at t={tf} needs >1M bits; use evenness")
-    with workprec(precision + 48 + boost):
-        v, _ = _dirichlet_kernel_terms(_as_mpf(t), chi, two_c, cap, precision + 16 + boost)
-        return BigFloat(v, precision)
+    two_c = 1 + chi.parity if printed_exponent else 2 * chi.parity + 1
+    return _kernel_value(_character_terms(chi, two_c), t, precision, N_s, use_evenness,
+                         chi.modulus)
 
 
 def dirichlet_evenness_defect(
@@ -602,11 +596,9 @@ def dirichlet_evenness_defect(
     printed_exponent: bool = False,
 ) -> BigFloat:
     """|phi(t,chi) - phi(-t,chi)| with literal evaluation on both sides."""
-    a = dirichlet_phi(t, chi, precision + 16, use_evenness=False,
-                      printed_exponent=printed_exponent)
-    b = dirichlet_phi(-t, chi, precision + 16, use_evenness=False,
-                      printed_exponent=printed_exponent)
-    return BigFloat(abs((a - b).value), precision)
+    return _evenness_defect(
+        lambda s, p: dirichlet_phi(s, chi, p, use_evenness=False,
+                                   printed_exponent=printed_exponent), t, precision)
 
 
 def dirichlet_moments(
@@ -627,18 +619,12 @@ def dirichlet_moments(
         raise ValueError("K must be nonnegative")
     m = chi.modulus
     T = quad.T or _adaptive_T(lambda rhs: 0.5 * math.log(m * rhs / math.pi), K, precision)
-    cap = quad.N_s_max
-    a = chi.parity
-    two_c = 2 * a + 1
-
-    def kernel(t):
-        v, _ = _dirichlet_kernel_terms(-t, chi, two_c, cap, precision + 24)
-        return v
-
+    kernel = _reflected(_character_terms(chi, 2 * chi.parity + 1), quad.N_s_max,
+                        precision + 24)
     mr = _even_line_moments(kernel, K, precision, T, quad, f"dirichlet_xi[{chi.label}]")
     mr.metadata["variant"] = "theta-even"
     mr.metadata["modulus"] = m
-    mr.metadata["parity"] = a
+    mr.metadata["parity"] = chi.parity
     if scan is not None:
         mr.metadata["scan_passed"] = scan.passed
         if not scan.passed:
@@ -867,21 +853,18 @@ class FunctionSpec:
 
     def moments(self, K: int) -> MomentResult:
         """Moment vector for the quadrature-backed kinds (cached)."""
-        if self.kind is FunctionKind.RIEMANN_XI:
-            if self._moments is None or len(self._moments) <= K:
-                self._moments = riemann_moments(K, self.precision, self.quad)
-            return self._moments
-        if self.kind is FunctionKind.DIRICHLET_XI:
-            if self._moments is None or len(self._moments) <= K:
-                self._moments = dirichlet_moments(
-                    self.params["chi"], K, self.precision, self.quad)
-            return self._moments
-        if self.kind is FunctionKind.BESSEL_K:
-            if self._moments is None or len(self._moments) <= K:
-                self._moments = besselk_moments(
-                    self.params["a"], K, self.precision, self.quad)
-            return self._moments
-        raise ScalarError(f"{self.kind.value} has closed-form coefficients, not moments")
+        producers = {
+            FunctionKind.RIEMANN_XI: lambda: riemann_moments(K, self.precision, self.quad),
+            FunctionKind.DIRICHLET_XI: lambda: dirichlet_moments(
+                self.params["chi"], K, self.precision, self.quad),
+            FunctionKind.BESSEL_K: lambda: besselk_moments(
+                self.params["a"], K, self.precision, self.quad),
+        }
+        if self.kind not in producers:
+            raise ScalarError(f"{self.kind.value} has closed-form coefficients, not moments")
+        if self._moments is None or len(self._moments) <= K:
+            self._moments = producers[self.kind]()
+        return self._moments
 
     def elementary(self, K: int) -> ElementarySequence:
         """Elementary symmetric values e_0..e_K in the declared mode."""

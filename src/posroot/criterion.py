@@ -50,6 +50,10 @@ from .catalog import (
 # derivative_form_coefficient is not called here but stays importable from
 # this module: perfbench/tracing.py looks it up by this path.
 from .hausdorff import (
+    CellRecord,
+    CellVerdicts,
+    bind_cell,
+    decide_cells,
     derivative_cells_from_power_sums,
     derivative_form_cells,
     derivative_form_coefficient,
@@ -66,7 +70,7 @@ from .scalars import (
     Verdict,
     bigfloat_str,
     rational_str,
-    sign_decide,
+    serialize_scalar,
 )
 from .series import (
     TruncatedSeries,
@@ -76,7 +80,12 @@ from .series import (
     series_from_elementary,
     taylor_shift,
 )
-from .symfun import ElementarySequence, PowerSumSequence, power_sums_from_elementary
+from .symfun import (
+    ElementarySequence,
+    PowerSumSequence,
+    power_sums_closed_form,
+    power_sums_from_elementary,
+)
 from .zeros import ZeroTable
 
 __all__ = [
@@ -142,6 +151,14 @@ def _mpf_to_fraction(x) -> Fraction:
     return -f if sign else f
 
 
+def _bound_in_domain(x, exact: bool, precision: int, prov: str) -> tuple[object, str]:
+    """A float bound ``x`` (mpf) as the pipeline needs it: exact pipelines,
+    symbolic ones included, take its exact dyadic value, float ones a BigFloat."""
+    if exact:
+        return _mpf_to_fraction(x), prov + " [exact dyadic]"
+    return BigFloat(x, precision), prov
+
+
 @dataclass(frozen=True)
 class LambdaPolicy:
     """How to obtain ``lam >= sup |l_n|``.
@@ -188,14 +205,15 @@ def resolve_lambda(policy: LambdaPolicy, e: ElementarySequence, exact: bool,
             lam_f = mpf(policy.safety.numerator) / policy.safety.denominator / (z1.value ** 2)
         prov = (f"lambda = {policy.safety} / min_zero^2, min_zero = {z1} "
                 f"({policy.table.source} table, {len(policy.table)} zeros)")
-        if exact:
-            return _mpf_to_fraction(lam_f), prov + " [exact dyadic]"
-        return BigFloat(lam_f, precision), prov
+        return _bound_in_domain(lam_f, exact, precision, prov)
     if policy.kind == "coefficient-bound":
         e1 = _numeric_e1(e, bindings, LambdaUnavailable)
         if (isinstance(e1, Fraction) and e1 <= 0) or (isinstance(e1, BigFloat) and not e1 > 0):
             raise LambdaUnavailable(f"coefficient bound e_1 = {e1} not positive")
-        return e1, "lambda = e_1 = sum of the sequence (coefficient bound)"
+        prov = "lambda = e_1 = sum of the sequence (coefficient bound)"
+        if exact and isinstance(e1, BigFloat):
+            return _bound_in_domain(e1.value, exact, precision, prov)
+        return e1, prov
     raise LambdaUnavailable(f"unknown lambda policy {policy.kind!r}")
 
 
@@ -226,9 +244,7 @@ def resolve_rho(policy: RhoPolicy, e: ElementarySequence, f: TruncatedSeries,
             rho_f = mpf(policy.safety.numerator) / policy.safety.denominator * (z1.value ** 2)
         prov = (f"rho = {policy.safety} * min_zero^2, min_zero = {z1} "
                 f"({policy.table.source} table)")
-        if exact:
-            return _mpf_to_fraction(rho_f), prov + " [exact dyadic]"
-        return BigFloat(rho_f, precision), prov
+        return _bound_in_domain(rho_f, exact, precision, prov)
     if policy.kind == "coefficient-bound":
         e1 = _numeric_e1(e, bindings, RhoUnavailable)
         if isinstance(e1, Fraction):
@@ -239,7 +255,7 @@ def resolve_rho(policy: RhoPolicy, e: ElementarySequence, f: TruncatedSeries,
             raise RhoUnavailable(f"coefficient bound e_1 = {e1} not positive")
         with workprec(precision + 16):
             rho_f = mpf(policy.safety.numerator) / policy.safety.denominator / e1.value
-        return BigFloat(rho_f, precision), "rho = safety/e_1 (coefficient bound)"
+        return _bound_in_domain(rho_f, exact, precision, "rho = safety/e_1 (coefficient bound)")
     if policy.kind == "first-root":
         rho = _first_root_bound(f, precision, policy.safety)
         return rho, "rho = safety * first bracketed root of the truncated series"
@@ -326,46 +342,8 @@ class SeriesSpec:
 # ---------------------------------------------------------------------------
 
 
-def serialize_scalar(v) -> object:
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return v
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Fraction):
-        return rational_str(v)
-    if isinstance(v, BigFloat):
-        return bigfloat_str(v)
-    if isinstance(v, BigComplex):
-        return {"re": bigfloat_str(v.real), "im": bigfloat_str(v.imag)}
-    if isinstance(v, RationalFunction):
-        return str(v)
-    return str(v)
-
-
 @dataclass
-class CellRecord:
-    j: int
-    k: int
-    value: object
-    verdict: Verdict
-    margin: object
-
-    def as_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "k": self.k,
-            "value": serialize_scalar(self.value),
-            "verdict": self.verdict.value,
-            "margin": serialize_scalar(self.margin),
-        }
-
-
-@dataclass
-class CertificateReport:
+class CertificateReport(CellVerdicts):
     """Outcome of one certification run; serializes bit-stably to JSON."""
 
     function: str
@@ -379,28 +357,10 @@ class CertificateReport:
     rho_provenance: str = ""
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def verdict(self) -> str:
-        counts = self.counts()
-        if counts["NEGATIVE"]:
-            return "FAIL"
-        if counts["INDETERMINATE"]:
-            return "INDETERMINATE"
-        return "BOUNDED-PASS"
-
-    def counts(self) -> dict[str, int]:
-        out = {v.value: 0 for v in Verdict}
-        for c in self.cells:
-            out[c.verdict.value] += 1
-        return out
-
-    def failures(self) -> list[CellRecord]:
-        return [c for c in self.cells if c.verdict is not Verdict.NONNEGATIVE]
-
     def min_margin_cell(self) -> Optional[CellRecord]:
         best = None
         for c in self.cells:
-            if best is None or _lt(c.margin, best.margin):
+            if best is None or c.margin < best.margin:
                 best = c
         return best
 
@@ -468,11 +428,83 @@ def _meta_safe(v):
     return serialize_scalar(v)
 
 
-def _lt(a, b) -> bool:
+# ---------------------------------------------------------------------------
+# the two cell forms
+# ---------------------------------------------------------------------------
+
+
+def _moment_certificate(label, B, precision, metadata, p, lam, lam_prov, sign_policy,
+                        bindings=None) -> CertificateReport:
+    """Report on the cells ``(-D)^j m_k``, ``m_k = p_(k+1)/lam^(k+1)``, decided ``>= 0``."""
+    table = moment_criterion(p, lam, J=B, K=0, policy=sign_policy, bindings=bindings,
+                             verdict_precision=precision)
+    return CertificateReport(label, "MOMENT", B, precision, table.cells, lam=lam,
+                             lam_provenance=lam_prov, metadata=metadata)
+
+
+def _derivative_certificate(label, mode, B, precision, metadata, f, p, rho, rho_prov,
+                            sign_policy, bindings=None) -> CertificateReport:
+    """Report on the derivative-form cells of ``f`` at ``rho``, decided ``<= 0``.
+
+    The cells are read from the series route; the metadata records their
+    worst discrepancy from the difference route over ``p``.
+    """
+    series_route, worst = _two_route_cells(f, p, rho, B, bindings, precision)
+    cells = decide_cells(((j, k, v) for (j, k), v in series_route.items()), _deriv_scale,
+                         sign_policy, bindings, precision, nonpositive=True)
+    metadata["route_equality_max_defect"] = serialize_scalar(worst)
+    return CertificateReport(label, mode, B, precision, cells, rho=rho,
+                             rho_provenance=rho_prov, metadata=metadata)
+
+
+def _two_route_cells(f, p, rho, B, bindings, precision):
+    """Series-route cells for ``j+k <= B`` and the worst |series - difference|."""
+    series_route = derivative_form_cells(f, rho, B)
+    diff_route = derivative_cells_from_power_sums(p, rho, B)
+    worst = None
+    for jk, v in series_route.items():
+        d = v - diff_route[jk]
+        if isinstance(d, RationalFunction) and d.is_zero():
+            d = Fraction(0)  # exact, also when unreduced like 0/(q-1)
+        d = abs(bind_cell(d, bindings, precision))
+        if worst is None or worst < d:
+            worst = d
+    return series_route, worst
+
+
+def _deriv_scale(j, k, v) -> float:
+    # factorial growth of the cell values sets the noise scale
     try:
-        return a < b
-    except TypeError:
-        return False
+        return max(1.0, float(abs(v).value), float(factorial(j + k)))
+    except OverflowError:
+        return float(factorial(min(j + k, 150)))
+
+
+def _spec_metadata(spec) -> dict:
+    kind = spec.kind.value if isinstance(spec, FunctionSpec) else "explicit-series"
+    meta = {"coefficient_mode": spec.mode, "kind": kind}
+    if getattr(spec, "_moments", None) is not None:
+        meta["quadrature"] = dict(spec._moments.metadata)
+        meta["moment_errors"] = [bigfloat_str(e) for e in spec._moments.errors]
+    return meta
+
+
+def _run_with_retry(once, spec, retry_doubling, *args) -> CertificateReport:
+    """``once(spec, *args)``, rerun once at doubled precision if INDETERMINATE."""
+    report = once(spec, *args)
+    if retry_doubling and report.verdict == "INDETERMINATE":
+        new_prec = min(spec.precision * 2, MAX_RETRY_PRECISION)
+        if new_prec > spec.precision:
+            spec2 = replace(spec, precision=new_prec)
+            if isinstance(spec2, FunctionSpec):
+                spec2._moments = None
+            report = once(spec2, *args)
+            report.metadata["retried_at_bits"] = new_prec
+    return report
+
+
+def _is_exact(p: PowerSumSequence) -> bool:
+    return p.domain in ("rational", "ratfunc")
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +527,6 @@ def certify_moment(
     return _run_with_retry(_moment_once, spec, retry_doubling, B, lam_policy, sign_policy)
 
 
-def _run_with_retry(once, spec, retry_doubling, *args) -> CertificateReport:
-    """``once(spec, *args)``, rerun once at doubled precision if INDETERMINATE."""
-    report = once(spec, *args)
-    if retry_doubling and report.verdict == "INDETERMINATE":
-        new_prec = min(spec.precision * 2, MAX_RETRY_PRECISION)
-        if new_prec > spec.precision:
-            spec2 = replace(spec, precision=new_prec)
-            if isinstance(spec2, FunctionSpec):
-                spec2._moments = None
-            report = once(spec2, *args)
-            report.metadata["retried_at_bits"] = new_prec
-    return report
-
-
 def _default_lambda_policy(spec) -> LambdaPolicy:
     if getattr(spec, "kind", None) is FunctionKind.SINC:
         # smallest zero of the reduced product is exactly 1
@@ -519,37 +537,10 @@ def _default_lambda_policy(spec) -> LambdaPolicy:
 def _moment_once(spec, B, lam_policy, sign_policy) -> CertificateReport:
     e = spec.elementary(B + 1)
     p = power_sums_from_elementary(e, B + 1)
-    exact = p.domain in ("rational", "ratfunc")
     bindings = spec.bindings()
-    lam, lam_prov = resolve_lambda(lam_policy, e, exact, spec.precision, bindings)
-    table = moment_criterion(
-        p, lam, J=B, K=0,
-        policy=sign_policy,
-        bindings=bindings,
-        verdict_precision=spec.precision,
-    )
-    cells = [CellRecord(j, k, v, table.verdict(j, k).verdict, table.verdict(j, k).margin)
-             for j, k, v in table.iter_cells()]
-    report = CertificateReport(
-        function=spec.label,
-        mode="MOMENT",
-        grid_bound=B,
-        precision_bits=spec.precision,
-        cells=cells,
-        lam=lam,
-        lam_provenance=lam_prov,
-        metadata=_spec_metadata(spec, B),
-    )
-    return report
-
-
-def _spec_metadata(spec, B: int) -> dict:
-    kind = spec.kind.value if isinstance(spec, FunctionSpec) else "explicit-series"
-    meta = {"coefficient_mode": spec.mode, "kind": kind}
-    if getattr(spec, "_moments", None) is not None:
-        meta["quadrature"] = dict(spec._moments.metadata)
-        meta["moment_errors"] = [bigfloat_str(e) for e in spec._moments.errors]
-    return meta
+    lam, lam_prov = resolve_lambda(lam_policy, e, _is_exact(p), spec.precision, bindings)
+    return _moment_certificate(spec.label, B, spec.precision, _spec_metadata(spec), p, lam,
+                               lam_prov, sign_policy, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -571,109 +562,31 @@ def certify_derivative(
     return _run_with_retry(_derivative_once, spec, retry_doubling, B, rho_policy, sign_policy)
 
 
-def _elementary_and_series(spec, N: int):
-    """``e_0..e_N`` and the reduced series to order N.  A catalog spec builds
-    its coefficients once and derives the series from them."""
+def _log_derivative_inputs(spec, B: int):
+    """``e_0..e_N``, the reduced series ``f`` to order ``N = 2B+4`` and
+    ``p_1..p_(B+1)`` from ``f'/f``.  A catalog spec builds its coefficients
+    once and derives the series from them."""
+    N = 2 * B + 4
     e = spec.elementary(N)
-    if isinstance(spec, FunctionSpec):
-        return e, series_from_elementary(e)
-    return e, spec.series(N)
+    f = series_from_elementary(e) if isinstance(spec, FunctionSpec) else spec.series(N)
+    return e, f, power_sums_from_log_derivative(f, B + 1)
 
 
 def _derivative_once(spec, B, rho_policy, sign_policy) -> CertificateReport:
-    N = 2 * B + 4
-    e, f = _elementary_and_series(spec, N)
-    p = power_sums_from_log_derivative(f, B + 1)
-    exact = p.domain in ("rational", "ratfunc")
+    e, f, p = _log_derivative_inputs(spec, B)
     bindings = spec.bindings()
-    rho, rho_prov = resolve_rho(rho_policy, e, f, exact, spec.precision, bindings)
-    cells, route_defect = _derivative_cells(
-        f, p, rho, B, sign_policy, bindings, spec.precision)
-    report = CertificateReport(
-        function=spec.label,
-        mode="DERIVATIVE",
-        grid_bound=B,
-        precision_bits=spec.precision,
-        cells=cells,
-        rho=rho,
-        rho_provenance=rho_prov,
-        metadata=_spec_metadata(spec, B),
-    )
-    report.metadata["route_equality_max_defect"] = serialize_scalar(route_defect)
-    return report
-
-
-def _derivative_cells(f, p, rho, B, sign_policy, bindings, precision):
-    """Cells by the series route, with their worst discrepancy from the
-    difference route."""
-    series_route, worst = _two_route_cells(f, p, rho, B, bindings, precision)
-    cells = [_nonpositive_cell(j, k, v, sign_policy, bindings, precision)
-             for (j, k), v in series_route.items()]
-    return cells, worst
-
-
-def _two_route_cells(f, p, rho, B, bindings, precision):
-    """Series-route cells for ``j+k <= B`` and the worst |series - difference|."""
-    series_route = derivative_form_cells(f, rho, B)
-    diff_route = derivative_cells_from_power_sums(p, rho, B)
-    worst = None
-    for jk, v in series_route.items():
-        worst = _max_abs(worst, v - diff_route[jk], bindings, precision)
-    return series_route, worst
-
-
-def _max_abs(worst, d, bindings, precision):
-    if isinstance(d, RationalFunction):
-        if not d.is_zero():
-            d = abs(d.evaluate({s: BigFloat(Fraction(bindings[s]) if not isinstance(bindings[s], BigFloat) else bindings[s], precision)
-                                for s in d.symbols}))
-        else:
-            d = Fraction(0)
-    if isinstance(d, Fraction):
-        d = abs(d)
-    if isinstance(d, BigFloat):
-        d = abs(d)
-    if worst is None or _lt(worst, d):
-        return d
-    return worst
-
-
-def _nonpositive_cell(j, k, v, sign_policy, bindings, precision) -> CellRecord:
-    value = v
-    if isinstance(v, RationalFunction) and not v.is_constant():
-        if bindings is None:
-            raise ScalarError("symbolic cells need bindings for verdicts")
-        v = v.evaluate({s: _as_bigfloat(bindings[s], precision) for s in v.symbols})
-    if isinstance(v, BigFloat):
-        cell_policy = SignPolicy(scale=_deriv_scale(j, k, v), kappa=sign_policy.kappa)
-        sv = sign_decide(-v, cell_policy)
-    else:
-        sv = sign_decide(-v, sign_policy)
-    return CellRecord(j, k, value, sv.verdict, sv.margin)
-
-
-def _deriv_scale(j, k, v) -> float:
-    # factorial growth of the cell values sets the noise scale
-    try:
-        return max(1.0, float(abs(v).value), float(factorial(j + k)))
-    except OverflowError:
-        return float(factorial(min(j + k, 150)))
-
-
-def _as_bigfloat(x, precision) -> BigFloat:
-    if isinstance(x, BigFloat):
-        return x
-    return BigFloat(Fraction(x), precision)
+    rho, rho_prov = resolve_rho(rho_policy, e, f, _is_exact(p), spec.precision, bindings)
+    return _derivative_certificate(spec.label, "DERIVATIVE", B, spec.precision,
+                                   _spec_metadata(spec), f, p, rho, rho_prov, sign_policy,
+                                   bindings)
 
 
 def route_equality_defect(spec: FunctionSpec, B: int, rho=None) -> object:
     """Worst |series-route - difference-route| cell discrepancy at bound B."""
-    N = 2 * B + 4
-    e, f = _elementary_and_series(spec, N)
-    p = power_sums_from_log_derivative(f, B + 1)
-    exact = p.domain in ("rational", "ratfunc")
+    e, f, p = _log_derivative_inputs(spec, B)
     if rho is None:
-        rho, _ = resolve_rho(RhoPolicy(kind="coefficient-bound"), e, f, exact, spec.precision)
+        rho, _ = resolve_rho(RhoPolicy(kind="coefficient-bound"), e, f, _is_exact(p),
+                             spec.precision)
     _, worst = _two_route_cells(f, p, rho, B, spec.bindings(), spec.precision)
     return worst
 
@@ -703,7 +616,7 @@ def shifted_reduced_series(G: TruncatedSeries, c, precision: int) -> TruncatedSe
         ci = G.coefficients[idx]
         if not (isinstance(ci, BigFloat) and ci.value == 0) and ci != 0:
             raise NotEvenAfterShift(f"source series has odd coefficient at {idx}")
-    ic = BigComplex(mpmath.mpc(0, 1), precision) * _as_bigfloat(c, precision)
+    ic = BigComplex(mpmath.mpc(0, 1), precision) * BigFloat(c, precision)
     plus = taylor_shift(G, ic)
     minus = taylor_shift(G, -ic)
     combined = []
@@ -751,21 +664,10 @@ def certify_shifted_even(
     e = elementary_from_series(f)
     p = power_sums_from_log_derivative(f, B + 1)
     rho, rho_prov = resolve_rho(rho_policy, e, f, False, spec.precision)
-    cells, route_defect = _derivative_cells(
-        f, p, rho, B, sign_policy, None, spec.precision)
-    report = CertificateReport(
-        function=f"{spec.label} shifted by c={c}",
-        mode="SHIFTED_EVEN",
-        grid_bound=B,
-        precision_bits=spec.precision,
-        cells=cells,
-        rho=rho,
-        rho_provenance=rho_prov,
-        metadata=_spec_metadata(spec, B),
-    )
-    report.metadata["shift_c"] = serialize_scalar(_as_bigfloat(c, spec.precision))
-    report.metadata["route_equality_max_defect"] = serialize_scalar(route_defect)
-    return report
+    metadata = _spec_metadata(spec)
+    metadata["shift_c"] = serialize_scalar(BigFloat(c, spec.precision))
+    return _derivative_certificate(f"{spec.label} shifted by c={c}", "SHIFTED_EVEN", B,
+                                   spec.precision, metadata, f, p, rho, rho_prov, sign_policy)
 
 
 def _as_bigcomplex(x, precision) -> BigComplex:
@@ -818,16 +720,19 @@ def explicit_p_formulas(b, K: int = 4) -> PowerSumSequence:
     return PowerSumSequence(out)
 
 
-def power_sums_from_moment_list(b, K: int) -> PowerSumSequence:
-    """Generic pipeline: e_i = b_{2i}/((2i)! b_0), then Newton."""
+def _moment_elementary(b, K: int) -> ElementarySequence:
+    """e_i = b_{2i}/((2i)! b_0), i = 0..K."""
     bs = _moment_list(b)
     b0 = bs[0]
     if b0 == 0:
         raise ZeroB0("b_0 = 0")
-    e = [Fraction(1)]
-    for i in range(1, K + 1):
-        e.append(bs[i] / (factorial(2 * i) * b0))
-    return power_sums_from_elementary(ElementarySequence(e), K)
+    return ElementarySequence([Fraction(1)] + [bs[i] / (factorial(2 * i) * b0)
+                                                for i in range(1, K + 1)])
+
+
+def power_sums_from_moment_list(b, K: int) -> PowerSumSequence:
+    """Generic pipeline: e_i = b_{2i}/((2i)! b_0), then Newton."""
+    return power_sums_from_elementary(_moment_elementary(b, K), K)
 
 
 def b_recurrence_power_sums(b, K: int) -> PowerSumSequence:
@@ -850,26 +755,7 @@ def b_recurrence_power_sums(b, K: int) -> PowerSumSequence:
 
 def b_closed_form_power_sum(b, k: int):
     """p_k by the multinomial partition sum over e_i = b_{2i}/((2i)! b_0)."""
-    from .symfun import enumerate_partitions
-
-    bs = _moment_list(b)
-    b0 = bs[0]
-    if b0 == 0:
-        raise ZeroB0("b_0 = 0")
-    total = None
-    k_sign = 1 if k % 2 == 0 else -1
-    for part in enumerate_partitions(k):
-        r = part.multiplicities
-        m = part.part_count
-        coeff = Fraction(k_sign * k * factorial(m - 1))
-        for ri in r:
-            coeff /= factorial(ri)
-        term = coeff
-        for i, ri in enumerate(r, start=1):
-            if ri:
-                term = term * (-(bs[i] / (factorial(2 * i) * b0))) ** ri
-        total = term if total is None else total + term
-    return total
+    return power_sums_closed_form(_moment_elementary(b, k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -942,27 +828,17 @@ def adversarial_run(
     with a NEGATIVE cell, or None when the bounded triangle sees nothing.
     """
     p = adversarial_power_sums(spec, B + 1, include_defects)
-    table = moment_criterion(p, spec.lam, J=B, K=0, policy=sign_policy)
-    cells = [CellRecord(j, k, v, table.verdict(j, k).verdict, table.verdict(j, k).margin)
-             for j, k, v in table.iter_cells()]
-    report = CertificateReport(
-        function=spec.label,
-        mode="MOMENT",
-        grid_bound=B,
-        precision_bits=0,
-        cells=cells,
-        lam=spec.lam,
-        lam_provenance="adversarial spec lambda (exact)",
-        metadata={
-            "base_size": len(spec.base),
-            "defects": [
-                {"re": rational_str(d.re), "im": rational_str(d.im),
-                 "multiplicity": d.multiplicity}
-                for d in spec.defects
-            ],
-            "defects_included": include_defects,
-        },
-    )
+    metadata = {
+        "base_size": len(spec.base),
+        "defects": [
+            {"re": rational_str(d.re), "im": rational_str(d.im),
+             "multiplicity": d.multiplicity}
+            for d in spec.defects
+        ],
+        "defects_included": include_defects,
+    }
+    report = _moment_certificate(spec.label, B, 0, metadata, p, spec.lam,
+                                 "adversarial spec lambda (exact)", sign_policy)
     return report, report.detection_depth()
 
 

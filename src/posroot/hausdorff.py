@@ -22,6 +22,9 @@ agreement is one of the library's core self-checks.  It builds ``L`` once
 and reads every cell from it, so the triangle costs ``O(B^3)`` scalar
 operations: ``O(B^2)`` for ``L`` and ``O(j)`` for each cell.
 
+Cells of either form are decided by one function, :func:`decide_cells`,
+into :class:`CellRecord` entries; :class:`CellVerdicts` counts them.
+
 Float-mode tables are computed with extra working bits (one per triangle
 row+column) because iterated differencing of near-equal moments cancels
 roughly one bit per row.
@@ -34,15 +37,16 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Optional, Sequence
 
-from mpmath import workprec
+from mpmath import mpf, workprec
 
 from .scalars import (
     BigFloat,
     RationalFunction,
     ScalarError,
     SignPolicy,
-    SignVerdict,
     Verdict,
+    _to_mp,
+    serialize_scalar,
     sign_decide,
     DEFAULT_SIGN_POLICY,
     DEFAULT_PRECISION_BITS,
@@ -52,6 +56,7 @@ from .series import TruncatedSeries, log_derivative_series
 
 __all__ = [
     "MomentVector",
+    "CellRecord",
     "DifferenceTable",
     "difference_table",
     "moment_criterion",
@@ -105,17 +110,60 @@ def _binomial_cell(values, j: int, k: int):
 
 
 @dataclass
-class DifferenceTable:
-    """Triangle ``cells[j][k] = (-D)^j m_k`` with optional sign verdicts.
+class CellRecord:
+    """One decided cell: its value, sign verdict and margin ``|value|``."""
+
+    j: int
+    k: int
+    value: object
+    verdict: Verdict
+    margin: object
+
+    def as_dict(self) -> dict:
+        return {
+            "j": self.j,
+            "k": self.k,
+            "value": serialize_scalar(self.value),
+            "verdict": self.verdict.value,
+            "margin": serialize_scalar(self.margin),
+        }
+
+
+class CellVerdicts:
+    """Verdict bookkeeping over ``self.cells``, a list of :class:`CellRecord`."""
+
+    @property
+    def verdict(self) -> str:
+        counts = self.counts()
+        if counts["NEGATIVE"]:
+            return "FAIL"
+        if counts["INDETERMINATE"]:
+            return "INDETERMINATE"
+        return "BOUNDED-PASS"
+
+    def counts(self) -> dict[str, int]:
+        out = {v.value: 0 for v in Verdict}
+        for c in self.cells:
+            out[c.verdict.value] += 1
+        return out
+
+    def failures(self) -> list[CellRecord]:
+        return [c for c in self.cells if c.verdict is not Verdict.NONNEGATIVE]
+
+
+@dataclass
+class DifferenceTable(CellVerdicts):
+    """Triangle ``rows[j][k] = (-D)^j m_k``; ``cells`` holds the decided cells.
 
     Row 0 is the moment vector itself; each later row is the elementwise
-    difference ``cells[j-1][k] - cells[j-1][k+1]``.  Row ``j`` holds columns
+    difference ``rows[j-1][k] - rows[j-1][k+1]``.  Row ``j`` holds columns
     ``k = 0 .. bound - j`` where ``bound = len(m) - 1`` (capped by ``J``).
+    ``cells`` stays empty until :func:`decide_table_verdicts` runs.
     """
 
     moments: MomentVector
     rows: list = field(default_factory=list)
-    verdicts: Optional[list] = None
+    cells: list = field(default_factory=list)
     lam: object = None
 
     @property
@@ -129,71 +177,13 @@ class DifferenceTable:
     def cell(self, j: int, k: int):
         return self.rows[j][k]
 
-    def verdict(self, j: int, k: int) -> SignVerdict:
-        if self.verdicts is None:
-            raise ScalarError("verdicts not computed for this table")
-        return self.verdicts[j][k]
-
     def iter_cells(self):
         for j, row in enumerate(self.rows):
             for k, v in enumerate(row):
                 yield j, k, v
 
-    def counts(self) -> dict[str, int]:
-        out = {v.value: 0 for v in Verdict}
-        for j, row in enumerate(self.verdicts or []):
-            for sv in row:
-                out[sv.verdict.value] += 1
-        return out
-
     def is_pass(self) -> bool:
-        c = self.counts()
-        return c["NEGATIVE"] == 0 and c["INDETERMINATE"] == 0
-
-    def failures(self) -> list[tuple[int, int]]:
-        out = []
-        for j, row in enumerate(self.verdicts or []):
-            for k, sv in enumerate(row):
-                if sv.verdict is not Verdict.NONNEGATIVE:
-                    out.append((j, k))
-        return out
-
-    def min_margin_cell(self):
-        """(j, k, margin) of the smallest-margin cell, or None."""
-        best = None
-        for j, row in enumerate(self.verdicts or []):
-            for k, sv in enumerate(row):
-                m = sv.margin
-                if best is None or _margin_lt(m, best[2]):
-                    best = (j, k, m)
-        return best
-
-    def to_csv(self) -> str:
-        """Rows are difference orders j, columns are moment indices k."""
-        width = len(self.rows[0]) if self.rows else 0
-        lines = ["j\\k," + ",".join(str(k) for k in range(width))]
-        for j, row in enumerate(self.rows):
-            cells = []
-            for k, v in enumerate(row):
-                letter = self.verdicts[j][k].letter if self.verdicts else ""
-                cells.append(f"{_cell_text(v)} {letter}".strip())
-            lines.append(f"{j}," + ",".join(cells))
-        return "\n".join(lines) + "\n"
-
-
-def _cell_text(v) -> str:
-    if isinstance(v, Fraction):
-        from .scalars import rational_str
-
-        return rational_str(v)
-    return str(v)
-
-
-def _margin_lt(a, b) -> bool:
-    try:
-        return a < b
-    except TypeError:
-        return False
+        return self.verdict == "BOUNDED-PASS"
 
 
 def difference_table(
@@ -229,35 +219,34 @@ def difference_table(
 
 
 def _cross_check(table: DifferenceTable, sample_stride: int = 3) -> None:
+    """Recompute every ``sample_stride``-th cell by the alternating binomial sum.
+
+    Exact cells must agree exactly; a float cell may differ by
+    ``(1 + S_j[k]) 2^-(prec-8)``, with ``S`` the magnitudes of :func:`_magnitudes`.
+    """
     values = table.rows[0]
-    for j in range(1, len(table.rows), max(1, sample_stride)):
+    mags = None
+    for j in range(1, len(table.rows), sample_stride):
         row = table.rows[j]
-        for k in range(0, len(row), max(1, sample_stride)):
+        for k in range(0, len(row), sample_stride):
             direct = _binomial_cell(values, j, k)
             got = row[k]
             if isinstance(got, BigFloat):
-                tol = _float_tolerance(values, j, k, got.prec)
-                if abs((got - direct).value) > tol:
-                    raise ScalarError(
-                        f"difference-table cross-check failed at ({j},{k})")
+                mags = mags or _magnitudes(values, len(table.rows))
+                with workprec(got.prec):
+                    tol = (1 + mags[j][k]) * mpf(2) ** (8 - got.prec)
+                    agree = abs((got - direct).value) <= tol
             else:
-                if got != direct:
-                    raise ScalarError(
-                        f"difference-table cross-check failed at ({j},{k})")
-
-
-def _float_tolerance(values, j, k, prec):
-    scale = BigFloat(1, prec)
-    for i in range(j + 1):
-        scale = scale + abs(values[k + i]) * comb(j, i)
-    return (scale * BigFloat(2, prec) ** Fraction(-(prec - 8), 1)).value
+                agree = got == direct
+            if not agree:
+                raise ScalarError(f"difference-table cross-check failed at ({j},{k})")
 
 
 def binomial_scale(values, j: int, k: int, prec: int) -> BigFloat:
     """Magnitude of the cell before cancellation; the honest noise scale.
 
-    The per-cell definition, ``sum_i C(j,i) |m_(k+i)|``; verdicts read the
-    same magnitudes from :func:`_noise_scales`.
+    The per-cell definition, ``sum_i C(j,i) |m_(k+i)|``; the cross-check and
+    the verdicts read the same magnitudes from :func:`_magnitudes`.
     """
     acc = BigFloat(0, prec)
     for i in range(j + 1):
@@ -267,21 +256,27 @@ def binomial_scale(values, j: int, k: int, prec: int) -> BigFloat:
     return acc
 
 
-def _noise_scales(values, rows: int) -> list:
-    """``max(1, float(binomial_scale(values, j, k)))`` for every cell of rows ``j < rows``.
+def _magnitudes(values, rows: int) -> list:
+    """``binomial_scale(values, j, k)`` for every cell of rows ``j < rows``, as raw mpf.
 
     The magnitudes obey Pascal's rule, ``S_0[k] = |m_k|`` and ``S_j[k] =
     S_(j-1)[k] + S_(j-1)[k+1]``, so the whole triangle costs ``O(B^2)``
-    additions instead of ``O(j)`` per cell.  ``values`` are BigFloats; the
-    sums run at their largest precision, far above the 53 bits kept.
+    additions instead of ``O(j)`` per cell.  The sums run at the largest
+    precision of the BigFloat ``values``.
     """
-    with workprec(max(v.prec for v in values)):
-        s = [abs(v.value) for v in values]
-        out = []
-        for _ in range(rows):
-            out.append([max(1.0, float(x)) for x in s])
+    prec = max(v.prec for v in values if isinstance(v, BigFloat))
+    with workprec(prec):
+        s = [abs(_to_mp(v, prec)) for v in values]
+        out = [s]
+        for _ in range(1, rows):
             s = [s[k] + s[k + 1] for k in range(len(s) - 1)]
+            out.append(s)
     return out
+
+
+def _noise_scales(values, rows: int) -> list:
+    """The verdicts' noise scales, ``max(1, float(binomial_scale(values, j, k)))``."""
+    return [[max(1.0, float(x)) for x in row] for row in _magnitudes(values, rows)]
 
 
 def moment_criterion(
@@ -337,52 +332,60 @@ def decide_table_verdicts(
     policy: SignPolicy = DEFAULT_SIGN_POLICY,
     bindings: Optional[Mapping[str, object]] = None,
     verdict_precision: int = DEFAULT_PRECISION_BITS,
-    negate: bool = False,
 ) -> None:
-    """Attach a sign verdict to every cell (of ``-cell`` when ``negate``)."""
-    verdicts = []
-    scales = None
-    for j, row in enumerate(table.rows):
-        vrow = []
-        for k, v in enumerate(row):
-            if isinstance(v, RationalFunction) and not v.is_constant():
-                if bindings is None:
-                    raise ScalarError(
-                        "rational-function cells need bindings for verdicts")
-                missing = [s for s in v.symbols if s not in bindings]
-                if missing:
-                    raise ScalarError(
-                        f"no numeric binding for symbol(s) {missing}; "
-                        "supply parameter values")
-                v = v.evaluate(
-                    {s: _bind_value(bindings[s], verdict_precision)
-                     for s in v.symbols})
-            if isinstance(v, BigFloat):
-                if scales is None:
-                    scales = _noise_scales(
-                        [_cell_float(x, bindings, verdict_precision) for x in table.rows[0]],
-                        len(table.rows))
-                cell_policy = SignPolicy(scale=scales[j][k], kappa=policy.kappa)
-                sv = sign_decide(-v if negate else v, cell_policy)
-            else:
-                sv = sign_decide(-v if negate else v, policy)
-            vrow.append(sv)
-        verdicts.append(vrow)
-    table.verdicts = verdicts
+    """Decide every cell ``>= 0``; float cells against their Pascal noise scale."""
+    scales = []
+
+    def pascal_scale(j, k, _value):
+        if not scales:
+            row0 = [bind_cell(x, bindings, verdict_precision) for x in table.rows[0]]
+            scales.extend(_noise_scales(row0, len(table.rows)))
+        return scales[j][k]
+
+    table.cells = decide_cells(table.iter_cells(), pascal_scale, policy, bindings,
+                               verdict_precision)
 
 
-def _bind_value(v, prec):
-    if isinstance(v, (int, Fraction, BigFloat)):
-        return v if isinstance(v, BigFloat) else BigFloat(Fraction(v), prec)
-    raise ScalarError(f"cannot bind symbol to {type(v).__name__}")
+def bind_cell(v, bindings: Optional[Mapping[str, object]], precision: int):
+    """A cell as a number whose sign can be decided.
+
+    A non-constant rational-function cell is evaluated with its symbols
+    bound to ``bindings`` (rational values raised to ``precision``-bit
+    BigFloats); a constant one becomes its Fraction; anything else is
+    returned as it is.
+    """
+    if not isinstance(v, RationalFunction):
+        return v
+    if v.is_constant():
+        return v.constant_value()
+    if bindings is None:
+        raise ScalarError("rational-function cells need bindings for verdicts")
+    missing = [s for s in v.symbols if s not in bindings]
+    if missing:
+        raise ScalarError(f"no numeric binding for symbol(s) {missing}; supply parameter values")
+    return v.evaluate({s: bindings[s] if isinstance(bindings[s], BigFloat)
+                       else BigFloat(Fraction(bindings[s]), precision) for s in v.symbols})
 
 
-def _cell_float(x, bindings, prec):
-    if isinstance(x, RationalFunction):
-        return x.evaluate({s: _bind_value(bindings[s], prec) for s in x.symbols})
-    if isinstance(x, BigFloat):
-        return x
-    return BigFloat(Fraction(x), prec)
+def decide_cells(cells, scale, policy: SignPolicy, bindings, precision: int,
+                 nonpositive: bool = False) -> list[CellRecord]:
+    """:class:`CellRecord` for every ``(j, k, value)`` in ``cells``.
+
+    Each value is bound by :func:`bind_cell` and the sign of it (of its
+    negation when ``nonpositive``) is decided: exactly for rationals, and
+    for BigFloats against the noise scale ``scale(j, k, bound value)``.
+    """
+    out = []
+    for j, k, value in cells:
+        x = bind_cell(value, bindings, precision)
+        if nonpositive:
+            x = -x
+        if isinstance(x, BigFloat):
+            sv = sign_decide(x, SignPolicy(scale=scale(j, k, x), kappa=policy.kappa))
+        else:
+            sv = sign_decide(x, policy)
+        out.append(CellRecord(j, k, value, sv.verdict, sv.margin))
+    return out
 
 
 def derivative_form_cells(f: TruncatedSeries, rho, bound: int) -> dict:

@@ -63,6 +63,7 @@ __all__ = [
     "parse_rational",
     "bigfloat_str",
     "parse_bigfloat",
+    "serialize_scalar",
 ]
 
 Rational = Fraction
@@ -973,3 +974,18 @@ def parse_bigfloat(s: str) -> BigFloat:
         if neg:
             v = -v
     return BigFloat(v, prec)
+
+
+def serialize_scalar(v) -> object:
+    """Report form of a scalar: ``p/q`` rationals, lossless hex floats, text otherwise."""
+    if v is None or isinstance(v, int):
+        return v
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, Fraction):
+        return rational_str(v)
+    if isinstance(v, BigFloat):
+        return bigfloat_str(v)
+    if isinstance(v, BigComplex):
+        return {"re": bigfloat_str(v.real), "im": bigfloat_str(v.imag)}
+    return str(v)

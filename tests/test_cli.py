@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from posroot.cli import main
 from posroot.scalars import parse_bigfloat
 
@@ -59,6 +61,29 @@ class TestCertifyCommand:
         data = json.loads(out.read_text())
         assert data["verdict"] == "BOUNDED-PASS"
         assert data["metadata"]["route_equality_max_defect"] == "0"
+
+    @pytest.mark.parametrize("args", [
+        ["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2", "--grid", "3",
+         "--mode", "moment"],
+        ["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2", "--grid", "3",
+         "--mode", "derivative"],
+        ["--function", "sinc", "--grid", "4", "--lambda-policy", "coefficient-bound"],
+        ["--function", "sinc", "--grid", "4", "--mode", "derivative",
+         "--rho-policy", "coefficient-bound"],
+    ], ids=["qbessel-moment", "qbessel-derivative", "sinc-lambda", "sinc-rho"])
+    def test_coefficient_bound_with_irrational_binding(self, tmp_path, args):
+        # t_nu = q^nu and t = pi^2 are bound as floats; the coefficient bound
+        # e_1 is then a float and must enter the symbolic pipeline as an
+        # exact dyadic rational
+        out = tmp_path / "r.json"
+        assert main(["certify", *args, "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "BOUNDED-PASS"
+        bound = data["metadata"]["lambda_provenance"] or data["metadata"]["rho_provenance"]
+        assert bound.endswith("(coefficient bound) [exact dyadic]")
+        assert "/" in (data["lambda"] or data["rho"])
+        if data["mode"] == "DERIVATIVE":
+            assert data["metadata"]["route_equality_max_defect"] == "0"
 
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"

@@ -1,0 +1,103 @@
+"""Report bytes pinned across commits.
+
+Each config runs ``posroot.cli.main`` and hashes the files it writes (the
+JSON report, and the CSV triangle where the verb has one).  The hashes were
+recorded from the tree before the certificate pipeline was merged into one
+path; a change that alters any byte of any of these reports fails here.
+Criterion 11 only checks that two runs of one tree agree.
+"""
+
+import hashlib
+
+import pytest
+
+from posroot.cli import main
+
+GOLDEN = {
+    "qbessel-moment-B8": (
+        ["certify", "--function", "qbessel", "--q", "1/2", "--nu", "0",
+         "--mode", "moment", "--grid", "8", "--precision", "192"],
+        "cc3cff005b5c34e3386f3f34afc376c4eb0200a74112348c4ed32dc216a49e69",
+        "f4a8736f2380aa744054d9e0a2f4af31ba0d692074a0d749cd6c461b7a5f47a5"),
+    "ramanujan-symbolic-moment-B6": (
+        ["certify", "--function", "ramanujan-aq", "--symbolic", "--q", "1/2",
+         "--mode", "moment", "--grid", "6"],
+        "ca9424a029adc30b5f91a8d3c02e3046319f47d0b6292c6b1c1da1dd0d3e183f",
+        "a54085963ff19a0b8793641c2b5534ee4dff5163374d13739a6462b3add3b509"),
+    "ramanujan-symbolic-derivative-B4": (
+        ["certify", "--function", "ramanujan-aq", "--symbolic", "--q", "1/2",
+         "--mode", "derivative", "--grid", "4"],
+        "8f4848ea609a0bad45260b392c116d0381f39bb542242c5d5badb5a11e66a9c3",
+        "eb832affebddfda7a2b38e031c398eabfb5b1d5a7352b7217957937186559a91"),
+    "bessel-nu1-derivative-B8": (
+        ["certify", "--function", "bessel", "--nu", "1", "--mode", "derivative",
+         "--grid", "8", "--precision", "192"],
+        "de2c4e923ae429d917e6a8ce293c04c5134a000e01ade28375584afb65262c34",
+        "591da848b6e9d420f0153a31d8dc6c79924a77040825f760be2bd2b26f5ed406"),
+    "airy-derivative-B8": (
+        ["certify", "--function", "airy", "--mode", "derivative", "--grid", "8",
+         "--precision", "192"],
+        "2782e307393c8790699a31933b0e5e8cce8ababe7379231808d27c70a57c2066",
+        "c2928d045d080510dac436462c343c0a9a01212957beb1a44b3807cd58ff08cd"),
+    "airy-moment-B12": (
+        ["certify", "--function", "airy", "--mode", "moment", "--grid", "12",
+         "--precision", "192"],
+        "50ab0be220cf7d463230c4f00c28e8e91b80ec0adc5b5012962e596b8d05d79e",
+        "5a1aea76f43a3c7923491c8aca9f0b0447eb34beb8e4d159e9006af858eab34f"),
+    "sinc-shifted-even-B4": (
+        ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "1/2",
+         "--grid", "4", "--precision", "192"],
+        "90117a928d1be28c5680cc51248aa8f1b75b45ca0c208854fc67eaa86ed3bb4e",
+        "f19967f6470c18eed4d353299b4c1604a4e1c18513ce281eafbf7756bebf1441"),
+    "besselk-shifted-even-B3": (
+        ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
+         "--shift", "1/2", "--grid", "3", "--precision", "192"],
+        "23e63d0f970cb5fe22352e7e51297344c9cca35083d1815d369b76d6f9483135",
+        "2dc478dd48655b65facabbc45a5a3d5645c35297a6c30eb93177958872bc224a"),
+    "riemann-moment-B4": (
+        ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "4",
+         "--precision", "256"],
+        "959eab6d3ebd0a40119ffdf66a2770bd33f0d80cd649e4f5675b047834d1ce70",
+        "b7340bc0b9f19638b672a82eb60970e9e2336f52c00a4e5fb6a0ad3aacd23299"),
+    "riemann-derivative-B4": (
+        ["certify", "--function", "riemann-xi", "--mode", "derivative", "--grid", "4",
+         "--precision", "256"],
+        "4b6c1163e9215c368b6c48d499ff81ae265314916b3b42113e10a99e5657af99",
+        "07fdaec399de829e2d51ff99efff5836b81dfb5d3502cc313920c9869ad28624"),
+    "dirichlet-m4-moment-B4": (
+        ["certify", "--function", "dirichlet-xi", "--discriminant", "-4",
+         "--mode", "moment", "--grid", "4", "--precision", "192"],
+        "171345eebce0d1169484ae34c28ef1d4f004ea64cd00ed3e54b0fc3970e3d205",
+        "31a3d994dc0b2911b59f6e6121423aa8dff7a91cafb8b2c0c8de7d254d921be3"),
+    "adversarial-seed42": (
+        ["adversarial", "--seed", "42", "--draws", "3", "--grid", "16",
+         "--base-count", "24"],
+        "1b3970e7693a9d21ae0cb30f0978389f03dcc25934c0f71083ee1958bb89241c", None),
+    "moments-besselk": (
+        ["moments", "--function", "bessel-k", "--a", "1", "--orders", "4",
+         "--precision", "192"],
+        "95f82ba164aee8b59d81ca6ffd37d55504406b70141f4adff03ed1b8f799ee1d", None),
+    "powersums-qbessel-symbolic-K3": (
+        ["powersums", "--function", "qbessel", "--symbolic", "--count", "3"],
+        "5ebb487c5d41a03595f10ea08228aa8ce1270016bdc1ef8897646835cf0b5ccb", None),
+    "zeros-nu0": (
+        ["zeros", "--nu", "0", "--count", "5", "--precision", "128"],
+        "46f94617d891db05fe5ce4950cd9b6633a0932d346a8f9fad5736de5d93845da", None),
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def _run(args, tmp_path):
+    out = tmp_path / "report.json"
+    fmt = ["--format", "both"] if args[0] in ("certify", "moments", "powersums") else []
+    assert main(args + fmt + ["--output", str(out)]) in (0, 2, 3)
+    return _sha(out), _sha(tmp_path / "report.csv")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_unchanged(name, tmp_path):
+    args, json_sha, csv_sha = GOLDEN[name]
+    assert _run(args, tmp_path) == (json_sha, csv_sha)

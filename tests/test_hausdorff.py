@@ -12,8 +12,8 @@ from posroot.hausdorff import (
     InsufficientMoments,
     MomentVector,
     NonPositiveLambda,
-    _cell_float,
     _noise_scales,
+    bind_cell,
     binomial_scale,
     derivative_cells_from_power_sums,
     derivative_form_cells,
@@ -21,7 +21,7 @@ from posroot.hausdorff import (
     difference_table,
     moment_criterion,
 )
-from posroot.scalars import DEFAULT_PRECISION_BITS, BigFloat
+from posroot.scalars import DEFAULT_PRECISION_BITS, BigFloat, ScalarError
 from posroot.symfun import (
     InsufficientCoefficients,
     PowerSumSequence,
@@ -107,6 +107,19 @@ class TestDifferenceTable:
                 assert abs(float(t.cell(j, k)) - expected) < 1e-25
 
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_cross_check_catches_tampered_cell(self, exact):
+        vals = [F(1, 2) ** k for k in range(10)]
+        if not exact:
+            vals = [BigFloat(v, 128) for v in vals]
+        t = difference_table(MomentVector(vals), 9)
+        hausdorff._cross_check(t)
+        # the check samples rows 1, 4, 7 and columns 0, 3, 6
+        t.rows[4][3] = t.rows[4][3] + F(1, 10 ** 6)
+        with pytest.raises(ScalarError, match=r"cross-check failed at \(4,3\)"):
+            hausdorff._cross_check(t)
+
+
 class TestMomentCriterion:
     def test_all_ones_boundary_pass(self):
         p = PowerSumSequence([F(1)] * 13)
@@ -125,7 +138,7 @@ class TestMomentCriterion:
         negs = [(j, k) for j in range(13) for k in range(13 - j)
                 if brute_cell(moments, j, k) < 0]
         assert negs
-        assert set(t.failures()) == set(negs)
+        assert {(c.j, c.k) for c in t.failures()} == set(negs)
 
     def test_sinc_symbolic_grid20_passes(self):
         from posroot.catalog import sinc_coeffs
@@ -188,11 +201,11 @@ class TestNoiseScales:
         assert certify_moment(spec, B).verdict == "BOUNDED-PASS"
         (table, kw), = seen
         bindings, prec = kw["bindings"], kw["verdict_precision"]
-        floats = [_cell_float(x, bindings, prec) for x in table.rows[0]]
+        floats = [bind_cell(x, bindings, prec) for x in table.rows[0]]
         scales = _noise_scales(floats, len(table.rows))
         cells = 0
         for j, k, cell in table.iter_cells():
-            cell_prec = _cell_float(cell, bindings, prec).prec
+            cell_prec = bind_cell(cell, bindings, prec).prec
             assert scales[j][k] == max(1.0, float(binomial_scale(floats, j, k, cell_prec).value))
             cells += 1
         assert cells == (B + 1) * (B + 2) // 2
