@@ -633,16 +633,15 @@ class RationalFunction:
 
 
 def _to_mp(v, prec: int):
-    if isinstance(v, BigFloat) or isinstance(v, BigComplex):
+    if isinstance(v, BigFloat):
         return v.value
-    if isinstance(v, Fraction):
+    if isinstance(v, (int, Fraction)):
+        # an int is rounded at ``prec`` too, not at mpmath's 53-bit default
         with workprec(prec):
             return mpf(v.numerator) / v.denominator
-    if isinstance(v, int):
-        return mpf(v)
     if isinstance(v, float):
         return mpf(v)
-    if isinstance(v, (mpf, mpc)):
+    if isinstance(v, mpf):
         return v
     raise DomainMismatch(f"cannot convert {type(v).__name__} to a float scalar")
 

@@ -54,6 +54,18 @@ GOLDEN = {
          "--shift", "1/2", "--grid", "3", "--precision", "192"],
         "23e63d0f970cb5fe22352e7e51297344c9cca35083d1815d369b76d6f9483135",
         "2dc478dd48655b65facabbc45a5a3d5645c35297a6c30eb93177958872bc224a"),
+    # Order-64 and order-48 shifts, recorded with integer operands rounded at
+    # the working precision (the parent rounded C(n, j) to 53 bits).
+    "sinc-shifted-even-B12": (
+        ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "1/2",
+         "--grid", "12", "--precision", "256"],
+        "c085137ce830149b935f38c6a5157d9f46f81fc8747bbdae3f9265b5a903542e",
+        "8ea115b81c8125b371066e6c34f51cbe198ccfeb0d60807c1a2ac5fcc3b7c1fd"),
+    "besselk-shifted-even-B8": (
+        ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
+         "--shift", "1/2", "--grid", "8", "--precision", "256"],
+        "95f98c79785696c1332ff22a3a7a46f19aca6cd8c738ffbcf3498912769d8123",
+        "3d57c00e9938a8fe22669b3543b26ea96f3ef3a09d95d0a888743ec3875207e4"),
     "riemann-moment-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "4",
          "--precision", "256"],

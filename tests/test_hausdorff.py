@@ -262,6 +262,22 @@ class TestDerivativeForm:
             assert same_scalar(v, derivative_form_coefficient(f, rho, j, k))
             assert same_scalar(v, reference_derivative_cell(f, rho, j, k))
 
+    def test_float_cells_keep_working_precision(self):
+        # (j+k)! reaches 118 bits at B=32; the 256-bit cells must match a
+        # 512-bit evaluation of the cell definition to 200 bits.
+        B, rho = 32, F(1, 2)
+        airy = [FunctionSpec(FunctionKind.AIRY_PRODUCT, mode="float", precision=prec)
+                for prec in (256, 512)]
+        cells = derivative_form_cells(airy[0].series(2 * B + 4), rho, B)
+        g = log_derivative_series(airy[1].series(2 * B + 4), B + 1)
+        with mpmath.workprec(512):
+            scaled = [g[m].value / 2 ** (m + 1) for m in range(B + 1)]
+            for (j, k), v in cells.items():
+                n = j + k
+                want = factorial(n) * mpmath.fsum(
+                    comb(j, s) * (-1) ** (j - s) * scaled[n - s] for s in range(j + 1))
+                assert abs(v.value - want) <= abs(want) * mpmath.mpf(2) ** -200, (j, k)
+
     def test_all_cells_need_bound_plus_one_coefficients(self):
         f = poly_series([F(1, 2), F(1, 3)], 6)
         assert len(derivative_form_cells(f, F(1), 5)) == 21

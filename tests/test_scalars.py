@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,3 +329,8 @@ class TestBigFloatPrecision:
     def test_fraction_mixing(self):
         a = BigFloat(1, 128) + F(1, 3)
         assert abs(float(a) - 4 / 3) < 1e-30
+
+    def test_integer_operands_rounded_at_working_precision(self):
+        # both exceed 53 bits; mpmath's default context would round them
+        assert int((BigFloat(1, 192) * comb(64, 32)).value) == comb(64, 32)
+        assert int((3 ** 60 * BigFloat(1, 192)).value) == 3 ** 60
