@@ -3,9 +3,9 @@
 If an even real entire function G of genus at most 1 has only real zeros,
 then for every real c the combination (G(sqrt(z)-ic) + G(sqrt(z)+ic)) /
 (2 G(ic)) is a genus-0 product with positive zeros, so its derivative-form
-cells must all be nonpositive.  The pipeline: Taylor-shift by +-ic, confirm
-the combination is real and even to float tolerance, reduce z^2 -> z,
-normalize, certify.
+cells must all be nonpositive.  The pipeline: check that G is even, form
+the real even coefficients of G(w-ic)+G(w+ic) directly (only even powers
+of c enter), reduce z^2 -> z, normalize by G(ic), certify.
 """
 
 from fractions import Fraction as F

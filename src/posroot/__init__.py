@@ -13,7 +13,6 @@ See the demos directory for end-to-end walkthroughs of each capability.
 """
 
 from .scalars import (
-    BigComplex,
     BigFloat,
     Polynomial,
     Rational,

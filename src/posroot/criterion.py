@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Optional
 
 import mpmath
@@ -47,8 +47,9 @@ from .catalog import (
     even_series_from_moments,
     sinc_even_series,
 )
-# derivative_form_coefficient is not called here but stays importable from
-# this module: perfbench/tracing.py looks it up by this path.
+# derivative_form_coefficient, taylor_shift and even_sqrt_reduce are not
+# called here but stay importable from this module: perfbench/tracing.py
+# looks them up by this path.
 from .hausdorff import (
     CellRecord,
     CellVerdicts,
@@ -60,7 +61,6 @@ from .hausdorff import (
     moment_criterion,
 )
 from .scalars import (
-    BigComplex,
     BigFloat,
     DEFAULT_PRECISION_BITS,
     DEFAULT_SIGN_POLICY,
@@ -134,7 +134,7 @@ class ShiftedNormalizationZero(ScalarError):
 
 
 class NotEvenAfterShift(ScalarError):
-    """The shifted combination has a significantly odd or imaginary part."""
+    """The source series of a shifted-even run has a nonzero odd coefficient."""
 
 
 # ---------------------------------------------------------------------------
@@ -609,42 +609,37 @@ def _even_source_series(spec: FunctionSpec, order2: int) -> TruncatedSeries:
 def shifted_reduced_series(G: TruncatedSeries, c, precision: int) -> TruncatedSeries:
     """Genus-0 reduction of (G(w-ic)+G(w+ic))/(2 G(ic)) from an even real G.
 
-    Shift by ``+-ic`` via binomial convolution, confirm the result is real
-    and even to float tolerance, reduce ``z^{2n} -> z^n``, normalize.
+    For real ``c`` the combination is real and even: its ``w^j`` coefficient
+    is ``x_j = sum_{n>=j, n-j even} a_n C(n, j) (-1)^((n-j)/2) c^(n-j)``,
+    and ``x_0 = G(ic)``.  The even ``x_j``, taken as coefficients of
+    ``z^(j/2)`` and divided by ``x_0``, give the reduction.  Each term is
+    rounded as the binomial convolution of a Taylor shift by ``ic`` rounds
+    it: ``c^m`` is a running product, the sign comes afterwards, and
+    ``(a_n C(n, j)) c^(n-j)`` is summed in ascending ``n``.
     """
-    for idx in range(1, len(G.coefficients), 2):
-        ci = G.coefficients[idx]
-        if not (isinstance(ci, BigFloat) and ci.value == 0) and ci != 0:
+    a = G.coefficients
+    for idx in range(1, len(a), 2):
+        if a[idx] != 0:
             raise NotEvenAfterShift(f"source series has odd coefficient at {idx}")
-    ic = BigComplex(mpmath.mpc(0, 1), precision) * BigFloat(c, precision)
-    plus = taylor_shift(G, ic)
-    minus = taylor_shift(G, -ic)
-    combined = []
+    cf = BigFloat(c, precision)
+    powers = [BigFloat(1, precision)]
+    for _ in range(G.order):
+        powers.append(powers[-1] * cf)
+    x = []
+    for j in range(0, len(a), 2):
+        acc = None
+        for n in range(j, len(a), 2):
+            t = a[n] * comb(n, j) * powers[n - j]
+            t = -t if (n - j) % 4 else t
+            acc = t if acc is None else acc + t
+        x.append(BigFloat(acc, precision))
     with workprec(precision + 16):
-        tol = mpf(2) ** (-Fraction(precision, 2))
-        maxmag = mpf(0)
-        raw = []
-        for a, b in zip(plus.coefficients, minus.coefficients):
-            s = _as_bigcomplex(a, precision) + _as_bigcomplex(b, precision)
-            raw.append(s)
-            m = abs(s.value)
-            if m > maxmag:
-                maxmag = m
+        maxmag = max(abs(v.value) for v in x)
         if maxmag == 0:
             raise ShiftedNormalizationZero("shifted combination is identically zero")
-        for n, s in enumerate(raw):
-            im = abs(s.value.imag)
-            if im > tol * maxmag:
-                raise NotEvenAfterShift(
-                    f"imaginary residue {im} at coefficient {n} exceeds tolerance")
-            combined.append(BigFloat(s.value.real, precision))
-    S = TruncatedSeries(combined)
-    reduced = even_sqrt_reduce(S)
-    a0 = reduced[0]
-    with workprec(precision + 16):
-        if abs(a0.value) <= mpf(2) ** (-Fraction(precision, 2)) * maxmag:
+        if abs(x[0].value) <= mpf(2) ** (-Fraction(precision, 2)) * maxmag:
             raise ShiftedNormalizationZero("G(ic) is numerically zero")
-    return reduced.normalized()
+    return TruncatedSeries(x).normalized()
 
 
 def certify_shifted_even(
@@ -668,14 +663,6 @@ def certify_shifted_even(
     metadata["shift_c"] = serialize_scalar(BigFloat(c, spec.precision))
     return _derivative_certificate(f"{spec.label} shifted by c={c}", "SHIFTED_EVEN", B,
                                    spec.precision, metadata, f, p, rho, rho_prov, sign_policy)
-
-
-def _as_bigcomplex(x, precision) -> BigComplex:
-    if isinstance(x, BigComplex):
-        return x
-    if isinstance(x, BigFloat):
-        return BigComplex(x.value, precision)
-    return BigComplex(Fraction(x), precision)
 
 
 # ---------------------------------------------------------------------------

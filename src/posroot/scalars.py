@@ -7,9 +7,8 @@ domains:
 * exact rationals -- ``fractions.Fraction``,
 * exact multivariate rational functions over the rationals -- the sparse
   :class:`Polynomial` / :class:`RationalFunction` pair defined here,
-* arbitrary-precision binary floats -- :class:`BigFloat` (real) and
-  :class:`BigComplex`, thin wrappers over mpmath that carry their own
-  working precision.
+* arbitrary-precision real binary floats -- :class:`BigFloat`, a thin
+  wrapper over mpmath that carries its own working precision.
 
 Symbols inside a rational function are treated as independent
 transcendentals: there is no simplification of algebraic relations such as
@@ -40,14 +39,13 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
-from mpmath import mpf, mpc, workprec
+from mpmath import mpf, workprec
 
 __all__ = [
     "Rational",
     "Polynomial",
     "RationalFunction",
     "BigFloat",
-    "BigComplex",
     "Verdict",
     "SignVerdict",
     "SignPolicy",
@@ -278,7 +276,7 @@ class Polynomial:
                         term *= Fraction(v) ** p
                 total += term
             return total
-        prec = max((v.prec for v in values if isinstance(v, (BigFloat, BigComplex))),
+        prec = max((v.prec for v in values if isinstance(v, BigFloat)),
                    default=DEFAULT_PRECISION_BITS)
         fvals = [_to_mp(v, prec) for v in values]
         with workprec(prec + 10):
@@ -289,8 +287,6 @@ class Polynomial:
                     if p:
                         term *= v ** p
                 total += term
-        if isinstance(total, mpc):
-            return BigComplex(total, prec)
         return BigFloat(total, prec)
 
     def _term_str(self, exp: tuple[int, ...], coeff: Fraction) -> str:
@@ -608,7 +604,7 @@ class RationalFunction:
         return self.num.constant_value() / self.den.constant_value()
 
     def evaluate(self, bindings: Mapping[str, object]):
-        """Exact Fraction for rational bindings, BigFloat/BigComplex otherwise."""
+        """Exact Fraction for rational bindings, BigFloat otherwise."""
         den = self.den.evaluate(bindings)
         if isinstance(den, Fraction):
             if den == 0:
@@ -678,8 +674,6 @@ class BigFloat:
         return mpmath.isfinite(self.value)
 
     def _binary(self, other, op):
-        if isinstance(other, BigComplex):
-            return BigComplex(self.value, self.prec)._binary(other, op)
         if isinstance(other, BigFloat):
             prec = max(self.prec, other.prec)
             o = other.value
@@ -771,98 +765,7 @@ class BigFloat:
         return f"BigFloat({self}, prec={self.prec})"
 
 
-class BigComplex:
-    """Arbitrary-precision complex float; used inside Taylor-shift pipelines."""
-
-    __slots__ = ("value", "prec")
-
-    def __init__(self, value, prec: int = DEFAULT_PRECISION_BITS):
-        if prec < MIN_PRECISION_BITS:
-            raise ValueError(f"precision below {MIN_PRECISION_BITS} bits")
-        self.prec = int(prec)
-        with workprec(self.prec):
-            if isinstance(value, (BigComplex, BigFloat)):
-                v = mpc(value.value)
-            elif isinstance(value, Fraction):
-                v = mpc(mpf(value.numerator) / value.denominator)
-            else:
-                v = mpc(value)
-        self.value = v
-
-    @property
-    def real(self) -> BigFloat:
-        return BigFloat(self.value.real, self.prec)
-
-    @property
-    def imag(self) -> BigFloat:
-        return BigFloat(self.value.imag, self.prec)
-
-    def _binary(self, other, op):
-        if isinstance(other, (BigComplex, BigFloat)):
-            prec = max(self.prec, other.prec)
-            o = other.value
-        elif isinstance(other, (int, float, complex, Fraction)):
-            prec = self.prec
-            o = _to_mp(other, prec) if not isinstance(other, complex) else mpc(other)
-        else:
-            return NotImplemented
-        with workprec(prec):
-            return BigComplex(op(self.value, o), prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: b + a)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __rmul__(self, other):
-        return self._binary(other, lambda a, b: b * a)
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: b / a)
-
-    def __pow__(self, n: int):
-        with workprec(self.prec):
-            return BigComplex(self.value ** n, self.prec)
-
-    def __neg__(self):
-        with workprec(self.prec):
-            return BigComplex(-self.value, self.prec)
-
-    def __abs__(self):
-        with workprec(self.prec):
-            return BigFloat(abs(self.value), self.prec)
-
-    def __eq__(self, other):
-        if isinstance(other, (BigComplex, BigFloat)):
-            return self.value == other.value
-        if isinstance(other, (int, float, complex)):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __str__(self):
-        return mpmath.nstr(self.value, max(8, int(self.prec * 0.3)))
-
-    def __repr__(self):
-        return f"BigComplex({self}, prec={self.prec})"
-
-
-Scalar = Union[Fraction, RationalFunction, BigFloat, BigComplex]
+Scalar = Union[Fraction, RationalFunction, BigFloat]
 
 
 # ---------------------------------------------------------------------------
@@ -985,6 +888,4 @@ def serialize_scalar(v) -> object:
         return rational_str(v)
     if isinstance(v, BigFloat):
         return bigfloat_str(v)
-    if isinstance(v, BigComplex):
-        return {"re": bigfloat_str(v.real), "im": bigfloat_str(v.imag)}
     return str(v)

@@ -7,8 +7,8 @@ truncated.  Its coefficients encode the elementary symmetric values
 sums (``-f'/f = sum p_{k+1} z^k``); both extractions live here, giving a
 second, independent route to the power sums besides the Newton recurrence.
 
-Also here: Taylor shift ``f(z) -> f(z+c)`` by binomial convolution (complex
-``c`` allowed) and the reduction of an even series ``sum c_{2n} z^{2n}`` to
+Also here: Taylor shift ``f(z) -> f(z+c)`` by binomial convolution (exact or
+real ``c``) and the reduction of an even series ``sum c_{2n} z^{2n}`` to
 ``sum c_{2n} z^n``, which maps an even entire function with zeros ``+-w_n``
 to the genus-0 product over ``w_n**2``.
 """
@@ -21,7 +21,6 @@ from math import comb
 from typing import Sequence
 
 from .scalars import (
-    BigComplex,
     BigFloat,
     RationalFunction,
     ScalarError,
@@ -60,8 +59,6 @@ def _is_zeroish(c, tol) -> bool:
         return c == 0
     if isinstance(c, RationalFunction):
         return c.is_zero()
-    if isinstance(c, BigComplex):
-        return abs(c) <= tol
     return abs(c) <= tol
 
 
@@ -190,15 +187,9 @@ def taylor_shift(f: TruncatedSeries, c) -> TruncatedSeries:
     """
     a = f.coefficients
     N = f.order
-    if isinstance(c, (int, Fraction)):
-        powers = [Fraction(1)]
-        for _ in range(N):
-            powers.append(powers[-1] * c)
-    else:
-        one = BigComplex(1, c.prec) if isinstance(c, (BigComplex, BigFloat)) else 1
-        powers = [one]
-        for _ in range(N):
-            powers.append(powers[-1] * c)
+    powers = [BigFloat(1, c.prec) if isinstance(c, BigFloat) else Fraction(1)]
+    for _ in range(N):
+        powers.append(powers[-1] * c)
     out = []
     for j in range(N + 1):
         acc = None
@@ -216,11 +207,11 @@ def even_sqrt_reduce(G: TruncatedSeries, tol=None, normalize: bool = False) -> T
     ``tol`` (default ``max|c| * 2**(-prec/2)``) in the float domain.
     """
     coeffs = G.coefficients
-    float_like = any(isinstance(c, (BigFloat, BigComplex)) for c in coeffs)
+    float_like = any(isinstance(c, BigFloat) for c in coeffs)
     if tol is None:
         if float_like:
-            prec = max(c.prec for c in coeffs if isinstance(c, (BigFloat, BigComplex)))
-            scale = max((abs(c) for c in coeffs if isinstance(c, (BigFloat, BigComplex))),
+            prec = max(c.prec for c in coeffs if isinstance(c, BigFloat))
+            scale = max((abs(c) for c in coeffs if isinstance(c, BigFloat)),
                         default=BigFloat(1, prec))
             if scale < 1:
                 scale = BigFloat(1, prec)

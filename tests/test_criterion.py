@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import comb
 
 import mpmath
 import pytest
@@ -13,6 +14,7 @@ from posroot.criterion import (
     RhoPolicy,
     SeriesSpec,
     ZeroB0,
+    _even_source_series,
     adversarial_power_sums,
     adversarial_run,
     b_closed_form_power_sum,
@@ -148,7 +150,41 @@ class TestCertifyDerivative:
         assert float(parse_bigfloat(defect)) < 2.0 ** -100
 
 
+def complex_shift_reduction(G, c, prec):
+    """(G(w+ic)+G(w-ic))/2 from two complex Taylor shifts in raw mpc at
+    ``prec+32`` bits, its even coefficients divided by the constant term."""
+    with mpmath.workprec(prec + 32):
+        a = [x.value if isinstance(x, BigFloat) else mpmath.mpf(x.numerator) / x.denominator
+             for x in G.coefficients]
+        N = len(a) - 1
+
+        def shift(s):
+            return [mpmath.fsum(a[n] * comb(n, j) * s ** (n - j) for n in range(j, N + 1))
+                    for j in range(N + 1)]
+
+        ic = mpmath.mpc(0, mpmath.mpf(c.numerator) / c.denominator)
+        S = [(u + v) / 2 for u, v in zip(shift(ic), shift(-ic))]
+        return [S[j] / S[0] for j in range(0, N + 1, 2)]
+
+
 class TestShiftedEven:
+    @pytest.mark.parametrize("c", [F(0), F(1, 2), F(1), F(7, 3)], ids=str)
+    @pytest.mark.parametrize("kind, params", [
+        (FunctionKind.SINC, {}), (FunctionKind.BESSEL_K, {"a": F(1)})], ids=["sinc", "besselk"])
+    def test_real_transform_matches_complex_shifts(self, kind, params, c):
+        prec = 192
+        G = _even_source_series(FunctionSpec(kind, params=params, mode="float",
+                                             precision=prec), 32)
+        got = shifted_reduced_series(G, c, prec)
+        want = complex_shift_reduction(G, c, prec)
+        assert len(got) == len(want) == 17
+        with mpmath.workprec(prec + 32):
+            tol = mpmath.mpf(2) ** (16 - prec)
+            for k, (x, w) in enumerate(zip(got.coefficients, want)):
+                assert isinstance(x, BigFloat) and x.prec == prec
+                assert abs(w.imag) <= tol * abs(w), k
+                assert abs(x.value - w.real) <= tol * abs(w), k
+
     def test_zero_shift_matches_unshifted(self):
         spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=192)
         from posroot.catalog import sinc_even_series

@@ -1,10 +1,12 @@
 """Report bytes pinned across commits.
 
 Each config runs ``posroot.cli.main`` and hashes the files it writes (the
-JSON report, and the CSV triangle where the verb has one).  The hashes were
-recorded from the tree before the certificate pipeline was merged into one
-path; a change that alters any byte of any of these reports fails here.
-Criterion 11 only checks that two runs of one tree agree.
+JSON report, and the CSV triangle where the verb has one).  Fifteen hashes
+were recorded from the tree before the certificate pipeline was merged into
+one path, and the three high-order shifted-even ones before the shifted-even
+transform moved from complex Taylor shifts to real arithmetic; a change that
+alters any byte of any of these reports fails here.  Criterion 11 only
+checks that two runs of one tree agree.
 """
 
 import hashlib
@@ -54,8 +56,9 @@ GOLDEN = {
          "--shift", "1/2", "--grid", "3", "--precision", "192"],
         "23e63d0f970cb5fe22352e7e51297344c9cca35083d1815d369b76d6f9483135",
         "2dc478dd48655b65facabbc45a5a3d5645c35297a6c30eb93177958872bc224a"),
-    # Order-64 and order-48 shifts, recorded with integer operands rounded at
-    # the working precision (the parent rounded C(n, j) to 53 bits).
+    # Shifts of order 64 and 48 (C(n, j) exceeds 53 bits at order 64).  The
+    # powers of the dyadic shift 1/2 are exact, so the 7/3 shift also pins
+    # the rounding of c^m.
     "sinc-shifted-even-B12": (
         ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "1/2",
          "--grid", "12", "--precision", "256"],
@@ -66,6 +69,11 @@ GOLDEN = {
          "--shift", "1/2", "--grid", "8", "--precision", "256"],
         "95f98c79785696c1332ff22a3a7a46f19aca6cd8c738ffbcf3498912769d8123",
         "3d57c00e9938a8fe22669b3543b26ea96f3ef3a09d95d0a888743ec3875207e4"),
+    "sinc-shifted-even-B8-shift7/3": (
+        ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "7/3",
+         "--grid", "8", "--precision", "256"],
+        "c49b3bed245ce8bcbbaa78501957c8fe80318e82c1047fab9a6c0bc0d655f87b",
+        "b4f0f97843f4f36a977ecab178a631529862eeef18ac6e805a5864d2ca66de1f"),
     "riemann-moment-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "4",
          "--precision", "256"],

@@ -5,7 +5,7 @@ from math import factorial
 import mpmath
 import pytest
 
-from posroot.scalars import BigComplex, BigFloat, RationalFunction
+from posroot.scalars import BigFloat, RationalFunction
 from posroot.series import (
     NotEven,
     NotNormalized,
@@ -147,12 +147,19 @@ class TestTaylorShift:
         g = taylor_shift(TruncatedSeries([F(1), F(1)]), F(1))
         assert list(g.coefficients) == [F(2), F(1)]
 
-    def test_square_plus_i(self):
-        z2 = TruncatedSeries([BigComplex(0, 96), BigComplex(0, 96), BigComplex(1, 96)])
-        g = taylor_shift(z2, BigComplex(mpmath.mpc(0, 1), 96))
-        assert abs(g[0] - BigComplex(-1, 96)) < BigFloat("1e-25", 96)
-        assert abs(g[1] - BigComplex(mpmath.mpc(0, 2), 96)) < BigFloat("1e-25", 96)
-        assert abs(g[2] - BigComplex(1, 96)) < BigFloat("1e-25", 96)
+    def test_float_shift_matches_exact_shift(self):
+        # positive coefficients and shift: no cancellation, so every
+        # coefficient carries the working precision
+        rng = random.Random(2718)
+        f = TruncatedSeries([F(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(11)])
+        c = F(7, 3)
+        exact = taylor_shift(f, c)
+        g = taylor_shift(f, BigFloat(c, 128))
+        with mpmath.workprec(160):
+            for x, want in zip(g.coefficients, exact.coefficients):
+                assert isinstance(x, BigFloat) and x.prec == 128
+                want = mpmath.mpf(want.numerator) / want.denominator
+                assert abs(x.value - want) <= want * mpmath.mpf(2) ** -120
 
     def test_degree10_random_poly_pointwise_oracle(self):
         rng = random.Random(161803)
