@@ -36,6 +36,13 @@ modulus ``m``) gives the Gaussian factors ``q^(n^2)`` by the recurrence
 two multiplications per term in place of one exponential each; the
 rounding argument is in ``_theta_weights``.
 
+The per-node accumulation of the quadrature, the theta-term loops and the
+``q^(n^2)`` recurrence run on libmp tuples (``mpf._mpf_``).  They call the
+libmp functions the ``mpf`` operators call (``mpf_mul``, ``mpf_mul_int``,
+``mpf_add``, ``mpf_sub``, ``mpf_abs`` and the comparisons) at the ambient
+working precision with round-to-nearest, so every rounding and every stop
+decision is the operators', without a wrapper object per operation.
+
 For the Dirichlet kernel with an odd character the widely printed exponent
 ``-(1+a)t/2`` fails that evenness check; the exponent ``-(2a+1)t/2`` that
 follows from the theta functional equation passes it and is what this module
@@ -52,6 +59,18 @@ from typing import Callable, Optional
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import (
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .characters import DirichletCharacter, kronecker_character
 from .scalars import (
@@ -93,6 +112,9 @@ __all__ = [
     "sinc_even_series",
     "kronecker_character",
 ]
+
+
+_make_mpf = mpmath.mp.make_mpf
 
 
 class QuadratureNotConverged(ScalarError):
@@ -311,48 +333,51 @@ def _even_line_moments(
     exact to the ``precision + 64`` working bits.  The Riemann moments at
     1024 bits, for example, record ``0x5p-1088`` for b_0 and exactly 0 for
     b_4.
+
+    The node sums run on libmp tuples with the calls, precision and
+    rounding (to nearest) of the ``mpf`` operators, so they are the
+    operator loop's sums bit for bit.
     """
     wp = precision + _QUAD_GUARD_BITS
     target = mpf(2) ** (-(precision + 8))
+
+    def add_node(sums, t):
+        """``sums[n] += f(t) t^(2n)`` for n = 0..K at the node ``t`` (a tuple)."""
+        w = kernel(_make_mpf(t))._mpf_
+        t2 = mpf_mul(t, t, wp, round_nearest)
+        sums[0] = mpf_add(sums[0], w, wp, round_nearest)
+        for n in range(1, K + 1):
+            w = mpf_mul(w, t2, wp, round_nearest)
+            sums[n] = mpf_add(sums[n], w, wp, round_nearest)
+
     with workprec(wp):
         Tm = mpf(T)
         h = mpf(quad.h0)
         n_nodes = int(mpmath.floor(Tm / h)) + 1
         # level 0 sums: s[n] = f(0)*[n==0]/2 + sum_{i>=1} (ih)^{2n} f(ih)
         f0 = kernel(mpf(0))
-        sums = [f0 / 2] + [mpf(0)] * K
+        sums = [(f0 / 2)._mpf_] + [fzero] * K
         nodes = 1
         for i in range(1, n_nodes):
-            t = i * h
-            ft = kernel(t)
-            t2 = t * t
-            w = ft
-            sums[0] += w
-            for n in range(1, K + 1):
-                w = w * t2
-                sums[n] += w
+            add_node(sums, mpf_mul_int(h._mpf_, i, wp, round_nearest))
             nodes += 1
         I_prev = None
-        I = [2 * h * s for s in sums]
+        I = [2 * h * _make_mpf(s) for s in sums]
         errors = None
         level = 0
         for level in range(1, quad.levels + 1):
             h = h / 2
-            add = [mpf(0)] * (K + 1)
+            add = [fzero] * (K + 1)
             i = 1
-            while i * h <= Tm:
-                t = i * h
-                ft = kernel(t)
-                t2 = t * t
-                w = ft
-                add[0] += w
-                for n in range(1, K + 1):
-                    w = w * t2
-                    add[n] += w
+            while True:
+                t = mpf_mul_int(h._mpf_, i, wp, round_nearest)
+                if not mpf_le(t, Tm._mpf_):
+                    break
+                add_node(add, t)
                 nodes += 1
                 i += 2
             I_prev = I
-            I = [I_prev[n] / 2 + 2 * h * add[n] for n in range(K + 1)]
+            I = [I_prev[n] / 2 + 2 * h * _make_mpf(add[n]) for n in range(K + 1)]
             errors = [abs(I[n] - I_prev[n]) for n in range(K + 1)]
             if all(errors[n] <= target * abs(I[n]) for n in range(K + 1)):
                 break
@@ -399,8 +424,12 @@ def _adaptive_T(decay_rate_log, K: int, precision: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _theta_weights(q):
+def _theta_weights(q, prec: int):
     """Yield ``q^(n^2)`` for n = 1, 2, 3, ... at two multiplications per term.
+
+    ``q`` and the yielded weights are libmp tuples; each product is
+    ``mpf_mul`` at ``prec`` bits rounded to nearest, the call ``mpf``
+    multiplication makes at that working precision.
 
     ``w_n = w_(n-1) * r_n`` with ``r_n = r_(n-1) * q^2 = q^(2n-1)``.  Each
     product rounds once, so ``r_n`` carries at most ``n`` ulps of rounding
@@ -413,12 +442,12 @@ def _theta_weights(q):
     ``q`` itself carries is the argument's: ``exp(-n^2 pi X)`` evaluated
     directly has the same ``n^2``-fold sensitivity to a rounded ``X``.
     """
-    q2 = q * q
+    q2 = mpf_mul(q, q, prec, round_nearest)
     r = w = q
     while True:
         yield w
-        r *= q2
-        w *= r
+        r = mpf_mul(r, q2, prec, round_nearest)
+        w = mpf_mul(w, r, prec, round_nearest)
 
 
 def _kernel_value(terms, t, precision: int, N_s: Optional[int], use_evenness: bool,
@@ -465,24 +494,28 @@ def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
     Two exponentials: ``E = e^{-t/2}`` gives the powers of ``e^{-t}``, and
     ``q = e^{-pi E^4}`` gives every ``e^{-n^2 pi e^{-2t}} = q^(n^2)``.
     """
+    prec, rnd = mpmath.mp.prec, round_nearest
     E = mpmath.exp(-t / 2)
-    E9 = E ** 9
-    E5 = E ** 5
+    E9 = (E ** 9)._mpf_
+    E5 = (E ** 5)._mpf_
     X = E ** 4  # e^{-2t}
     q = mpmath.exp(-mpmath.pi * X)
-    twopi = 2 * mpmath.pi
-    eps = mpf(2) ** (-eps_bits)
-    acc = mpf(0)
-    maxab = mpf(0)
+    twopi = (2 * mpmath.pi)._mpf_
+    eps = (mpf(2) ** (-eps_bits))._mpf_
+    acc = maxab = fzero
     prev = None
-    for n, w in zip(range(1, N_s_max + 1), _theta_weights(q)):
-        term = twopi * (twopi * (n ** 4) * E9 - 3 * (n * n) * E5) * w
-        acc += term
-        at = abs(term)
-        if at > maxab:
+    for n, w in zip(range(1, N_s_max + 1), _theta_weights(q._mpf_, prec)):
+        # twopi * (twopi * n^4 * E9 - 3 n^2 * E5) * w
+        a = mpf_mul(mpf_mul_int(twopi, n ** 4, prec, rnd), E9, prec, rnd)
+        b = mpf_mul_int(E5, 3 * (n * n), prec, rnd)
+        term = mpf_mul(mpf_mul(twopi, mpf_sub(a, b, prec, rnd), prec, rnd), w, prec, rnd)
+        acc = mpf_add(acc, term, prec, rnd)
+        at = mpf_abs(term, prec, rnd)
+        if mpf_gt(at, maxab):
             maxab = at
-        if prev is not None and at < prev and at <= eps * (maxab + abs(acc)):
-            return acc, n
+        if prev is not None and mpf_lt(at, prev) and mpf_le(
+                at, mpf_mul(eps, mpf_add(maxab, mpf_abs(acc, prec, rnd), prec, rnd), prec, rnd)):
+            return _make_mpf(acc), n
         prev = at
     raise QuadratureNotConverged(f"theta series did not converge in {N_s_max} terms")
 
@@ -540,26 +573,27 @@ def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, N_s_max: int
     damping ``e^{-ct} = E^(2c)``, and ``q = e^{-pi E^4/m}`` gives every
     Gaussian factor ``q^(n^2)`` (advanced also where chi(n) = 0).
     """
+    prec, rnd = mpmath.mp.prec, round_nearest
     m = chi.modulus
     a = chi.parity
     E = mpmath.exp(-t / 2)
     q = mpmath.exp(-mpmath.pi * E ** 4 / m)
     damp = E ** two_c
-    eps = mpf(2) ** (-eps_bits)
-    acc = mpf(0)
-    maxab = mpf(0)
+    eps = (mpf(2) ** (-eps_bits))._mpf_
+    acc = maxab = fzero
     prev = None
-    for n, w in zip(range(1, N_s_max + 1), _theta_weights(q)):
+    for n, w in zip(range(1, N_s_max + 1), _theta_weights(q._mpf_, prec)):
         c = chi(n)
         if c == 0:
             continue
-        term = (n ** a) * c * w
-        acc += term
-        at = abs(term)
-        if at > maxab:
+        term = mpf_mul_int(w, (n ** a) * c, prec, rnd)
+        acc = mpf_add(acc, term, prec, rnd)
+        at = mpf_abs(term, prec, rnd)
+        if mpf_gt(at, maxab):
             maxab = at
-        if prev is not None and at < prev and at <= eps * (maxab + abs(acc)):
-            return 2 * damp * acc, n
+        if prev is not None and mpf_lt(at, prev) and mpf_le(
+                at, mpf_mul(eps, mpf_add(maxab, mpf_abs(acc, prec, rnd), prec, rnd), prec, rnd)):
+            return 2 * damp * _make_mpf(acc), n
         prev = at
     raise QuadratureNotConverged(f"character theta series did not converge in {N_s_max} terms")
 

@@ -68,6 +68,7 @@ from .scalars import (
     ScalarError,
     SignPolicy,
     Verdict,
+    _to_mp,
     bigfloat_str,
     rational_str,
     serialize_scalar,
@@ -262,13 +263,22 @@ def resolve_rho(policy: RhoPolicy, e: ElementarySequence, f: TruncatedSeries,
     raise RhoUnavailable(f"unknown rho policy {policy.kind!r}")
 
 
-def _series_value(f: TruncatedSeries, z):
-    v = f.evaluate(z)
-    return v.value if isinstance(v, BigFloat) else v
+def _horner(coeffs, z):
+    """``sum c_k z^k`` by Horner's rule, ``coeffs`` from the highest degree down."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * z + c
+    return acc
 
 
 def _first_root_bound(f: TruncatedSeries, precision: int, safety: Fraction) -> BigFloat:
-    """Bracket the smallest positive root of the truncated series, bisect."""
+    """Bracket the smallest positive root of the truncated series, bisect.
+
+    The series is evaluated in raw ``mpf`` at ``precision + 16`` bits, from
+    coefficients converted once at that precision: the roundings of
+    ``BigFloat`` arithmetic at that precision, without its wrappers, for
+    coefficients of at most ``precision + 16`` bits.
+    """
     e1 = f[1]
     with workprec(precision + 16):
         if isinstance(e1, BigFloat):
@@ -278,7 +288,8 @@ def _first_root_bound(f: TruncatedSeries, precision: int, safety: Fraction) -> B
             if e1f == 0:
                 raise RhoUnavailable("vanishing linear coefficient; no scale for root scan")
             scale = abs(mpf(e1f.denominator) / e1f.numerator)
-        fb = lambda z: _series_value(f, BigFloat(z, precision + 16))
+        coeffs = [_to_mp(c, precision + 16) for c in reversed(f.coefficients)]
+        fb = lambda z: _horner(coeffs, z)
         lo = mpf(0)
         flo = fb(lo)
         hi = None
@@ -293,7 +304,6 @@ def _first_root_bound(f: TruncatedSeries, precision: int, safety: Fraction) -> B
             z += step
         if hi is None:
             raise RhoUnavailable("no sign change found while scanning for the first root")
-        fhi = fb(hi)
         for _ in range(precision + 32):
             mid = (lo + hi) / 2
             fm = fb(mid)
@@ -301,7 +311,7 @@ def _first_root_bound(f: TruncatedSeries, precision: int, safety: Fraction) -> B
                 lo = hi = mid
                 break
             if fm * flo < 0:
-                hi, fhi = mid, fm
+                hi = mid
             else:
                 lo, flo = mid, fm
             if hi - lo <= mpf(2) ** (-(precision + 8)) * hi:

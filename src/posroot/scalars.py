@@ -32,6 +32,7 @@ domains always decide.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -793,6 +794,13 @@ class SignVerdict:
         return self.verdict.letter
 
 
+@functools.cache
+def _unit_eps(prec: int) -> mpf:
+    """``eps`` at ``scale = 1``: ``2**(-prec/2)`` at ``prec + 16`` bits, once per precision."""
+    with workprec(prec + 16):
+        return mpf(2) ** (-Fraction(prec, 2))
+
+
 @dataclass(frozen=True)
 class SignPolicy:
     """Noise model for float sign decisions.
@@ -807,7 +815,7 @@ class SignPolicy:
 
     def eps(self, prec: int) -> mpf:
         with workprec(prec + 16):
-            return mpf(self.scale) * mpf(2) ** (-Fraction(prec, 2))
+            return mpf(self.scale) * _unit_eps(prec)
 
 
 DEFAULT_SIGN_POLICY = SignPolicy()

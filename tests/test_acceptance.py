@@ -14,6 +14,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import mpmath
+import pytest
 from mpmath import mpf, workprec
 
 from conftest import acceptance_results
@@ -121,6 +122,7 @@ def test_criterion_2_zeta_even_values():
 # -- criterion 3 -------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_3_rayleigh_sums():
     with criterion(3, "Rayleigh sums: symbolic p1, p2 and the 200-zero oracle"):
         e = FunctionSpec(FunctionKind.BESSEL, mode="ratfunc").elementary(2)

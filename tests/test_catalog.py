@@ -270,12 +270,74 @@ def reference_dirichlet_terms(t, chi, two_c, N_s_max, eps_bits):
     raise AssertionError("reference character series did not converge")
 
 
+def operator_theta_weights(q):
+    """``_theta_weights`` written with ``mpf`` operators."""
+    q2 = q * q
+    r = w = q
+    while True:
+        yield w
+        r *= q2
+        w *= r
+
+
+def operator_riemann_terms(t, N_s_max, eps_bits):
+    """``_riemann_kernel_terms`` written with ``mpf`` operators."""
+    E = mpmath.exp(-t / 2)
+    E9 = E ** 9
+    E5 = E ** 5
+    X = E ** 4
+    q = mpmath.exp(-mpmath.pi * X)
+    twopi = 2 * mpmath.pi
+    eps = mpmath.mpf(2) ** (-eps_bits)
+    acc = mpmath.mpf(0)
+    maxab = mpmath.mpf(0)
+    prev = None
+    for n, w in zip(range(1, N_s_max + 1), operator_theta_weights(q)):
+        term = twopi * (twopi * (n ** 4) * E9 - 3 * (n * n) * E5) * w
+        acc += term
+        at = abs(term)
+        if at > maxab:
+            maxab = at
+        if prev is not None and at < prev and at <= eps * (maxab + abs(acc)):
+            return acc, n
+        prev = at
+    raise AssertionError("operator theta series did not converge")
+
+
+def operator_dirichlet_terms(t, chi, two_c, N_s_max, eps_bits):
+    """``_dirichlet_kernel_terms`` written with ``mpf`` operators."""
+    m = chi.modulus
+    a = chi.parity
+    E = mpmath.exp(-t / 2)
+    q = mpmath.exp(-mpmath.pi * E ** 4 / m)
+    damp = E ** two_c
+    eps = mpmath.mpf(2) ** (-eps_bits)
+    acc = mpmath.mpf(0)
+    maxab = mpmath.mpf(0)
+    prev = None
+    for n, w in zip(range(1, N_s_max + 1), operator_theta_weights(q)):
+        c = chi(n)
+        if c == 0:
+            continue
+        term = (n ** a) * c * w
+        acc += term
+        at = abs(term)
+        if at > maxab:
+            maxab = at
+        if prev is not None and at < prev and at <= eps * (maxab + abs(acc)):
+            return 2 * damp * acc, n
+        prev = at
+    raise AssertionError("operator character series did not converge")
+
+
 class TestThetaRecurrence:
     """The kernels' q^(n^2) recurrence against one exponential per term.
 
     Each kernel call is paired with the reference at the same working
     precision; the public value must agree to 2^-precision relative and
-    the series must stop after the same number of terms.
+    the series must stop after the same number of terms.  The libmp-tuple
+    loops must also equal the same loops written with ``mpf`` operators,
+    bit for bit.
     """
 
     T_VALUES = (0, F(3, 10), 1, F(5, 2))
@@ -319,6 +381,22 @@ class TestThetaRecurrence:
                         v = dirichlet_phi(t, chi, precision, use_evenness=even,
                                           printed_exponent=printed)
                         self._check(v, calls, precision)
+
+    @pytest.mark.parametrize("precision", [96, 320, 1024])
+    def test_bit_identical_to_operator_loops(self, monkeypatch, precision):
+        riemann = self._paired(monkeypatch, "_riemann_kernel_terms", operator_riemann_terms)
+        dirichlet = self._paired(monkeypatch, "_dirichlet_kernel_terms",
+                                 operator_dirichlet_terms)
+        for t in self.T_VALUES:
+            for even in (True, False):
+                riemann_phi(t, precision, use_evenness=even)
+                for D in (-4, 5):
+                    dirichlet_phi(t, kronecker_character(D), precision, use_evenness=even)
+        assert len(riemann) == 2 * len(self.T_VALUES)
+        assert len(dirichlet) == 4 * len(self.T_VALUES)
+        for (got, n), (want, n_ref) in riemann + dirichlet:
+            assert isinstance(got, mpmath.mpf)
+            assert (got._mpf_, n) == (want._mpf_, n_ref)
 
     def test_two_exponentials_per_node(self, monkeypatch):
         calls = []

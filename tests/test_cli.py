@@ -63,14 +63,17 @@ class TestCertifyCommand:
         assert data["metadata"]["route_equality_max_defect"] == "0"
 
     @pytest.mark.parametrize("args", [
-        ["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2", "--grid", "3",
-         "--mode", "moment"],
-        ["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2", "--grid", "3",
-         "--mode", "derivative"],
-        ["--function", "sinc", "--grid", "4", "--lambda-policy", "coefficient-bound"],
-        ["--function", "sinc", "--grid", "4", "--mode", "derivative",
-         "--rho-policy", "coefficient-bound"],
-    ], ids=["qbessel-moment", "qbessel-derivative", "sinc-lambda", "sinc-rho"])
+        pytest.param(["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
+                      "--grid", "3", "--mode", "moment"],
+                     id="qbessel-moment", marks=pytest.mark.slow),
+        pytest.param(["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
+                      "--grid", "3", "--mode", "derivative"],
+                     id="qbessel-derivative", marks=pytest.mark.slow),
+        pytest.param(["--function", "sinc", "--grid", "4", "--lambda-policy",
+                      "coefficient-bound"], id="sinc-lambda"),
+        pytest.param(["--function", "sinc", "--grid", "4", "--mode", "derivative",
+                      "--rho-policy", "coefficient-bound"], id="sinc-rho"),
+    ])
     def test_coefficient_bound_with_irrational_binding(self, tmp_path, args):
         # t_nu = q^nu and t = pi^2 are bound as floats; the coefficient bound
         # e_1 is then a float and must enter the symbolic pipeline as an

@@ -6,15 +6,18 @@ from math import comb
 import mpmath
 import pytest
 
-from posroot.catalog import FunctionKind, FunctionSpec
+from posroot import criterion
+from posroot.catalog import FunctionKind, FunctionSpec, sinc_even_series
 from posroot.criterion import (
     AdversarialSpec,
     Defect,
     LambdaPolicy,
     RhoPolicy,
+    SAFETY_DOWN,
     SeriesSpec,
     ZeroB0,
     _even_source_series,
+    _first_root_bound,
     adversarial_power_sums,
     adversarial_run,
     b_closed_form_power_sum,
@@ -187,7 +190,6 @@ class TestShiftedEven:
 
     def test_zero_shift_matches_unshifted(self):
         spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=192)
-        from posroot.catalog import sinc_even_series
         G = sinc_even_series(40, 192)
         f0 = shifted_reduced_series(G, F(0), 192)
         direct = spec.series(20)
@@ -208,6 +210,88 @@ class TestShiftedEven:
                             mode="float", precision=224)
         rep = certify_shifted_even(spec, F(1, 2), 6)
         assert rep.verdict == "BOUNDED-PASS"
+
+
+def bigfloat_horner_first_root(f, precision, safety):
+    """``_first_root_bound`` with the series evaluated in ``BigFloat`` arithmetic."""
+    e1 = f[1]
+    with mpmath.workprec(precision + 16):
+        if isinstance(e1, BigFloat):
+            scale = abs(1 / e1.value)
+        else:
+            e1f = F(e1)
+            scale = abs(mpmath.mpf(e1f.denominator) / e1f.numerator)
+
+        def fb(z):
+            v = f.evaluate(BigFloat(z, precision + 16))
+            return v.value if isinstance(v, BigFloat) else v
+
+        lo = mpmath.mpf(0)
+        flo = fb(lo)
+        hi = None
+        step = scale / 16
+        z = step
+        for _ in range(1024):
+            fz = fb(z)
+            if fz * flo < 0:
+                hi = z
+                break
+            lo, flo = z, fz
+            z += step
+        assert hi is not None
+        for _ in range(precision + 32):
+            mid = (lo + hi) / 2
+            fm = fb(mid)
+            if fm == 0:
+                lo = hi = mid
+                break
+            if fm * flo < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+            if hi - lo <= mpmath.mpf(2) ** (-(precision + 8)) * hi:
+                break
+        root = (lo + hi) / 2
+        return BigFloat(root * safety.numerator / safety.denominator, precision)
+
+
+def _shifted(kind, params, order2, c, precision):
+    spec = FunctionSpec(kind, params=params, mode="float", precision=precision)
+    return shifted_reduced_series(_even_source_series(spec, order2), c, precision)
+
+
+FIRST_ROOT_SERIES = {
+    "sinc-c1/2": lambda: (_shifted(FunctionKind.SINC, {}, 64, F(1, 2), 256), 256),
+    "sinc-c7/3": lambda: (_shifted(FunctionKind.SINC, {}, 48, F(7, 3), 256), 256),
+    "besselk-a1-c1/2": lambda: (_shifted(FunctionKind.BESSEL_K, {"a": F(1)}, 48, F(1, 2), 256),
+                                256),
+    "bessel-nu0-fractions": lambda: (FunctionSpec(FunctionKind.BESSEL,
+                                                  params={"nu": F(0)}).series(24), 192),
+}
+
+
+class TestFirstRootBound:
+    @pytest.mark.parametrize("name", sorted(FIRST_ROOT_SERIES))
+    def test_bit_identical_to_bigfloat_horner(self, monkeypatch, name):
+        # the root, and every evaluation of the series along the scan
+        f, precision = FIRST_ROOT_SERIES[name]()
+        seen = []
+        real = criterion._horner
+
+        def recording(coeffs, z):
+            v = real(coeffs, z)
+            seen.append((z, v))
+            return v
+
+        monkeypatch.setattr(criterion, "_horner", recording)
+        got = _first_root_bound(f, precision, SAFETY_DOWN)
+        want = bigfloat_horner_first_root(f, precision, SAFETY_DOWN)
+        assert got.prec == want.prec == precision
+        assert got.value._mpf_ == want.value._mpf_
+        assert len(seen) > precision
+        for z, v in seen:
+            w = f.evaluate(BigFloat(z, precision + 16))
+            assert v._mpf_ == w.value._mpf_
 
 
 class TestExplicitFormulas:

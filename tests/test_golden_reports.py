@@ -3,8 +3,10 @@
 Each config runs ``posroot.cli.main`` and hashes the files it writes (the
 JSON report, and the CSV triangle where the verb has one).  Fifteen hashes
 were recorded from the tree before the certificate pipeline was merged into
-one path, and the three high-order shifted-even ones before the shifted-even
-transform moved from complex Taylor shifts to real arithmetic; a change that
+one path, the three high-order shifted-even ones before the shifted-even
+transform moved from complex Taylor shifts to real arithmetic, and the two
+high-precision theta-kernel moment runs (an even character, and Riemann at
+1024 bits) before the quadrature moved to libmp tuples; a change that
 alters any byte of any of these reports fails here.  Criterion 11 only
 checks that two runs of one tree agree.
 """
@@ -97,6 +99,15 @@ GOLDEN = {
         ["moments", "--function", "bessel-k", "--a", "1", "--orders", "4",
          "--precision", "192"],
         "95f82ba164aee8b59d81ca6ffd37d55504406b70141f4adff03ed1b8f799ee1d", None),
+    # D = 8 is an even character (a = 0); Riemann at the 1024 bits of the
+    # xi-quadrature benchmark workload.
+    "moments-dirichlet-D8-640": (
+        ["moments", "--function", "dirichlet-xi", "--discriminant", "8", "--orders", "6",
+         "--precision", "640"],
+        "e37499f50774939c5e17ae7e5e4c9d7b71244aff7693768b22eab3138220396f", None),
+    "moments-riemann-1024": (
+        ["moments", "--function", "riemann-xi", "--orders", "6", "--precision", "1024"],
+        "8514c3508e3e1ebe4c9f6be452c0a2cf92b92a0293d333158cfa711e3ab37419", None),
     "powersums-qbessel-symbolic-K3": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "3"],
         "5ebb487c5d41a03595f10ea08228aa8ce1270016bdc1ef8897646835cf0b5ccb", None),

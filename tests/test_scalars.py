@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 from math import comb
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -286,6 +287,14 @@ class TestSignDecide:
         bad.value = bad.value * float("inf")
         with pytest.raises(NonFinite):
             sign_decide(bad)
+
+    @pytest.mark.parametrize("prec", [64, 96, 161, 320, 1024])
+    def test_eps_equals_uncached_formula(self, prec):
+        for scale in (1, 3.5, 1e30):
+            with mpmath.workprec(prec + 16):
+                want = mpmath.mpf(scale) * mpmath.mpf(2) ** (-F(prec, 2))
+            for _ in range(2):
+                assert SignPolicy(scale=scale).eps(prec)._mpf_ == want._mpf_
 
     def test_exact_domains_never_indeterminate(self):
         rng = random.Random(5)
