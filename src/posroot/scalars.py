@@ -35,8 +35,9 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import lshift
 from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
@@ -110,6 +111,14 @@ class Polynomial:
         self.terms = {e: Fraction(c) for e, c in terms.items() if c != 0}
 
     @classmethod
+    def _from_terms(cls, symbols: tuple[str, ...], terms: dict) -> "Polynomial":
+        """Wrap ``terms`` as is: only for dicts of nonzero Fractions built here."""
+        p = object.__new__(cls)
+        p.symbols = symbols
+        p.terms = terms
+        return p
+
+    @classmethod
     def constant(cls, symbols: Iterable[str], value) -> "Polynomial":
         symbols = tuple(symbols)
         value = Fraction(value)
@@ -157,15 +166,16 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
+            if e not in terms:
+                terms[e] = c
+            elif s := terms[e] + c:
                 terms[e] = s
-        return Polynomial(self.symbols, terms)
+            else:
+                del terms[e]
+        return Polynomial._from_terms(self.symbols, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.symbols, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.symbols, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -176,19 +186,26 @@ class Polynomial:
         # Accumulate integer numerators over the product of the two common
         # denominators; a term is dropped the moment its partial sum is zero,
         # so the terms keep the order of a term-by-term Fraction product.
+        # Exponent tuples are packed into ints with fields wide enough for any
+        # exponent sum, so a monomial product is one integer add.
+        width = (_max_exponent(self.terms) + _max_exponent(other.terms)).bit_length()
+        shifts = [width * i for i in range(len(self.symbols))]
         da, a = _common_denominator(self.terms.values())
         db, b = _common_denominator(other.terms.values())
-        acc: dict[tuple[int, ...], int] = {}
-        for e1, c1 in zip(self.terms, a):
-            for e2, c2 in zip(other.terms, b):
-                e = tuple(map(add, e1, e2))
-                s = acc.get(e, 0) + c1 * c2
+        right = list(zip(_packed(other.terms, shifts), b))
+        acc: dict[int, int] = {}
+        for k1, c1 in zip(_packed(self.terms, shifts), a):
+            for k2, c2 in right:
+                k = k1 + k2
+                s = acc.get(k, 0) + c1 * c2
                 if s:
-                    acc[e] = s
+                    acc[k] = s
                 else:
-                    acc.pop(e, None)
+                    acc.pop(k, None)
         d = da * db
-        return Polynomial(self.symbols, {e: Fraction(n, d) for e, n in acc.items()})
+        mask = (1 << width) - 1
+        return Polynomial._from_terms(self.symbols, {
+            tuple([k >> i & mask for i in shifts]): Fraction(n, d) for k, n in acc.items()})
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -252,9 +269,10 @@ class Polynomial:
         )
 
     def scale(self, factor: Fraction) -> "Polynomial":
+        factor = Fraction(factor)
         if factor == 0:
-            return Polynomial(self.symbols, {})
-        return Polynomial(self.symbols, {e: c * factor for e, c in self.terms.items()})
+            return Polynomial._from_terms(self.symbols, {})
+        return Polynomial._from_terms(self.symbols, {e: c * factor for e, c in self.terms.items()})
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -319,6 +337,19 @@ class Polynomial:
         return "".join(out)
 
     __repr__ = __str__
+
+
+def _max_exponent(terms: Iterable[tuple[int, ...]]) -> int:
+    """Largest exponent in ``terms`` (0 if none); a negative one cannot be packed."""
+    flat = list(chain.from_iterable(terms))
+    if flat and min(flat) < 0:
+        raise DomainMismatch(f"negative exponent {min(flat)} in a polynomial")
+    return max(flat, default=0)
+
+
+def _packed(terms: Iterable[tuple[int, ...]], shifts: list[int]) -> list[int]:
+    """Each exponent tuple as one int, exponent i in the field at bit ``shifts[i]``."""
+    return [sum(map(lshift, e, shifts)) for e in terms]
 
 
 def _common_denominator(v: Iterable[Fraction]) -> tuple[int, list[int]]:

@@ -56,15 +56,13 @@ def _domain_tag(values) -> str:
         elif isinstance(v, BigFloat):
             kinds.add("float")
         else:
-            kinds.add("complex")
+            raise DomainMismatch(f"unsupported coefficient type {type(v).__name__}")
     if kinds <= {"rational"}:
         return "rational"
     if kinds <= {"rational", "ratfunc"}:
         return "ratfunc"
     if kinds <= {"rational", "float"}:
         return "float"
-    if len(kinds) == 1:
-        return kinds.pop()
     raise DomainMismatch(f"mixed coefficient domains: {sorted(kinds)}")
 
 

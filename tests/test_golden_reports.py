@@ -6,7 +6,9 @@ were recorded from the tree before the certificate pipeline was merged into
 one path, the three high-order shifted-even ones before the shifted-even
 transform moved from complex Taylor shifts to real arithmetic, and the two
 high-precision theta-kernel moment runs (an even character, and Riemann at
-1024 bits) before the quadrature moved to libmp tuples; a change that
+1024 bits) before the quadrature moved to libmp tuples, and the three
+symbolic q-Bessel ones (ν = 1/2 certificates and the K = 4 power sums)
+before polynomial products moved to packed exponent keys; a change that
 alters any byte of any of these reports fails here.  Criterion 11 only
 checks that two runs of one tree agree.
 """
@@ -108,9 +110,25 @@ GOLDEN = {
     "moments-riemann-1024": (
         ["moments", "--function", "riemann-xi", "--orders", "6", "--precision", "1024"],
         "8514c3508e3e1ebe4c9f6be452c0a2cf92b92a0293d333158cfa711e3ab37419", None),
+    # At ν = 1/2 the binding t_nu = q^ν is a BigFloat, so each multivariate
+    # cell is summed term by term in float: the bytes pin the term order.
+    "qbessel-symbolic-nu1/2-moment-B2": (
+        ["certify", "--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
+         "--mode", "moment", "--grid", "2"],
+        "f2d1d80141ff2ca6862739d979e6d81ef0450c7f89fcce3c0495133914f3d18e",
+        "58bd0fae40f07545c8e20175af8962c6f0dcb0ff96a0db566e950bb1576a07f9"),
+    "qbessel-symbolic-nu1/2-derivative-B2": (
+        ["certify", "--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
+         "--mode", "derivative", "--grid", "2"],
+        "1e87f325f565fcc03211f798b5dc366282105c3dd0938c122d386dc581bb1660",
+        "183ffc23bc8f96e1f08334b6266960124a8f3007b180fa59e71f4e607d8f67dc"),
     "powersums-qbessel-symbolic-K3": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "3"],
         "5ebb487c5d41a03595f10ea08228aa8ce1270016bdc1ef8897646835cf0b5ccb", None),
+    # The symbolic benchmark workload's q-Bessel job.
+    "powersums-qbessel-symbolic-K4": (
+        ["powersums", "--function", "qbessel", "--symbolic", "--count", "4"],
+        "758dedbb34897bdc9b7f9010588f451fd36c52328bf74fdfbc49028c5649ceb2", None),
     "zeros-nu0": (
         ["zeros", "--nu", "0", "--count", "5", "--precision", "128"],
         "46f94617d891db05fe5ce4950cd9b6633a0932d346a8f9fad5736de5d93845da", None),

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
 from math import comb
+from operator import add
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posroot import scalars
 from posroot.scalars import (
@@ -17,6 +18,7 @@ from posroot.scalars import (
     SignPolicy,
     UnboundSymbol,
     Verdict,
+    _common_denominator,
     _dense,
     _euclid_gcd,
     bigfloat_str,
@@ -174,6 +176,94 @@ def test_integer_product_matches_termwise_fractions(a, b):
     assert list((a * b).terms.items()) == list(termwise_product(a, b).items())
     assert list((a * b * a).terms.items()) == \
         list(termwise_product(Polynomial(XY, termwise_product(a, b)), a).items())
+
+
+def tuple_loop_product(a, b):
+    """The product loop on exponent tuples, as ``Polynomial.__mul__`` ran it
+    before exponents were packed into ints: integer numerators over the two
+    common denominators, a term dropped the moment its partial sum is 0."""
+    da, na = _common_denominator(a.terms.values())
+    db, nb = _common_denominator(b.terms.values())
+    acc = {}
+    for e1, c1 in zip(a.terms, na):
+        for e2, c2 in zip(b.terms, nb):
+            e = tuple(map(add, e1, e2))
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                acc.pop(e, None)
+    d = da * db
+    return {e: F(n, d) for e, n in acc.items()}
+
+
+# Each symbol's exponents lie in a window of three values, so monomials
+# collide (partial sums hit 0 and keys come back); windows near 2^20 and
+# 2^21 make the packed fields 21 to 23 bits wide.
+EXPONENT_BASES = st.sampled_from([0, 0, 2 ** 20 - 1, 2 ** 21 - 2])
+signed_coeffs = st.sampled_from([1, -1, 1, -1, F(-1, 2), F(1, 2), F(-5, 3), -3])
+
+
+def poly_pairs(n):
+    symbols = ("x", "y", "z")[:n]
+    constants = st.dictionaries(st.just((0,) * n), signed_coeffs)
+
+    def polys(bases):
+        exponents = st.tuples(*[st.integers(b, b + 2) for b in bases])
+        return st.dictionaries(exponents, signed_coeffs, min_size=1, max_size=8) | constants
+
+    return st.lists(EXPONENT_BASES, min_size=n, max_size=n).flatmap(
+        lambda bases: st.tuples(polys(bases), polys(bases))).map(
+        lambda ab: (Polynomial(symbols, ab[0]), Polynomial(symbols, ab[1])))
+
+
+def assert_canonical(p):
+    """What ``Polynomial._from_terms`` relies on: only nonzero Fractions are stored."""
+    assert all(type(c) is F and c != 0 for c in p.terms.values())
+
+
+CANCEL_A = Polynomial(XY, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+CANCEL_B = Polynomial(XY, {(1, 1): 1, (0, 1): -1, (1, 0): 2})
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(poly_pairs))
+@example((CANCEL_A, CANCEL_B))
+@example((Polynomial(XY, {}), CANCEL_B))
+@example((Polynomial.constant(XY, F(-7, 3)), CANCEL_A))
+@example((Polynomial(("x",), {(2 ** 20,): F(3, 4)}), Polynomial(("x",), {(2 ** 20,): -2})))
+def test_packed_product_matches_tuple_loop(ab):
+    a, b = ab
+    # (a+b)(a-b): the cross terms -ab and ba cancel, often partway through
+    for p, q in ((a, b), (b, a), (a, a), (a + b, a - b)):
+        product, expected = p * q, tuple_loop_product(p, q)
+        assert product.terms == expected
+        assert list(product.terms) == list(expected)  # float evaluation sums in this order
+        assert_canonical(product)
+    for p in (a + b, a - b, -a, a.scale(F(-2, 3)), a.scale(0), a * 3):
+        assert_canonical(p)
+
+
+def test_cancelled_key_is_inserted_again_at_the_end():
+    # x*y from 1*(x*y) cancels against x*(-y) and comes back from y*(2x)
+    product = CANCEL_A * CANCEL_B
+    assert list(product.terms)[-1] == (1, 1) and product.terms[(1, 1)] == 2
+    assert list(product.terms) == list(tuple_loop_product(CANCEL_A, CANCEL_B))
+
+
+def test_packed_field_holds_the_largest_exponent_sum():
+    # 2^20 + 2^20 needs 22 bits; a narrower field would carry into y
+    x = Polynomial.variable(XY, "x")
+    assert (x ** (2 ** 20) * x ** (2 ** 20)).terms == {(2 ** 21, 0): 1}
+    assert (x ** (2 ** 21 - 1) * x).terms == {(2 ** 21, 0): 1}
+
+
+@pytest.mark.parametrize("terms", [{(-1, 0): 1}, {(0, 0): 2, (3, -2): F(1, 2)}])
+def test_negative_exponent_cannot_be_packed(terms):
+    p, y = Polynomial(XY, terms), Polynomial.variable(XY, "y")
+    for a, b in ((p, y), (y, p), (p, p)):
+        with pytest.raises(DomainMismatch, match="negative exponent"):
+            a * b
 
 
 X = ("x",)

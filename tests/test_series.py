@@ -5,7 +5,7 @@ from math import factorial
 import mpmath
 import pytest
 
-from posroot.scalars import BigFloat, RationalFunction
+from posroot.scalars import BigFloat, DomainMismatch, RationalFunction
 from posroot.series import (
     NotEven,
     NotNormalized,
@@ -25,6 +25,17 @@ from test_symfun import direct_power_sums, elementary_of
 def poly_series(roots, order):
     """prod (1 - l z) expanded to `order` (exact)."""
     return series_from_elementary(elementary_of(roots, order))
+
+
+@pytest.mark.parametrize("coefficients, type_name", [
+    ([1.5, 2], "float"),
+    ([mpmath.mpf(1), mpmath.mpf(2)], "mpf"),
+    ([F(1), mpmath.mpc(1, 1)], "mpc"),
+])
+def test_foreign_coefficient_type_is_rejected(coefficients, type_name):
+    # only int, Fraction, RationalFunction and BigFloat are coefficient domains
+    with pytest.raises(DomainMismatch, match=f"unsupported coefficient type {type_name}$"):
+        TruncatedSeries(coefficients)
 
 
 class TestElementaryFromSeries:
