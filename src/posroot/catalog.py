@@ -450,8 +450,7 @@ def _theta_weights(q, prec: int):
         w = mpf_mul(w, r, prec, round_nearest)
 
 
-def _kernel_value(terms, t, precision: int, N_s: Optional[int], use_evenness: bool,
-                  modulus: int = 1) -> BigFloat:
+def _kernel_value(terms, t, precision: int, use_evenness: bool, modulus: int = 1) -> BigFloat:
     """A theta kernel at real ``t`` from ``terms(t, N_s_max, eps_bits) -> (value, n)``.
 
     With ``use_evenness`` the series is summed at ``-|t|``, where all terms
@@ -461,7 +460,6 @@ def _kernel_value(terms, t, precision: int, N_s: Optional[int], use_evenness: bo
     """
     import math
 
-    cap = N_s or 200000
     boost = 0
     if not use_evenness and float(t) > 0:
         boost = int(math.pi * math.exp(2 * float(t)) / (modulus * math.log(2))) + 64
@@ -470,7 +468,8 @@ def _kernel_value(terms, t, precision: int, N_s: Optional[int], use_evenness: bo
     wp = precision + 48 + boost
     with workprec(wp):
         tv = _to_mp(t, wp)
-        v, _ = terms(-abs(tv) if use_evenness else tv, cap, precision + 16 + boost)
+        v, _ = terms(-abs(tv) if use_evenness else tv, DEFAULT_QUAD.N_s_max,
+                     precision + 16 + boost)
         return BigFloat(v, precision)
 
 
@@ -523,7 +522,6 @@ def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
 def riemann_phi(
     t,
     precision: int = DEFAULT_PRECISION_BITS,
-    N_s: Optional[int] = None,
     use_evenness: bool = True,
 ) -> BigFloat:
     """Fourier kernel of the completed Riemann xi function at real ``t``.
@@ -534,7 +532,7 @@ def riemann_phi(
     cancellation ``~ pi e^{2t} / ln 2`` bits and is what the evenness
     self-check exercises.
     """
-    return _kernel_value(_riemann_kernel_terms, t, precision, N_s, use_evenness)
+    return _kernel_value(_riemann_kernel_terms, t, precision, use_evenness)
 
 
 def riemann_evenness_defect(t, precision: int = DEFAULT_PRECISION_BITS) -> BigFloat:
@@ -607,7 +605,6 @@ def dirichlet_phi(
     t,
     chi: DirichletCharacter,
     precision: int = DEFAULT_PRECISION_BITS,
-    N_s: Optional[int] = None,
     use_evenness: bool = True,
     printed_exponent: bool = False,
 ) -> BigFloat:
@@ -619,8 +616,7 @@ def dirichlet_phi(
     demonstrably breaks evenness; it exists for the self-check.
     """
     two_c = 1 + chi.parity if printed_exponent else 2 * chi.parity + 1
-    return _kernel_value(_character_terms(chi, two_c), t, precision, N_s, use_evenness,
-                         chi.modulus)
+    return _kernel_value(_character_terms(chi, two_c), t, precision, use_evenness, chi.modulus)
 
 
 def dirichlet_evenness_defect(
@@ -775,9 +771,10 @@ def phi_nonneg_scan(
 # ---------------------------------------------------------------------------
 
 
-def elementary_from_moments(mr: MomentResult, precision: Optional[int] = None) -> ElementarySequence:
-    """e_n = b_{2n} / ((2n)! b_0): elementary values of the reduced product."""
-    precision = precision or mr.precision
+def elementary_from_moments(mr: MomentResult) -> ElementarySequence:
+    """e_n = b_{2n} / ((2n)! b_0): elementary values of the reduced product,
+    at the moments' precision."""
+    precision = mr.precision
     b0 = mr[0]
     values: list = [Fraction(1)]
     with workprec(precision + 16):
@@ -786,19 +783,18 @@ def elementary_from_moments(mr: MomentResult, precision: Optional[int] = None) -
     return ElementarySequence(values)
 
 
-def reduced_series_from_moments(mr: MomentResult, precision: Optional[int] = None) -> TruncatedSeries:
+def reduced_series_from_moments(mr: MomentResult) -> TruncatedSeries:
     """sum (-1)^n b_{2n} z^n / ((2n)! b_0): the genus-0 reduced series."""
-    e = elementary_from_moments(mr, precision)
+    e = elementary_from_moments(mr)
     from .series import series_from_elementary
 
     return series_from_elementary(e)
 
 
-def even_series_from_moments(mr: MomentResult, precision: Optional[int] = None) -> TruncatedSeries:
+def even_series_from_moments(mr: MomentResult) -> TruncatedSeries:
     """sum (-1)^n b_{2n} z^{2n} / ((2n)! b_0): the even series in the original variable."""
-    reduced = reduced_series_from_moments(mr, precision)
-    precision = precision or mr.precision
-    zero = BigFloat(0, precision)
+    reduced = reduced_series_from_moments(mr)
+    zero = BigFloat(0, mr.precision)
     out = []
     for c in reduced.coefficients:
         out.append(c)
@@ -856,7 +852,7 @@ class FunctionSpec:
     mode: str = "exact"
     precision: int = DEFAULT_PRECISION_BITS
     quad: QuadConfig = DEFAULT_QUAD
-    _moments: Optional[MomentResult] = None
+    _moments: Optional[MomentResult] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode in ("exact", "ratfunc") and self.kind not in _EXACT_KINDS:

@@ -25,7 +25,11 @@ import os
 import sys
 from fractions import Fraction
 
+# besselk_moments, dirichlet_moments and riemann_moments are not called here
+# but stay importable from this module: perfbench/tracing.py looks them up by
+# this path.
 from .catalog import (
+    _EXACT_KINDS,
     FunctionKind,
     FunctionSpec,
     GridConfig,
@@ -47,7 +51,7 @@ from .criterion import (
     draw_adversarial_spec,
     serialize_scalar,
 )
-from .scalars import DEFAULT_PRECISION_BITS, ScalarError
+from .scalars import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, ScalarError
 from .symfun import power_sums_from_elementary
 from .zeros import bessel_zeros, load_zero_table, packaged_riemann_table
 
@@ -63,14 +67,19 @@ class ConfigError(ScalarError):
     """Invalid command-line configuration."""
 
 
-def _default_precision() -> int:
-    env = os.environ.get("POSROOT_PRECISION_BITS")
-    if env:
+def _precision(args) -> int:
+    """``--precision``, else ``POSROOT_PRECISION_BITS``, else the default; never below
+    ``MIN_PRECISION_BITS``."""
+    precision = args.precision
+    if not precision:
+        env = os.environ.get("POSROOT_PRECISION_BITS")
         try:
-            return int(env)
+            precision = int(env) if env else DEFAULT_PRECISION_BITS
         except ValueError as exc:
             raise ConfigError(f"POSROOT_PRECISION_BITS={env!r} is not an integer") from exc
-    return DEFAULT_PRECISION_BITS
+    if precision < MIN_PRECISION_BITS:
+        raise ConfigError(f"precision {precision} below the {MIN_PRECISION_BITS}-bit minimum")
+    return precision
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,9 +175,7 @@ def _parse_fraction(text, name):
 
 def _build_spec(args) -> FunctionSpec:
     kind = FunctionKind(args.function)
-    precision = args.precision or _default_precision()
-    if precision < 64:
-        raise ConfigError(f"precision {precision} below the 64-bit minimum")
+    precision = _precision(args)
     quad = QuadConfig(T=args.quad_T, levels=args.quad_levels, N_s_max=args.quad_ns_max)
     params = {}
     if args.nu is not None:
@@ -192,8 +199,7 @@ def _build_spec(args) -> FunctionSpec:
         raise ConfigError("qbessel needs --nu (or --symbolic)")
     if args.symbolic:
         mode = "ratfunc"
-    elif kind in (FunctionKind.SINC, FunctionKind.BESSEL, FunctionKind.QBESSEL,
-                  FunctionKind.RAMANUJAN_AQ):
+    elif kind in _EXACT_KINDS:
         mode = "ratfunc" if kind is FunctionKind.SINC else "exact"
     else:
         mode = "float"
@@ -305,15 +311,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_moments(args) -> int:
     spec = _build_spec(args)
-    if spec.kind is FunctionKind.RIEMANN_XI:
-        mr = riemann_moments(args.orders, spec.precision, spec.quad)
-    elif spec.kind is FunctionKind.DIRICHLET_XI:
-        mr = dirichlet_moments(spec.params["chi"], args.orders, spec.precision, spec.quad)
-    elif spec.kind is FunctionKind.BESSEL_K:
-        mr = besselk_moments(spec.params["a"], args.orders, spec.precision, spec.quad)
-    else:
-        raise ConfigError(f"{spec.kind.value} has closed-form coefficients; "
-                          "moments applies to riemann-xi, dirichlet-xi, bessel-k")
+    mr = spec.moments(args.orders)
     payload = {
         "schema": 1,
         "function": spec.label,
@@ -344,9 +342,7 @@ def _cmd_powersums(args) -> int:
 
 def _cmd_scan_phi(args) -> int:
     chi = kronecker_character(args.discriminant)
-    precision = args.precision or _default_precision()
-    if precision < 64:
-        raise ConfigError(f"precision {precision} below the 64-bit minimum")
+    precision = _precision(args)
     report = phi_nonneg_scan(chi, GridConfig(t_max=args.t_max, points=args.points),
                              precision=precision)
     payload = {
@@ -359,9 +355,7 @@ def _cmd_scan_phi(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    precision = args.precision or _default_precision()
-    if precision < 64:
-        raise ConfigError(f"precision {precision} below the 64-bit minimum")
+    precision = _precision(args)
     if args.table:
         table = load_zero_table(args.table, limit=args.limit, precision=precision)
         payload = {

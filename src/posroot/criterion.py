@@ -63,10 +63,8 @@ from .hausdorff import (
 from .scalars import (
     BigFloat,
     DEFAULT_PRECISION_BITS,
-    DEFAULT_SIGN_POLICY,
     RationalFunction,
     ScalarError,
-    SignPolicy,
     Verdict,
     _to_mp,
     bigfloat_str,
@@ -164,7 +162,7 @@ def _bound_in_domain(x, exact: bool, precision: int, prov: str) -> tuple[object,
 class LambdaPolicy:
     """How to obtain ``lam >= sup |l_n|``.
 
-    kinds: ``explicit`` (use ``value``), ``zero-table`` (``safety/min_zero^2``
+    kinds: ``explicit`` (use ``value``), ``zero-table`` (``SAFETY_UP/min_zero^2``
     from ``table``; exact pipelines receive the dyadic value exactly),
     ``coefficient-bound`` (``lam = e_1 = sum l_n``, valid under the
     positivity hypothesis being tested).
@@ -173,23 +171,22 @@ class LambdaPolicy:
     kind: str = "coefficient-bound"
     value: object = None
     table: Optional[ZeroTable] = None
-    safety: Fraction = SAFETY_UP
 
 
 @dataclass(frozen=True)
 class RhoPolicy:
     """How to obtain ``0 < rho <= inf |roots|`` of the reduced product.
 
-    kinds: ``explicit``, ``zero-table`` (``safety * min_zero^2``, the squared
-    ordinate being the root of the reduced product), ``coefficient-bound``
-    (``rho = safety/e_1`` since ``inf roots >= 1/sum l_n``), ``first-root``
-    (bracket the first sign change of the truncated series and bisect).
+    kinds: ``explicit``, ``zero-table`` (``SAFETY_DOWN * min_zero^2``, the
+    squared ordinate being the root of the reduced product),
+    ``coefficient-bound`` (``rho = SAFETY_DOWN/e_1`` since ``inf roots >=
+    1/sum l_n``), ``first-root`` (bracket the first sign change of the
+    truncated series and bisect).
     """
 
     kind: str = "coefficient-bound"
     value: object = None
     table: Optional[ZeroTable] = None
-    safety: Fraction = SAFETY_DOWN
 
 
 def resolve_lambda(policy: LambdaPolicy, e: ElementarySequence, exact: bool,
@@ -203,8 +200,8 @@ def resolve_lambda(policy: LambdaPolicy, e: ElementarySequence, exact: bool,
             raise LambdaUnavailable("zero-table lambda policy without a table")
         z1 = policy.table.first
         with workprec(precision + 16):
-            lam_f = mpf(policy.safety.numerator) / policy.safety.denominator / (z1.value ** 2)
-        prov = (f"lambda = {policy.safety} / min_zero^2, min_zero = {z1} "
+            lam_f = mpf(SAFETY_UP.numerator) / SAFETY_UP.denominator / (z1.value ** 2)
+        prov = (f"lambda = {SAFETY_UP} / min_zero^2, min_zero = {z1} "
                 f"({policy.table.source} table, {len(policy.table)} zeros)")
         return _bound_in_domain(lam_f, exact, precision, prov)
     if policy.kind == "coefficient-bound":
@@ -242,8 +239,8 @@ def resolve_rho(policy: RhoPolicy, e: ElementarySequence, f: TruncatedSeries,
             raise RhoUnavailable("zero-table rho policy without a table")
         z1 = policy.table.first
         with workprec(precision + 16):
-            rho_f = mpf(policy.safety.numerator) / policy.safety.denominator * (z1.value ** 2)
-        prov = (f"rho = {policy.safety} * min_zero^2, min_zero = {z1} "
+            rho_f = mpf(SAFETY_DOWN.numerator) / SAFETY_DOWN.denominator * (z1.value ** 2)
+        prov = (f"rho = {SAFETY_DOWN} * min_zero^2, min_zero = {z1} "
                 f"({policy.table.source} table)")
         return _bound_in_domain(rho_f, exact, precision, prov)
     if policy.kind == "coefficient-bound":
@@ -251,14 +248,14 @@ def resolve_rho(policy: RhoPolicy, e: ElementarySequence, f: TruncatedSeries,
         if isinstance(e1, Fraction):
             if e1 <= 0:
                 raise RhoUnavailable(f"coefficient bound e_1 = {e1} not positive")
-            return policy.safety / e1, "rho = safety/e_1 (coefficient bound)"
+            return SAFETY_DOWN / e1, "rho = safety/e_1 (coefficient bound)"
         if not e1 > 0:
             raise RhoUnavailable(f"coefficient bound e_1 = {e1} not positive")
         with workprec(precision + 16):
-            rho_f = mpf(policy.safety.numerator) / policy.safety.denominator / e1.value
+            rho_f = mpf(SAFETY_DOWN.numerator) / SAFETY_DOWN.denominator / e1.value
         return _bound_in_domain(rho_f, exact, precision, "rho = safety/e_1 (coefficient bound)")
     if policy.kind == "first-root":
-        rho = _first_root_bound(f, precision, policy.safety)
+        rho = _first_root_bound(f, precision, SAFETY_DOWN)
         return rho, "rho = safety * first bracketed root of the truncated series"
     raise RhoUnavailable(f"unknown rho policy {policy.kind!r}")
 
@@ -443,17 +440,16 @@ def _meta_safe(v):
 # ---------------------------------------------------------------------------
 
 
-def _moment_certificate(label, B, precision, metadata, p, lam, lam_prov, sign_policy,
+def _moment_certificate(label, B, precision, metadata, p, lam, lam_prov,
                         bindings=None) -> CertificateReport:
     """Report on the cells ``(-D)^j m_k``, ``m_k = p_(k+1)/lam^(k+1)``, decided ``>= 0``."""
-    table = moment_criterion(p, lam, J=B, K=0, policy=sign_policy, bindings=bindings,
-                             verdict_precision=precision)
+    table = moment_criterion(p, lam, J=B, bindings=bindings, verdict_precision=precision)
     return CertificateReport(label, "MOMENT", B, precision, table.cells, lam=lam,
                              lam_provenance=lam_prov, metadata=metadata)
 
 
 def _derivative_certificate(label, mode, B, precision, metadata, f, p, rho, rho_prov,
-                            sign_policy, bindings=None) -> CertificateReport:
+                            bindings=None) -> CertificateReport:
     """Report on the derivative-form cells of ``f`` at ``rho``, decided ``<= 0``.
 
     The cells are read from the series route; the metadata records their
@@ -461,7 +457,7 @@ def _derivative_certificate(label, mode, B, precision, metadata, f, p, rho, rho_
     """
     series_route, worst = _two_route_cells(f, p, rho, B, bindings, precision)
     cells = decide_cells(((j, k, v) for (j, k), v in series_route.items()), _deriv_scale,
-                         sign_policy, bindings, precision, nonpositive=True)
+                         bindings, precision, nonpositive=True)
     metadata["route_equality_max_defect"] = serialize_scalar(worst)
     return CertificateReport(label, mode, B, precision, cells, rho=rho,
                              rho_provenance=rho_prov, metadata=metadata)
@@ -499,16 +495,13 @@ def _spec_metadata(spec) -> dict:
     return meta
 
 
-def _run_with_retry(once, spec, retry_doubling, *args) -> CertificateReport:
+def _run_with_retry(once, spec, *args) -> CertificateReport:
     """``once(spec, *args)``, rerun once at doubled precision if INDETERMINATE."""
     report = once(spec, *args)
-    if retry_doubling and report.verdict == "INDETERMINATE":
+    if report.verdict == "INDETERMINATE":
         new_prec = min(spec.precision * 2, MAX_RETRY_PRECISION)
         if new_prec > spec.precision:
-            spec2 = replace(spec, precision=new_prec)
-            if isinstance(spec2, FunctionSpec):
-                spec2._moments = None
-            report = once(spec2, *args)
+            report = once(replace(spec, precision=new_prec), *args)
             report.metadata["retried_at_bits"] = new_prec
     return report
 
@@ -526,15 +519,13 @@ def certify_moment(
     spec: FunctionSpec,
     B: int,
     lam_policy: Optional[LambdaPolicy] = None,
-    sign_policy: SignPolicy = DEFAULT_SIGN_POLICY,
-    retry_doubling: bool = True,
 ) -> CertificateReport:
     """Full moment-mode pipeline: coefficients -> power sums -> scaled
     difference table -> per-cell verdicts."""
     if B < 0:
         raise ValueError("grid bound must be nonnegative")
     lam_policy = lam_policy or _default_lambda_policy(spec)
-    return _run_with_retry(_moment_once, spec, retry_doubling, B, lam_policy, sign_policy)
+    return _run_with_retry(_moment_once, spec, B, lam_policy)
 
 
 def _default_lambda_policy(spec) -> LambdaPolicy:
@@ -544,13 +535,13 @@ def _default_lambda_policy(spec) -> LambdaPolicy:
     return LambdaPolicy(kind="coefficient-bound")
 
 
-def _moment_once(spec, B, lam_policy, sign_policy) -> CertificateReport:
+def _moment_once(spec, B, lam_policy) -> CertificateReport:
     e = spec.elementary(B + 1)
     p = power_sums_from_elementary(e, B + 1)
     bindings = spec.bindings()
     lam, lam_prov = resolve_lambda(lam_policy, e, _is_exact(p), spec.precision, bindings)
     return _moment_certificate(spec.label, B, spec.precision, _spec_metadata(spec), p, lam,
-                               lam_prov, sign_policy, bindings)
+                               lam_prov, bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +553,12 @@ def certify_derivative(
     spec: FunctionSpec,
     B: int,
     rho_policy: Optional[RhoPolicy] = None,
-    sign_policy: SignPolicy = DEFAULT_SIGN_POLICY,
-    retry_doubling: bool = True,
 ) -> CertificateReport:
     """Derivative-form pipeline with the moment-route cross-check."""
     if B < 0:
         raise ValueError("grid bound must be nonnegative")
     rho_policy = rho_policy or RhoPolicy(kind="coefficient-bound")
-    return _run_with_retry(_derivative_once, spec, retry_doubling, B, rho_policy, sign_policy)
+    return _run_with_retry(_derivative_once, spec, B, rho_policy)
 
 
 def _log_derivative_inputs(spec, B: int):
@@ -582,13 +571,12 @@ def _log_derivative_inputs(spec, B: int):
     return e, f, power_sums_from_log_derivative(f, B + 1)
 
 
-def _derivative_once(spec, B, rho_policy, sign_policy) -> CertificateReport:
+def _derivative_once(spec, B, rho_policy) -> CertificateReport:
     e, f, p = _log_derivative_inputs(spec, B)
     bindings = spec.bindings()
     rho, rho_prov = resolve_rho(rho_policy, e, f, _is_exact(p), spec.precision, bindings)
     return _derivative_certificate(spec.label, "DERIVATIVE", B, spec.precision,
-                                   _spec_metadata(spec), f, p, rho, rho_prov, sign_policy,
-                                   bindings)
+                                   _spec_metadata(spec), f, p, rho, rho_prov, bindings)
 
 
 def route_equality_defect(spec: FunctionSpec, B: int, rho=None) -> object:
@@ -612,7 +600,7 @@ def _even_source_series(spec: FunctionSpec, order2: int) -> TruncatedSeries:
         return sinc_even_series(order2, spec.precision)
     if spec.kind in (FunctionKind.BESSEL_K, FunctionKind.RIEMANN_XI,
                      FunctionKind.DIRICHLET_XI):
-        return even_series_from_moments(spec.moments(order2 // 2), spec.precision)
+        return even_series_from_moments(spec.moments(order2 // 2))
     raise ScalarError(f"{spec.kind.value} has no even-series source here")
 
 
@@ -657,7 +645,6 @@ def certify_shifted_even(
     c,
     B: int,
     rho_policy: Optional[RhoPolicy] = None,
-    sign_policy: SignPolicy = DEFAULT_SIGN_POLICY,
 ) -> CertificateReport:
     """Shifted-even certification for an even real entire function."""
     if B < 0:
@@ -672,7 +659,7 @@ def certify_shifted_even(
     metadata = _spec_metadata(spec)
     metadata["shift_c"] = serialize_scalar(BigFloat(c, spec.precision))
     return _derivative_certificate(f"{spec.label} shifted by c={c}", "SHIFTED_EVEN", B,
-                                   spec.precision, metadata, f, p, rho, rho_prov, sign_policy)
+                                   spec.precision, metadata, f, p, rho, rho_prov)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +803,6 @@ def adversarial_power_sums(spec: AdversarialSpec, K: int,
 def adversarial_run(
     spec: AdversarialSpec,
     B: int,
-    sign_policy: SignPolicy = DEFAULT_SIGN_POLICY,
     include_defects: bool = True,
 ) -> tuple[CertificateReport, Optional[int]]:
     """Exact moment-mode run on the synthetic sequence.
@@ -835,28 +821,23 @@ def adversarial_run(
         "defects_included": include_defects,
     }
     report = _moment_certificate(spec.label, B, 0, metadata, p, spec.lam,
-                                 "adversarial spec lambda (exact)", sign_policy)
+                                 "adversarial spec lambda (exact)")
     return report, report.detection_depth()
 
 
 def draw_adversarial_spec(
     rng: random.Random,
     base_count: int = 48,
-    lam: Fraction = Fraction(1),
-    magnitude_range: tuple[Fraction, Fraction] = (Fraction(1, 4), Fraction(1)),
     complex_defect: bool = False,
 ) -> AdversarialSpec:
-    """Seeded draw: base {1/n^2} truncated, one defect of magnitude in range.
+    """Seeded draw: base {1/n^2} truncated, one defect of magnitude in [1/4, 1).
 
     Real defects are negative; complex draws return a conjugate pair with the
-    drawn magnitude and a random phase.
+    drawn magnitude and a random phase.  The spec's bound is ``lam = 1``.
     """
     base = tuple(Fraction(1, n * n) for n in range(1, base_count + 1))
-    lo, hi = magnitude_range
     u = Fraction(rng.randrange(0, 10 ** 9), 10 ** 9)
-    mag = lo + (hi - lo) * u
-    if mag < lo:
-        mag = lo
+    mag = Fraction(1, 4) + Fraction(3, 4) * u
     if not complex_defect:
         defect = Defect(re=-mag)
     else:
@@ -866,6 +847,6 @@ def draw_adversarial_spec(
         cos_t = (1 - t * t) / den
         sin_t = 2 * t / den
         defect = Defect(re=mag * cos_t, im=mag * sin_t)
-    return AdversarialSpec(base=base, defects=(defect,), lam=Fraction(lam),
+    return AdversarialSpec(base=base, defects=(defect,), lam=Fraction(1),
                            label=f"adversarial(base={base_count}, defect={defect.re}"
                                  + (f"+-{defect.im}i" if defect.im else "") + ")")

@@ -48,7 +48,6 @@ from .scalars import (
     _to_mp,
     serialize_scalar,
     sign_decide,
-    DEFAULT_SIGN_POLICY,
     DEFAULT_PRECISION_BITS,
 )
 from .symfun import InsufficientCoefficients, PowerSumSequence, _domain_tag
@@ -77,17 +76,15 @@ class NonPositiveLambda(ScalarError):
 
 @dataclass(frozen=True)
 class MomentVector:
-    """Moments ``m_0 .. m_K`` plus a provenance note for reports."""
+    """Moments ``m_0 .. m_K``."""
 
     values: tuple
-    provenance: str = ""
 
-    def __init__(self, values: Sequence, provenance: str = ""):
+    def __init__(self, values: Sequence):
         values = tuple(values)
         if not values:
             raise InsufficientMoments("empty moment vector")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -157,22 +154,13 @@ class DifferenceTable(CellVerdicts):
 
     Row 0 is the moment vector itself; each later row is the elementwise
     difference ``rows[j-1][k] - rows[j-1][k+1]``.  Row ``j`` holds columns
-    ``k = 0 .. bound - j`` where ``bound = len(m) - 1`` (capped by ``J``).
+    ``k = 0 .. len(m) - 1 - j`` (rows capped by ``J``).
     ``cells`` stays empty until :func:`decide_table_verdicts` runs.
     """
 
     moments: MomentVector
     rows: list = field(default_factory=list)
     cells: list = field(default_factory=list)
-    lam: object = None
-
-    @property
-    def bound(self) -> int:
-        return len(self.moments) - 1
-
-    @property
-    def max_row(self) -> int:
-        return len(self.rows) - 1
 
     def cell(self, j: int, k: int):
         return self.rows[j][k]
@@ -186,16 +174,12 @@ class DifferenceTable(CellVerdicts):
         return self.verdict == "BOUNDED-PASS"
 
 
-def difference_table(
-    m: MomentVector,
-    J: int,
-    cross_check: bool = True,
-) -> DifferenceTable:
+def difference_table(m: MomentVector, J: int) -> DifferenceTable:
     """Build the triangle of iterated differences of ``m`` up to row ``J``.
 
-    Computed by recursive subtraction; unless disabled, a sample of cells is
-    recomputed with the alternating binomial formula and compared (exactly in
-    exact domains, to the elevated working precision in float mode).
+    Computed by recursive subtraction; a sample of cells is recomputed with
+    the alternating binomial formula and compared (exactly in exact domains,
+    to the elevated working precision in float mode).
     """
     if len(m) < J + 1:
         raise InsufficientMoments(f"need at least {J + 1} moments, have {len(m)}")
@@ -213,22 +197,21 @@ def difference_table(
             break
         rows.append([prev[k] - prev[k + 1] for k in range(len(prev) - 1)])
     table = DifferenceTable(moments=m, rows=rows)
-    if cross_check:
-        _cross_check(table)
+    _cross_check(table)
     return table
 
 
-def _cross_check(table: DifferenceTable, sample_stride: int = 3) -> None:
-    """Recompute every ``sample_stride``-th cell by the alternating binomial sum.
+def _cross_check(table: DifferenceTable) -> None:
+    """Recompute every third cell of every third row by the alternating binomial sum.
 
     Exact cells must agree exactly; a float cell may differ by
     ``(1 + S_j[k]) 2^-(prec-8)``, with ``S`` the magnitudes of :func:`_magnitudes`.
     """
     values = table.rows[0]
     mags = None
-    for j in range(1, len(table.rows), sample_stride):
+    for j in range(1, len(table.rows), 3):
         row = table.rows[j]
-        for k in range(0, len(row), sample_stride):
+        for k in range(0, len(row), 3):
             direct = _binomial_cell(values, j, k)
             got = row[k]
             if isinstance(got, BigFloat):
@@ -283,15 +266,12 @@ def moment_criterion(
     p: PowerSumSequence,
     lam,
     J: int,
-    K: int = 0,
-    policy: SignPolicy = DEFAULT_SIGN_POLICY,
     bindings: Optional[Mapping[str, object]] = None,
     verdict_precision: int = DEFAULT_PRECISION_BITS,
-    cross_check: bool = True,
 ) -> DifferenceTable:
     """Scaled-moment difference table with per-cell sign verdicts.
 
-    Builds ``m_k = p_{k+1} / lam**(k+1)`` for ``k = 0 .. J+K`` and the
+    Builds ``m_k = p_{k+1} / lam**(k+1)`` for ``k = 0 .. J`` and the
     triangle up to row ``J``.  Overall PASS means every verdict NONNEGATIVE;
     equality counts as a pass since the criterion is a non-strict inequality.
 
@@ -310,7 +290,7 @@ def moment_criterion(
             raise NonPositiveLambda(f"lambda = {lam}")
     else:
         raise NonPositiveLambda(f"lambda must be rational or BigFloat, got {type(lam)}")
-    need = J + K + 1
+    need = J + 1
     if len(p) < need:
         raise InsufficientCoefficients(f"need p_1..p_{need}, have p_1..p_{len(p)}")
     inv = 1 / lam
@@ -319,17 +299,13 @@ def moment_criterion(
     for k in range(need):
         moments.append(p[k + 1] * scale)
         scale = scale * inv
-    m = MomentVector(moments, provenance=f"m_k = p_(k+1)/lambda^(k+1), lambda={lam}")
-    table = difference_table(m, J, cross_check=cross_check)
-    table.lam = lam
-    decide_table_verdicts(table, policy=policy, bindings=bindings,
-                          verdict_precision=verdict_precision)
+    table = difference_table(MomentVector(moments), J)
+    decide_table_verdicts(table, bindings=bindings, verdict_precision=verdict_precision)
     return table
 
 
 def decide_table_verdicts(
     table: DifferenceTable,
-    policy: SignPolicy = DEFAULT_SIGN_POLICY,
     bindings: Optional[Mapping[str, object]] = None,
     verdict_precision: int = DEFAULT_PRECISION_BITS,
 ) -> None:
@@ -342,8 +318,7 @@ def decide_table_verdicts(
             scales.extend(_noise_scales(row0, len(table.rows)))
         return scales[j][k]
 
-    table.cells = decide_cells(table.iter_cells(), pascal_scale, policy, bindings,
-                               verdict_precision)
+    table.cells = decide_cells(table.iter_cells(), pascal_scale, bindings, verdict_precision)
 
 
 def bind_cell(v, bindings: Optional[Mapping[str, object]], precision: int):
@@ -367,13 +342,14 @@ def bind_cell(v, bindings: Optional[Mapping[str, object]], precision: int):
                        else BigFloat(Fraction(bindings[s]), precision) for s in v.symbols})
 
 
-def decide_cells(cells, scale, policy: SignPolicy, bindings, precision: int,
+def decide_cells(cells, scale, bindings, precision: int,
                  nonpositive: bool = False) -> list[CellRecord]:
     """:class:`CellRecord` for every ``(j, k, value)`` in ``cells``.
 
     Each value is bound by :func:`bind_cell` and the sign of it (of its
     negation when ``nonpositive``) is decided: exactly for rationals, and
-    for BigFloats against the noise scale ``scale(j, k, bound value)``.
+    for BigFloats against the noise scale ``scale(j, k, bound value)`` with
+    the default ``kappa``.
     """
     out = []
     for j, k, value in cells:
@@ -381,9 +357,9 @@ def decide_cells(cells, scale, policy: SignPolicy, bindings, precision: int,
         if nonpositive:
             x = -x
         if isinstance(x, BigFloat):
-            sv = sign_decide(x, SignPolicy(scale=scale(j, k, x), kappa=policy.kappa))
+            sv = sign_decide(x, SignPolicy(scale=scale(j, k, x)))
         else:
-            sv = sign_decide(x, policy)
+            sv = sign_decide(x)
         out.append(CellRecord(j, k, value, sv.verdict, sv.margin))
     return out
 

@@ -42,6 +42,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import from_rational, round_nearest
 
 __all__ = [
     "Rational",
@@ -539,12 +540,6 @@ class RationalFunction:
         return cls(Polynomial.variable(symbols, name),
                    Polynomial.constant(symbols, 1))
 
-    @classmethod
-    def field(cls, symbols: Iterable[str]) -> dict[str, "RationalFunction"]:
-        """Generators of the rational-function field, keyed by symbol name."""
-        symbols = tuple(symbols)
-        return {s: cls.variable(symbols, s) for s in symbols}
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "RationalFunction":
@@ -593,10 +588,7 @@ class RationalFunction:
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return RationalFunction(self.den, self.num) ** (-n)
-        result = RationalFunction.constant(self.symbols, 1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return RationalFunction(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -664,9 +656,9 @@ def _to_mp(v, prec: int):
     if isinstance(v, BigFloat):
         return v.value
     if isinstance(v, (int, Fraction)):
-        # an int is rounded at ``prec`` too, not at mpmath's 53-bit default
-        with workprec(prec):
-            return mpf(v.numerator) / v.denominator
+        # rounded once to nearest at ``prec`` (an int too, not at mpmath's
+        # 53-bit default)
+        return mpmath.mp.make_mpf(from_rational(v.numerator, v.denominator, prec, round_nearest))
     if isinstance(v, float):
         return mpf(v)
     if isinstance(v, mpf):
@@ -690,7 +682,7 @@ class BigFloat:
             if isinstance(value, BigFloat):
                 v = +value.value
             elif isinstance(value, Fraction):
-                v = mpf(value.numerator) / value.denominator
+                v = _to_mp(value, self.prec)
             elif isinstance(value, str):
                 v = mpf(value)
             else:
@@ -819,10 +811,6 @@ class Verdict(enum.Enum):
 class SignVerdict:
     verdict: Verdict
     margin: object  # |x| in the input domain
-
-    @property
-    def letter(self) -> str:
-        return self.verdict.letter
 
 
 @functools.cache

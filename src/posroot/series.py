@@ -111,9 +111,6 @@ class TruncatedSeries:
         return TruncatedSeries(
             [c * (i + 1) for i, c in enumerate(self.coefficients[1:])])
 
-    def truncated(self, N: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.coefficients[: N + 1])
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to the shorter operand's order."""
         N = min(self.order, other.order)
@@ -200,30 +197,22 @@ def taylor_shift(f: TruncatedSeries, c) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def even_sqrt_reduce(G: TruncatedSeries, tol=None, normalize: bool = False) -> TruncatedSeries:
+def even_sqrt_reduce(G: TruncatedSeries) -> TruncatedSeries:
     """Map an even series ``sum c_{2n} z^{2n}`` to ``sum c_{2n} z^n``.
 
     Odd-index coefficients must vanish: exactly in exact domains, below
-    ``tol`` (default ``max|c| * 2**(-prec/2)``) in the float domain.
+    ``max(1, max|c|) * 2**(-prec/2)`` in the float domain.
     """
     coeffs = G.coefficients
-    float_like = any(isinstance(c, BigFloat) for c in coeffs)
-    if tol is None:
-        if float_like:
-            prec = max(c.prec for c in coeffs if isinstance(c, BigFloat))
-            scale = max((abs(c) for c in coeffs if isinstance(c, BigFloat)),
-                        default=BigFloat(1, prec))
-            if scale < 1:
-                scale = BigFloat(1, prec)
-            with workprec(prec):
-                tol = scale * BigFloat(2, prec) ** Fraction(-prec, 2)
-        else:
-            tol = 0
+    tol = 0
+    if any(isinstance(c, BigFloat) for c in coeffs):
+        prec = max(c.prec for c in coeffs if isinstance(c, BigFloat))
+        scale = max(abs(c) for c in coeffs if isinstance(c, BigFloat))
+        if scale < 1:
+            scale = BigFloat(1, prec)
+        with workprec(prec):
+            tol = scale * BigFloat(2, prec) ** Fraction(-prec, 2)
     for i in range(1, len(coeffs), 2):
         if not _is_zeroish(coeffs[i], tol):
             raise NotEven(f"odd coefficient a_{i} = {coeffs[i]} exceeds tolerance")
-    out = list(coeffs[0::2])
-    reduced = TruncatedSeries(out)
-    if normalize:
-        reduced = reduced.normalized()
-    return reduced
+    return TruncatedSeries(coeffs[0::2])

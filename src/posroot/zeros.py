@@ -58,7 +58,6 @@ class ZeroTable:
 
     ordinates: tuple
     source: str          # "FILE" or "COMPUTED"
-    function_id: str
     params: dict
 
     def __len__(self) -> int:
@@ -96,12 +95,11 @@ def _parse_ordinates(lines, origin: str, limit: Optional[int], precision: int):
 
 
 def load_zero_table(path, limit: Optional[int] = None,
-                    function_id: str = "riemann-xi",
                     precision: int = DEFAULT_PRECISION_BITS) -> ZeroTable:
     """Parse a text file of ascending positive ordinates."""
     with open(path, "r", encoding="utf-8") as f:
         ordinates = _parse_ordinates(f, str(path), limit, precision)
-    return ZeroTable(ordinates, "FILE", function_id, {})
+    return ZeroTable(ordinates, "FILE", {})
 
 
 def packaged_riemann_table(limit: Optional[int] = None,
@@ -112,7 +110,7 @@ def packaged_riemann_table(limit: Optional[int] = None,
     res = files("posroot").joinpath("data/riemann_zeros_10000.txt")
     with res.open("r", encoding="utf-8") as f:
         ordinates = _parse_ordinates(f, "packaged riemann table", limit, precision)
-    return ZeroTable(ordinates, "FILE", "riemann-xi", {})
+    return ZeroTable(ordinates, "FILE", {})
 
 
 def bessel_series_value(nu: Fraction, x):
@@ -219,7 +217,7 @@ def bessel_zeros(nu, count: int, precision: int = DEFAULT_PRECISION_BITS) -> Zer
     for a, b in zip(zeros, zeros[1:]):
         if not b > a:
             raise NoConvergence("computed Bessel zeros are out of order")
-    return ZeroTable(tuple(zeros), "COMPUTED", "bessel", {"nu": nu})
+    return ZeroTable(tuple(zeros), "COMPUTED", {"nu": nu})
 
 
 def partial_power_sum_with_tail(

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath
@@ -442,6 +443,14 @@ class TestFunctionSpec:
             FunctionSpec(FunctionKind.RAMANUJAN_AQ, params={"q": F(3, 2)})
         with pytest.raises(ValueError):
             FunctionSpec(FunctionKind.BESSEL_K, params={"a": F(-1)}, mode="float")
+
+    def test_replaced_spec_holds_no_cached_moments(self):
+        spec = FunctionSpec(FunctionKind.BESSEL_K, params={"a": F(1)}, mode="float",
+                            precision=128)
+        assert spec.moments(2).precision == 128
+        doubled = replace(spec, precision=256)
+        assert doubled._moments is None
+        assert doubled.moments(2).precision == 256
 
     def test_sinc_binding_matches_direct_float(self):
         spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=192)

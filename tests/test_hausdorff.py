@@ -120,6 +120,18 @@ class TestDifferenceTable:
             hausdorff._cross_check(t)
 
 
+    def test_cross_check_runs_on_every_table(self, monkeypatch):
+        real = hausdorff._binomial_cell
+        monkeypatch.setattr(hausdorff, "_binomial_cell",
+                            lambda values, j, k: real(values, j, k) + F(1, 10 ** 6))
+        p = PowerSumSequence([F(1, 2) ** k for k in range(1, 9)])
+        with pytest.raises(ScalarError, match="cross-check failed"):
+            moment_criterion(p, F(1), J=7)
+        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact")
+        with pytest.raises(ScalarError, match="cross-check failed"):
+            certify_moment(spec, 6)
+
+
 class TestMomentCriterion:
     def test_all_ones_boundary_pass(self):
         p = PowerSumSequence([F(1)] * 13)

@@ -7,6 +7,8 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mpmath.libmp import from_rational, round_nearest
+
 from posroot import scalars
 from posroot.scalars import (
     BigFloat,
@@ -21,6 +23,7 @@ from posroot.scalars import (
     _common_denominator,
     _dense,
     _euclid_gcd,
+    _to_mp,
     bigfloat_str,
     parse_bigfloat,
     parse_rational,
@@ -129,6 +132,37 @@ class TestRationalFunctionAlgebra:
         assert half == F(1, 2) and hash(half) == hash(F(1, 2))
         three = RationalFunction.constant(("x", "y"), 3)
         assert three == 3 and hash(three) == hash(3)
+
+
+def nfold_product(x, n):
+    out = RationalFunction.constant(x.symbols, 1)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+class TestRationalFunctionPower:
+    """``x ** n`` squares its numerator and denominator instead of multiplying n times."""
+
+    def test_monomial_powers_match_nfold_product_term_for_term(self):
+        q = rf_var("q")["q"]
+        g = rf_var("q", "t_nu")
+        qq, tt = g["q"], g["t_nu"]
+        for x in (q, F(3, 5) * q, 1 / q, qq, tt, qq * tt / 7, tt / qq):
+            for n in (0, 1, 2, 5, 9, 16):
+                got, want = x ** n, nfold_product(x, n)
+                # the same terms in the same order, so float evaluation rounds alike
+                assert list(got.num.terms.items()) == list(want.num.terms.items())
+                assert list(got.den.terms.items()) == list(want.den.terms.items())
+
+    def test_fraction_powers_equal_nfold_product(self):
+        q = rf_var("q")["q"]
+        g = rf_var("q", "t_nu")
+        qq, tt = g["q"], g["t_nu"]
+        for x in ((1 - q) / (2 + q * q), (1 - qq * tt) / (qq + 3 * tt)):
+            for n in (0, 1, 3, 6):
+                assert x ** n == nfold_product(x, n)
+            assert x ** -3 == 1 / nfold_product(x, 3)
 
 
 XY = ("x", "y")
@@ -428,6 +462,15 @@ class TestBigFloatPrecision:
     def test_fraction_mixing(self):
         a = BigFloat(1, 128) + F(1, 3)
         assert abs(float(a) - 4 / 3) < 1e-30
+
+    def test_fraction_rounded_once(self):
+        # a numerator wider than the precision used to be rounded before the division
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            x = F(rng.getrandbits(300) | 1 << 299, rng.getrandbits(200) | 1 << 199)
+            want = from_rational(x.numerator, x.denominator, 128, round_nearest)
+            assert BigFloat(x, 128).value._mpf_ == want
+            assert _to_mp(x, 128)._mpf_ == want
 
     def test_integer_operands_rounded_at_working_precision(self):
         # both exceed 53 bits; mpmath's default context would round them
