@@ -43,6 +43,17 @@ libmp functions the ``mpf`` operators call (``mpf_mul``, ``mpf_mul_int``,
 working precision with round-to-nearest, so every rounding and every stop
 decision is the operators', without a wrapper object per operation.
 
+Kernel values are independent of each other, so when a second CPU is free
+(``_spare_cpu``) a quadrature forks one child that evaluates every other
+node, level after level, and streams each value back through a pipe
+(``_values``); ``phi_nonneg_scan`` splits its grid the same way.  The result
+is bit for bit that of one process: a kernel value is a deterministic
+function of its node and the working precision, whichever process computes
+it, and this process consumes the values in node order and does every
+``t^(2n)`` product, every sum and every stop test itself, in the order of
+the one-process loop.  A missing or failing child only moves evaluations
+back into this process.
+
 For the Dirichlet kernel with an odd character the widely printed exponent
 ``-(1+a)t/2`` fails that evenness check; the exponent ``-(2a+1)t/2`` that
 follows from the theta functional equation passes it and is what this module
@@ -52,6 +63,11 @@ uses.  The choice is recorded in the moment metadata.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -313,6 +329,97 @@ class MomentResult:
         return self.metadata["precision_bits"]
 
 
+def _spare_cpu() -> bool:
+    """Whether a forked child would get a CPU of its own.
+
+    ``fork`` must exist, the affinity mask must hold two CPUs or more, and no
+    other thread may be alive: ``fork`` copies only the calling thread, so a
+    lock another thread holds would stay locked in the child.
+    """
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _values(f: Callable[[object], object], xs):
+    """Yield ``f(x)`` for each ``x`` of the iterable ``xs``, in order.
+
+    When ``_spare_cpu()`` holds, the first value requested forks one child,
+    which walks ``xs`` on its own, evaluates every other ``x`` (odd
+    positions) and writes each value to a pipe as one pickle, running ahead
+    of the caller by as much as the pipe holds.  This process evaluates the
+    even positions and reads the odd ones from the pipe, so the values
+    arrive in order and each is what ``f(x)`` gives in this process: ``f``
+    must be deterministic and its values picklable.  The child's share is
+    empty without a spare CPU.
+
+    If the child stops early (``f`` raised there), this process evaluates the
+    rest itself, so the error is raised here at the same ``x``.  Closing the
+    generator, by exhaustion, an exception or ``close()``, kills and reaps
+    the child; the child always leaves through ``os._exit``, so it runs no
+    exit handler and flushes none of the parent's buffers.
+    """
+    import pickle
+    import signal
+
+    pid = None
+    if _spare_cpu():
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as out:
+                    for x in itertools.islice(xs, 1, None, 2):
+                        pickle.dump(f(x), out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        inbox = open(read_fd, "rb")
+    try:
+        for j, x in enumerate(xs):
+            if pid is not None and j % 2:
+                try:
+                    v = pickle.load(inbox)
+                except (EOFError, pickle.UnpicklingError):
+                    inbox.close()
+                    os.waitpid(pid, 0)
+                    pid = None
+                else:
+                    yield v
+                    continue
+            yield f(x)
+    finally:
+        if pid is not None:
+            inbox.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _trapezoid_levels(h0, T, levels: int):
+    """``(h, nodes)`` of trapezoid levels 0..levels on [0, T], one level at a time.
+
+    Level 0 has the nodes ``i h0 <= T``, i >= 0; level L halves the spacing
+    and has the new nodes, the odd multiples of ``h0 / 2^L`` up to ``T``.
+    Nodes are libmp tuples at the ambient precision.
+    """
+    wp = mpmath.mp.prec
+    h = mpf(h0)
+    yield h, [mpf_mul_int(h._mpf_, i, wp, round_nearest)
+              for i in range(int(mpmath.floor(T / h)) + 1)]
+    for _ in range(levels):
+        h = h / 2
+        nodes = []
+        i = 1
+        while True:
+            t = mpf_mul_int(h._mpf_, i, wp, round_nearest)
+            if not mpf_le(t, T._mpf_):
+                break
+            nodes.append(t)
+            i += 2
+        yield h, nodes
+
+
 def _even_line_moments(
     kernel: Callable[[object], object],
     K: int,
@@ -336,14 +443,14 @@ def _even_line_moments(
 
     The node sums run on libmp tuples with the calls, precision and
     rounding (to nearest) of the ``mpf`` operators, so they are the
-    operator loop's sums bit for bit.
+    operator loop's sums bit for bit.  The kernel values come from
+    ``_values`` in node order, whichever process evaluated them.
     """
     wp = precision + _QUAD_GUARD_BITS
     target = mpf(2) ** (-(precision + 8))
 
-    def add_node(sums, t):
-        """``sums[n] += f(t) t^(2n)`` for n = 0..K at the node ``t`` (a tuple)."""
-        w = kernel(_make_mpf(t))._mpf_
+    def add_node(sums, t, w):
+        """``sums[n] += w t^(2n)`` for n = 0..K, ``w = f(t)`` (tuples)."""
         t2 = mpf_mul(t, t, wp, round_nearest)
         sums[0] = mpf_add(sums[0], w, wp, round_nearest)
         for n in range(1, K + 1):
@@ -352,39 +459,32 @@ def _even_line_moments(
 
     with workprec(wp):
         Tm = mpf(T)
-        h = mpf(quad.h0)
-        n_nodes = int(mpmath.floor(Tm / h)) + 1
-        # level 0 sums: s[n] = f(0)*[n==0]/2 + sum_{i>=1} (ih)^{2n} f(ih)
-        f0 = kernel(mpf(0))
-        sums = [(f0 / 2)._mpf_] + [fzero] * K
-        nodes = 1
-        for i in range(1, n_nodes):
-            add_node(sums, mpf_mul_int(h._mpf_, i, wp, round_nearest))
-            nodes += 1
-        I_prev = None
-        I = [2 * h * _make_mpf(s) for s in sums]
-        errors = None
-        level = 0
-        for level in range(1, quad.levels + 1):
-            h = h / 2
-            add = [fzero] * (K + 1)
-            i = 1
-            while True:
-                t = mpf_mul_int(h._mpf_, i, wp, round_nearest)
-                if not mpf_le(t, Tm._mpf_):
+        all_nodes = (t for _, ts in _trapezoid_levels(quad.h0, Tm, quad.levels) for t in ts)
+        with closing(_values(lambda t: kernel(_make_mpf(t))._mpf_, all_nodes)) as values:
+            levels = _trapezoid_levels(quad.h0, Tm, quad.levels)
+            # level 0 sums: s[n] = f(0)*[n==0]/2 + sum_{i>=1} (ih)^{2n} f(ih)
+            h, ts = next(levels)
+            sums = [(_make_mpf(next(values)) / 2)._mpf_] + [fzero] * K
+            for t in ts[1:]:
+                add_node(sums, t, next(values))
+            nodes = len(ts)
+            I = [2 * h * _make_mpf(s) for s in sums]
+            errors = None
+            level = 0
+            for level, (h, ts) in enumerate(levels, 1):
+                add = [fzero] * (K + 1)
+                for t in ts:
+                    add_node(add, t, next(values))
+                nodes += len(ts)
+                I_prev = I
+                I = [I_prev[n] / 2 + 2 * h * _make_mpf(add[n]) for n in range(K + 1)]
+                errors = [abs(I[n] - I_prev[n]) for n in range(K + 1)]
+                if all(errors[n] <= target * abs(I[n]) for n in range(K + 1)):
                     break
-                add_node(add, t)
-                nodes += 1
-                i += 2
-            I_prev = I
-            I = [I_prev[n] / 2 + 2 * h * _make_mpf(add[n]) for n in range(K + 1)]
-            errors = [abs(I[n] - I_prev[n]) for n in range(K + 1)]
-            if all(errors[n] <= target * abs(I[n]) for n in range(K + 1)):
-                break
-        else:
-            raise QuadratureNotConverged(
-                f"{kernel_name}: no convergence after {quad.levels} refinements "
-                f"(worst rel. err {max(float(e / abs(v)) for e, v in zip(errors, I)):.3e})")
+            else:
+                raise QuadratureNotConverged(
+                    f"{kernel_name}: no convergence after {quad.levels} refinements "
+                    f"(worst rel. err {max(float(e / abs(v)) for e, v in zip(errors, I)):.3e})")
         values = tuple(BigFloat(v, precision) for v in I)
         errs = tuple(BigFloat(e, precision) for e in errors)
     meta = {
@@ -485,6 +585,21 @@ def _evenness_defect(phi, t, precision: int) -> BigFloat:
     return BigFloat(abs((a - b).value), precision)
 
 
+@functools.cache
+def _two_pi(prec: int):
+    """``(2 * mpmath.pi)._mpf_`` at ``prec`` bits, once per precision."""
+    with workprec(prec):
+        return (2 * mpmath.pi)._mpf_
+
+
+@functools.cache
+def _eps(eps_bits: int, prec: int):
+    """``(mpf(2) ** (-eps_bits))._mpf_`` at ``prec`` bits, once per pair: the
+    theta-series stopping tolerance."""
+    with workprec(prec):
+        return (mpf(2) ** (-eps_bits))._mpf_
+
+
 def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
     """Literal theta-series kernel value at real t (terms may cancel).
 
@@ -499,8 +614,8 @@ def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
     E5 = (E ** 5)._mpf_
     X = E ** 4  # e^{-2t}
     q = mpmath.exp(-mpmath.pi * X)
-    twopi = (2 * mpmath.pi)._mpf_
-    eps = (mpf(2) ** (-eps_bits))._mpf_
+    twopi = _two_pi(prec)
+    eps = _eps(eps_bits, prec)
     acc = maxab = fzero
     prev = None
     for n, w in zip(range(1, N_s_max + 1), _theta_weights(q._mpf_, prec)):
@@ -577,7 +692,7 @@ def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, N_s_max: int
     E = mpmath.exp(-t / 2)
     q = mpmath.exp(-mpmath.pi * E ** 4 / m)
     damp = E ** two_c
-    eps = (mpf(2) ** (-eps_bits))._mpf_
+    eps = _eps(eps_bits, prec)
     acc = maxab = fzero
     prev = None
     for n, w in zip(range(1, N_s_max + 1), _theta_weights(q._mpf_, prec)):
@@ -750,12 +865,12 @@ def phi_nonneg_scan(
     best = None
     best_t = 0.0
     step = grid.t_max / (grid.points - 1)
-    for i in range(grid.points):
-        t = i * step
-        v = dirichlet_phi(t, chi, precision)
-        if best is None or v < best:
-            best = v
-            best_t = t
+    ts = (i * step for i in range(grid.points))
+    with closing(_values(lambda t: (t, dirichlet_phi(t, chi, precision)), ts)) as values:
+        for t, v in values:
+            if best is None or v < best:
+                best = v
+                best_t = t
     return ScanReport(
         passed=bool(best >= 0),
         min_value=best,
@@ -882,7 +997,14 @@ class FunctionSpec:
         return ",".join(bits)
 
     def moments(self, K: int) -> MomentResult:
-        """Moment vector for the quadrature-backed kinds (cached)."""
+        """Moments b_0..b_{2K} for the quadrature-backed kinds.
+
+        A cached longer vector is cut to ``K + 1`` moments and the cut one is
+        cached, so ``_moments``, which the report metadata reads, holds the
+        moments and errors the last caller used.  Its metadata records
+        ``orders = K``; the rest (``T``, ``nodes``, ..) describes the
+        quadrature that produced them.
+        """
         producers = {
             FunctionKind.RIEMANN_XI: lambda: riemann_moments(K, self.precision, self.quad),
             FunctionKind.DIRICHLET_XI: lambda: dirichlet_moments(
@@ -892,8 +1014,12 @@ class FunctionSpec:
         }
         if self.kind not in producers:
             raise ScalarError(f"{self.kind.value} has closed-form coefficients, not moments")
-        if self._moments is None or len(self._moments) <= K:
+        mr = self._moments
+        if mr is None or len(mr) <= K:
             self._moments = producers[self.kind]()
+        elif len(mr) > K + 1:
+            self._moments = MomentResult(mr.values[:K + 1], mr.errors[:K + 1],
+                                         {**mr.metadata, "orders": K})
         return self._moments
 
     def elementary(self, K: int) -> ElementarySequence:

@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -461,3 +463,126 @@ class TestFunctionSpec:
                 bound = e[k].evaluate(binding)
                 direct = mpmath.pi ** (2 * k) / mpmath.factorial(2 * k + 1)
                 assert abs(bound.value - direct) < mpmath.mpf(2) ** -180
+
+    def test_cached_longer_moments_are_cut_to_the_request(self):
+        from posroot.criterion import _spec_metadata
+
+        spec = FunctionSpec(FunctionKind.BESSEL_K, params={"a": F(1)}, mode="float",
+                            precision=128)
+        full = spec.moments(6)
+        e = spec.elementary(2)
+        assert e.order == 2
+        assert len(spec.series(2)) == 3
+        assert [v.value for v in spec.moments(2).values] == [v.value for v in full.values[:3]]
+        meta = _spec_metadata(spec)
+        assert len(meta["moment_errors"]) == 3
+        assert meta["quadrature"] == {**full.metadata, "orders": 2}
+
+
+def _quad_digest(mr):
+    """Every bit of a moment result: values, errors (tuple and precision) and metadata."""
+    return ([(v.value._mpf_, v.prec) for v in mr.values],
+            [(e.value._mpf_, e.prec) for e in mr.errors], mr.metadata)
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestNodeSplit:
+    """Kernel values from a forked child give the one-process results bit for bit."""
+
+    @staticmethod
+    def _force(monkeypatch, spare):
+        monkeypatch.setattr(catalog, "_spare_cpu", lambda: spare)
+
+    @pytest.mark.parametrize("run", [
+        lambda: riemann_moments(16, 1024),
+        lambda: dirichlet_moments(kronecker_character(8), 8, 640),
+        lambda: besselk_moments(2, 8, 256),
+    ], ids=["riemann-1024", "dirichlet-8-640", "besselk-2-256"])
+    def test_moments_bit_identical(self, monkeypatch, run):
+        digests = []
+        for spare in (False, True):
+            self._force(monkeypatch, spare)
+            digests.append(_quad_digest(run()))
+            assert_no_child_process()
+        assert digests[0] == digests[1]
+
+    def test_scan_identical(self, monkeypatch):
+        chi = kronecker_character(-4)
+        reports = []
+        for spare in (False, True):
+            self._force(monkeypatch, spare)
+            rep = phi_nonneg_scan(chi, GridConfig(t_max=6.0, points=401), precision=96)
+            reports.append((rep, rep.min_value.value._mpf_, rep.min_value.prec))
+            assert_no_child_process()
+        assert reports[0] == reports[1]
+
+    def test_scan_first_minimum_wins(self, monkeypatch):
+        # ties at grid points 11 (a child's), 12 (this process's) and 21
+        def phi(t, chi, precision):
+            return BigFloat(0 if round(10 * t) in (11, 12, 21) else 1, precision)
+
+        monkeypatch.setattr(catalog, "dirichlet_phi", phi)
+        for spare in (False, True):
+            self._force(monkeypatch, spare)
+            rep = phi_nonneg_scan(kronecker_character(-4), GridConfig(t_max=3.0, points=31))
+            assert rep.argmin == 11 * 0.1
+            assert_no_child_process()
+
+    def test_values_in_order(self, monkeypatch):
+        self._force(monkeypatch, True)
+        assert list(catalog._values(lambda x: x * x, range(50))) == [x * x for x in range(50)]
+        assert_no_child_process()
+
+    def test_generator_closed_early(self, monkeypatch):
+        self._force(monkeypatch, True)
+        values = catalog._values(lambda x: x + 1, range(1000))
+        assert [next(values) for _ in range(5)] == [1, 2, 3, 4, 5]
+        values.close()
+        assert_no_child_process()
+
+    def test_not_converged(self, monkeypatch):
+        for spare in (False, True):
+            self._force(monkeypatch, spare)
+            with pytest.raises(catalog.QuadratureNotConverged):
+                besselk_moments(1, 4, 256, QuadConfig(levels=1))
+            assert_no_child_process()
+
+    @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # a child's node, this process's node
+    def test_kernel_error_raised_here(self, monkeypatch, bad_t):
+        class KernelFailed(Exception):
+            pass
+
+        def kernel(t):
+            if t == bad_t:
+                raise KernelFailed(t)
+            return mpmath.exp(-t * t)
+
+        for spare in (False, True):
+            self._force(monkeypatch, spare)
+            with pytest.raises(KernelFailed):
+                catalog._even_line_moments(kernel, 2, 64, 4.0, QuadConfig(), "failing")
+            assert_no_child_process()
+
+    def test_no_spare_cpu_while_another_thread_runs(self):
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait, args=(10,))
+        worker.start()
+        try:
+            assert not catalog._spare_cpu()
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive()
+
+
+class TestHoistedConstants:
+    @pytest.mark.parametrize("prec", [53, 160, 704, 1088])
+    def test_equal_to_the_per_node_formula(self, prec):
+        for eps_bits in (prec - 40, prec + 24, 2 * prec):
+            with mpmath.workprec(prec):
+                assert catalog._two_pi(prec) == (2 * mpmath.pi)._mpf_
+                assert catalog._eps(eps_bits, prec) == (mpmath.mpf(2) ** (-eps_bits))._mpf_
