@@ -162,6 +162,12 @@ def sinc_coeffs(K: int) -> ElementarySequence:
     return ElementarySequence(values)
 
 
+def _field(*symbols):
+    """The one and the variables of Q(symbols)."""
+    return (RationalFunction.constant(symbols, 1),
+            *(RationalFunction.variable(symbols, s) for s in symbols))
+
+
 def bessel_coeffs(nu, K: int) -> ElementarySequence:
     """e_k = 1 / (k! 4^k (nu+1)_k); symbolic over Q(nu) when ``nu`` is None.
 
@@ -172,23 +178,15 @@ def bessel_coeffs(nu, K: int) -> ElementarySequence:
     if K < 0:
         raise ValueError("K must be nonnegative")
     if nu is None:
-        nu_r = RationalFunction.variable(("nu",), "nu")
-        one = RationalFunction.constant(("nu",), 1)
-        values = [one]
-        poch = one
-        for k in range(1, K + 1):
-            poch = poch * (nu_r + k)
-            values.append(RationalFunction.constant(("nu",), Fraction(1, factorial(k) * 4 ** k)) / poch)
-        return ElementarySequence(values)
-    nu = Fraction(nu)
-    if nu <= -1:
-        raise PoleAtParameter(f"nu = {nu} <= -1")
-    values = [Fraction(1)]
-    poch = Fraction(1)
+        one, nu = _field("nu")
+    else:
+        one, nu = Fraction(1), Fraction(nu)
+        if nu <= -1:
+            raise PoleAtParameter(f"nu = {nu} <= -1")
+    values = [one]
+    poch = one
     for k in range(1, K + 1):
-        poch *= nu + k
-        if poch == 0:
-            raise PoleAtParameter(f"(nu+1)_{k} vanishes at nu = {nu}")
+        poch = poch * (nu + k)
         values.append(Fraction(1, factorial(k) * 4 ** k) / poch)
     return ElementarySequence(values)
 
@@ -203,32 +201,22 @@ def qbessel_coeffs(q, nu, K: int) -> ElementarySequence:
     if K < 0:
         raise ValueError("K must be nonnegative")
     if q is None:
-        syms = ("q", "t_nu")
-        qq = RationalFunction.variable(syms, "q")
-        tt = RationalFunction.variable(syms, "t_nu")
-        one = RationalFunction.constant(syms, 1)
-        values = [one]
-        poch_q = one    # (q;q)_k
-        poch_qt = one   # (q t;q)_k
-        for k in range(1, K + 1):
-            poch_q = poch_q * (one - qq ** k)
-            poch_qt = poch_qt * (one - qq ** k * tt)
-            num = qq ** (k * k) * tt ** k
-            values.append(num / (poch_q * poch_qt * Fraction(4 ** k)))
-        return ElementarySequence(values)
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise ValueError(f"q = {q} outside (0,1)")
-    if nu != int(nu) or nu < 0:
-        raise ValueError("numeric q-Bessel mode needs integer nu >= 0 to stay rational")
-    t = q ** int(nu)
-    values = [Fraction(1)]
-    poch_q = Fraction(1)
-    poch_qt = Fraction(1)
+        one, q, t = _field("q", "t_nu")
+    else:
+        one, q = Fraction(1), Fraction(q)
+        if not 0 < q < 1:
+            raise ValueError(f"q = {q} outside (0,1)")
+        if nu != int(nu) or nu < 0:
+            raise ValueError("numeric q-Bessel mode needs integer nu >= 0 to stay rational")
+        t = q ** int(nu)
+    values = [one]
+    poch_q = one    # (q;q)_k
+    poch_qt = one   # (q t;q)_k
     for k in range(1, K + 1):
-        poch_q *= 1 - q ** k
-        poch_qt *= 1 - q ** k * t
-        values.append(q ** (k * k) * t ** k / (poch_q * poch_qt * 4 ** k))
+        poch_q = poch_q * (one - q ** k)
+        poch_qt = poch_qt * (one - q ** k * t)
+        num = q ** (k * k) * t ** k
+        values.append(num / (poch_q * poch_qt * Fraction(4 ** k)))
     return ElementarySequence(values)
 
 
@@ -237,21 +225,15 @@ def ramanujan_aq_coeffs(q, K: int) -> ElementarySequence:
     if K < 0:
         raise ValueError("K must be nonnegative")
     if q is None:
-        qq = RationalFunction.variable(("q",), "q")
-        one = RationalFunction.constant(("q",), 1)
-        values = [one]
-        poch = one
-        for k in range(1, K + 1):
-            poch = poch * (one - qq ** k)
-            values.append(qq ** (k * k) / poch)
-        return ElementarySequence(values)
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise ValueError(f"q = {q} outside (0,1)")
-    values = [Fraction(1)]
-    poch = Fraction(1)
+        one, q = _field("q")
+    else:
+        one, q = Fraction(1), Fraction(q)
+        if not 0 < q < 1:
+            raise ValueError(f"q = {q} outside (0,1)")
+    values = [one]
+    poch = one
     for k in range(1, K + 1):
-        poch *= 1 - q ** k
+        poch = poch * (one - q ** k)
         values.append(q ** (k * k) / poch)
     return ElementarySequence(values)
 
@@ -482,9 +464,12 @@ def _even_line_moments(
                 if all(errors[n] <= target * abs(I[n]) for n in range(K + 1)):
                     break
             else:
+                # with no refinement (levels <= 0) there is no error estimate
+                worst = max((float(e / abs(v)) for e, v in zip(errors or (), I)),
+                            default=float("inf"))
                 raise QuadratureNotConverged(
                     f"{kernel_name}: no convergence after {quad.levels} refinements "
-                    f"(worst rel. err {max(float(e / abs(v)) for e, v in zip(errors, I)):.3e})")
+                    f"(worst rel. err {worst:.3e})")
         values = tuple(BigFloat(v, precision) for v in I)
         errs = tuple(BigFloat(e, precision) for e in errors)
     meta = {
@@ -1024,32 +1009,30 @@ class FunctionSpec:
 
     def elementary(self, K: int) -> ElementarySequence:
         """Elementary symmetric values e_0..e_K in the declared mode."""
-        kind = self.kind
-        symbolic = self.mode == "ratfunc"
-        if kind is FunctionKind.SINC:
-            e = sinc_coeffs(K)
-            if symbolic:
-                return e
-            return self._bind_elementary(e, {"t": self._pi_squared()})
-        if kind is FunctionKind.BESSEL:
-            e = bessel_coeffs(None if symbolic else self.params["nu"], K)
-            if self.mode == "float":
-                return self._float_elementary(e)
-            return e
-        if kind is FunctionKind.QBESSEL:
-            e = qbessel_coeffs(None if symbolic else self.params["q"],
-                               None if symbolic else self.params["nu"], K)
-            if self.mode == "float":
-                return self._float_elementary(e)
-            return e
-        if kind is FunctionKind.RAMANUJAN_AQ:
-            e = ramanujan_aq_coeffs(None if symbolic else self.params["q"], K)
-            if self.mode == "float":
-                return self._float_elementary(e)
-            return e
-        if kind is FunctionKind.AIRY_PRODUCT:
+        def param(name):
+            return None if self.mode == "ratfunc" else self.params[name]
+
+        closed_forms = {
+            FunctionKind.SINC: lambda: sinc_coeffs(K),
+            FunctionKind.BESSEL: lambda: bessel_coeffs(param("nu"), K),
+            FunctionKind.QBESSEL: lambda: qbessel_coeffs(param("q"), param("nu"), K),
+            FunctionKind.RAMANUJAN_AQ: lambda: ramanujan_aq_coeffs(param("q"), K),
+        }
+        if self.kind is FunctionKind.AIRY_PRODUCT:
             return airy_coeffs(K, self.precision)
-        return elementary_from_moments(self.moments(K))
+        if self.kind not in closed_forms:
+            return elementary_from_moments(self.moments(K))
+        e = closed_forms[self.kind]()
+        if self.mode != "float":
+            return e
+        # float mode: each value rounded once; the sinc values bind t = pi^2
+        t = {"t": self._pi_squared()} if self.kind is FunctionKind.SINC else None
+        values = [Fraction(1)]
+        for v in e.values[1:]:
+            if isinstance(v, RationalFunction):
+                v = v.evaluate(t)
+            values.append(BigFloat(v, self.precision))
+        return ElementarySequence(values)
 
     def series(self, N: int) -> TruncatedSeries:
         """Normalized genus-0 reduced series to order N."""
@@ -1083,16 +1066,3 @@ class FunctionSpec:
     def _pi_squared(self) -> BigFloat:
         with workprec(self.precision + 16):
             return BigFloat(mpmath.pi ** 2, self.precision)
-
-    def _bind_elementary(self, e: ElementarySequence, bindings) -> ElementarySequence:
-        values = [Fraction(1)]
-        for k in range(1, e.order + 1):
-            v = e[k]
-            values.append(v.evaluate(bindings) if isinstance(v, RationalFunction) else v)
-        return ElementarySequence(values)
-
-    def _float_elementary(self, e: ElementarySequence) -> ElementarySequence:
-        values = [Fraction(1)]
-        for k in range(1, e.order + 1):
-            values.append(BigFloat(Fraction(e[k]), self.precision))
-        return ElementarySequence(values)

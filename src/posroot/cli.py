@@ -206,14 +206,15 @@ def _build_spec(args) -> FunctionSpec:
     return FunctionSpec(kind, params=params, mode=mode, precision=precision, quad=quad)
 
 
-def _config_echo(args) -> dict:
+def _stamp(args) -> dict:
+    """The report metadata every verb records: its configuration and timestamp."""
     # the output path is where the report lands, not part of the computation
-    out = {}
+    echo = {}
     for k, v in sorted(vars(args).items()):
         if k in ("command", "output"):
             continue
-        out[k] = v if isinstance(v, (int, float, str, bool)) or v is None else str(v)
-    return out
+        echo[k] = v if isinstance(v, (int, float, str, bool)) or v is None else str(v)
+    return {"config_echo": echo, "timestamp": args.timestamp}
 
 
 def _resolve_lambda_policy(args, spec) -> LambdaPolicy:
@@ -285,6 +286,12 @@ def emit_report(payload: dict, fmt: str, path, csv_text: str = "") -> list[str]:
     return written
 
 
+def _emit(args, metadata=None, **fields) -> None:
+    """Write the schema-1 JSON report of ``fields``, ``metadata`` plus ``_stamp``."""
+    emit_report({"schema": 1, **fields, "metadata": {**(metadata or {}), **_stamp(args)}},
+                "json", args.output)
+
+
 def _report_exit(report: CertificateReport) -> int:
     return {"BOUNDED-PASS": EXIT_PASS, "FAIL": EXIT_FAIL,
             "INDETERMINATE": EXIT_INDETERMINATE}[report.verdict]
@@ -303,8 +310,7 @@ def _cmd_certify(args) -> int:
         shift = _parse_fraction(args.shift, "shift")
         report = certify_shifted_even(spec, shift, args.grid,
                                       _resolve_rho_policy(args, spec, args.mode))
-    report.metadata["config_echo"] = _config_echo(args)
-    report.metadata["timestamp"] = args.timestamp
+    report.metadata.update(_stamp(args))
     emit_report(report.as_dict(), args.format, args.output, report.to_csv())
     return _report_exit(report)
 
@@ -312,16 +318,10 @@ def _cmd_certify(args) -> int:
 def _cmd_moments(args) -> int:
     spec = _build_spec(args)
     mr = spec.moments(args.orders)
-    payload = {
-        "schema": 1,
-        "function": spec.label,
-        "moments": [serialize_scalar(v) for v in mr.values],
-        "moments_decimal": [str(v) for v in mr.values],
-        "errors": [serialize_scalar(e) for e in mr.errors],
-        "metadata": {**mr.metadata, "config_echo": _config_echo(args),
-                     "timestamp": args.timestamp},
-    }
-    emit_report(payload, args.format, args.output)
+    _emit(args, mr.metadata, function=spec.label,
+          moments=[serialize_scalar(v) for v in mr.values],
+          moments_decimal=[str(v) for v in mr.values],
+          errors=[serialize_scalar(e) for e in mr.errors])
     return EXIT_PASS
 
 
@@ -329,14 +329,8 @@ def _cmd_powersums(args) -> int:
     spec = _build_spec(args)
     e = spec.elementary(args.count)
     p = power_sums_from_elementary(e, args.count)
-    payload = {
-        "schema": 1,
-        "function": spec.label,
-        "power_sums": {str(k): serialize_scalar(p[k]) for k in range(1, args.count + 1)},
-        "domain": p.domain,
-        "metadata": {"config_echo": _config_echo(args), "timestamp": args.timestamp},
-    }
-    emit_report(payload, args.format, args.output)
+    _emit(args, function=spec.label, domain=p.domain,
+          power_sums={str(k): serialize_scalar(p[k]) for k in range(1, args.count + 1)})
     return EXIT_PASS
 
 
@@ -345,12 +339,7 @@ def _cmd_scan_phi(args) -> int:
     precision = _precision(args)
     report = phi_nonneg_scan(chi, GridConfig(t_max=args.t_max, points=args.points),
                              precision=precision)
-    payload = {
-        "schema": 1,
-        "scan": report.as_dict(),
-        "metadata": {"config_echo": _config_echo(args), "timestamp": args.timestamp},
-    }
-    emit_report(payload, "json", args.output)
+    _emit(args, scan=report.as_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -358,28 +347,14 @@ def _cmd_zeros(args) -> int:
     precision = _precision(args)
     if args.table:
         table = load_zero_table(args.table, limit=args.limit, precision=precision)
-        payload = {
-            "schema": 1,
-            "source": table.source,
-            "count": len(table),
-            "first": str(table.first),
-            "last": str(table[len(table) - 1]),
-            "metadata": {"config_echo": _config_echo(args), "timestamp": args.timestamp},
-        }
-        emit_report(payload, "json", args.output)
+        _emit(args, source=table.source, count=len(table), first=str(table.first),
+              last=str(table[len(table) - 1]))
         return EXIT_PASS
     if args.nu is None or args.count is None:
         raise ConfigError("zeros needs either --table or both --nu and --count")
     table = bessel_zeros(_parse_fraction(args.nu, "nu"), args.count, precision)
-    payload = {
-        "schema": 1,
-        "source": table.source,
-        "function": "bessel",
-        "nu": str(args.nu),
-        "zeros": [str(z) for z in table.ordinates],
-        "metadata": {"config_echo": _config_echo(args), "timestamp": args.timestamp},
-    }
-    emit_report(payload, "json", args.output)
+    _emit(args, source=table.source, function="bessel", nu=str(args.nu),
+          zeros=[str(z) for z in table.ordinates])
     return EXIT_PASS
 
 
@@ -401,42 +376,31 @@ def _cmd_adversarial(args) -> int:
         })
         if depth is not None:
             detected += 1
-    payload = {
-        "schema": 1,
-        "seed": args.seed,
-        "draws": args.draws,
-        "grid_bound": args.grid,
-        "detected": detected,
-        "runs": runs,
-        "metadata": {"config_echo": _config_echo(args), "timestamp": args.timestamp},
-    }
-    emit_report(payload, "json", args.output)
+    _emit(args, seed=args.seed, draws=args.draws, grid_bound=args.grid,
+          detected=detected, runs=runs)
     return EXIT_PASS
+
+
+_COMMANDS = {
+    "certify": _cmd_certify,
+    "moments": _cmd_moments,
+    "powersums": _cmd_powersums,
+    "scan-phi": _cmd_scan_phi,
+    "zeros": _cmd_zeros,
+    "adversarial": _cmd_adversarial,
+}
 
 
 def run(args) -> int:
     try:
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "moments":
-            return _cmd_moments(args)
-        if args.command == "powersums":
-            return _cmd_powersums(args)
-        if args.command == "scan-phi":
-            return _cmd_scan_phi(args)
-        if args.command == "zeros":
-            return _cmd_zeros(args)
-        if args.command == "adversarial":
-            return _cmd_adversarial(args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        if args.command not in _COMMANDS:
+            raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ScalarError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -121,54 +121,45 @@ def bessel_series_value(nu: Fraction, x):
     raise the working precision by about 1.5*x bits, which
     :func:`bessel_zeros` does.
     """
-    nu = Fraction(nu)
-    z = x * x
-    quarter = -z / 4
-    term = mpf(1)
-    acc = mpf(1)
-    n = 0
-    eps = mpf(2) ** (-(mpmath.mp.prec + 8))
-    maxab = mpf(1)
-    while True:
-        n += 1
-        denom = n * (mpf(nu.numerator) / nu.denominator + n)
-        term = term * quarter / denom
-        acc += term
-        at = abs(term)
-        if at > maxab:
-            maxab = at
-        if n > 2 and at <= eps * maxab:
-            break
-        if n > 100000:
-            raise NoConvergence("series for the Bessel product did not terminate")
-    return acc
+    return _bessel_series(nu, x, False)[0]
 
 
-def _bessel_series_derivative(nu: Fraction, x):
-    """d/dx of the reduced Bessel series at x (same cancellation caveats)."""
+def _bessel_series(nu: Fraction, x, derivative: bool):
+    """``(value, d/dx value or None)`` of the reduced Bessel series at x.
+
+    One loop makes the terms ``c_n z^n`` of the value and adds
+    ``c_n z^n * n / x * 2 = 2x n c_n z^(n-1)`` of the derivative from them.
+    Each sum has its own running maximum (from 1) and stops at its own first
+    ``n > 2`` whose contribution is within ``2^-(prec+8)`` of it, as a loop
+    of its own would.
+    """
     nu = Fraction(nu)
+    nu_mp = mpf(nu.numerator) / nu.denominator
     z = x * x
     quarter = -z / 4
-    # d/dx sum c_n z^n = 2x * sum n c_n z^(n-1)
-    term = mpf(1)
-    acc = mpf(0)
-    n = 0
     eps = mpf(2) ** (-(mpmath.mp.prec + 8))
-    maxab = mpf(1)
-    while True:
+    term = value = value_max = deriv_max = mpf(1)
+    deriv = mpf(0)
+    value_open, deriv_open = True, derivative
+    n = 0
+    while value_open or deriv_open:
         n += 1
-        denom = n * (mpf(nu.numerator) / nu.denominator + n)
-        term = term * quarter / denom
-        contrib = term * n / x * 2  # n c_n z^n * 2/x == 2x n c_n z^(n-1)
-        acc += contrib
-        at = abs(contrib)
-        if at > maxab:
-            maxab = at
-        if n > 2 and at <= eps * maxab:
-            break
-        if n > 100000:
-            raise NoConvergence("series for the Bessel derivative did not terminate")
-    return acc
+        term = term * quarter / (n * (nu_mp + n))
+        if value_open:
+            value += term
+            at = abs(term)
+            value_max = max(value_max, at)
+            value_open = not (n > 2 and at <= eps * value_max)
+        if deriv_open:
+            contrib = term * n / x * 2
+            deriv += contrib
+            at = abs(contrib)
+            deriv_max = max(deriv_max, at)
+            deriv_open = not (n > 2 and at <= eps * deriv_max)
+        if n > 100000 and (value_open or deriv_open):
+            what = "product" if value_open else "derivative"
+            raise NoConvergence(f"series for the Bessel {what} did not terminate")
+    return value, deriv if derivative else None
 
 
 def bessel_zeros(nu, count: int, precision: int = DEFAULT_PRECISION_BITS) -> ZeroTable:
@@ -195,8 +186,7 @@ def bessel_zeros(nu, count: int, precision: int = DEFAULT_PRECISION_BITS) -> Zer
             target = mpf(2) ** (-(precision + 8)) * x
             converged = False
             for _ in range(300):
-                fx = bessel_series_value(nu, x)
-                dfx = _bessel_series_derivative(nu, x)
+                fx, dfx = _bessel_series(nu, x, True)
                 if dfx == 0:
                     break
                 step = fx / dfx

@@ -2,6 +2,7 @@ import os
 import threading
 from dataclasses import replace
 from fractions import Fraction as F
+from math import factorial
 
 import mpmath
 import pytest
@@ -71,12 +72,77 @@ class TestClosedFormCoefficients:
         e = qbessel_coeffs(F(1, 2), 0, 1)
         assert e[1] == F(1, 2)
 
-    def test_qbessel_symbolic_binding_matches_numeric(self):
-        sym = qbessel_coeffs(None, None, 6)
-        num = qbessel_coeffs(F(1, 2), 0, 6)
-        binding = {"q": F(1, 2), "t_nu": F(1)}
-        for k in range(7):
-            assert sym[k].evaluate(binding) == num[k]
+    def test_symbolic_binding_matches_numeric(self):
+        # (producer, numeric parameters, binding of the symbols, K)
+        cases = [(bessel_coeffs, (nu,), {"nu": nu}, K)
+                 for nu, K in ((F(0), 6), (F(1, 2), 3), (F(-2, 3), 8))]
+        cases += [(qbessel_coeffs, (q, nu), {"q": q, "t_nu": q ** nu}, K)
+                  for q, nu, K in ((F(1, 2), 0, 6), (F(1, 3), 2, 4), (F(3, 4), 1, 2))]
+        cases += [(ramanujan_aq_coeffs, (q,), {"q": q}, K)
+                  for q, K in ((F(1, 2), 6), (F(2, 3), 5), (F(1, 7), 3))]
+        for produce, params, binding, K in cases:
+            sym = produce(*[None] * len(params), K)
+            num = produce(*params, K)
+            assert sym.order == num.order == K
+            for k in range(K + 1):
+                assert sym[k].evaluate(binding) == num[k]
+
+    def test_symbolic_terms_as_two_copy_recurrences_built_them(self):
+        """The one-recurrence producers give the terms, in order, of the
+        symbolic loops they replaced."""
+        def reference(syms, step, K):
+            one = RationalFunction.constant(syms, 1)
+            xs = [RationalFunction.variable(syms, s) for s in syms]
+            values, state = [one], (one, one)
+            for k in range(1, K + 1):
+                state, v = step(one, xs, state, k)
+                values.append(v)
+            return values
+
+        def bessel(one, xs, state, k):
+            poch = state[0] * (xs[0] + k)
+            return (poch, one), RationalFunction.constant(
+                ("nu",), F(1, factorial(k) * 4 ** k)) / poch
+
+        def qbessel(one, xs, state, k):
+            q, t = xs
+            pq = state[0] * (one - q ** k)
+            pqt = state[1] * (one - q ** k * t)
+            return (pq, pqt), q ** (k * k) * t ** k / (pq * pqt * F(4 ** k))
+
+        def ramanujan(one, xs, state, k):
+            poch = state[0] * (one - xs[0] ** k)
+            return (poch, one), xs[0] ** (k * k) / poch
+
+        K = 6
+        for got, want in ((bessel_coeffs(None, K), reference(("nu",), bessel, K)),
+                          (qbessel_coeffs(None, None, K),
+                           reference(("q", "t_nu"), qbessel, K)),
+                          (ramanujan_aq_coeffs(None, K), reference(("q",), ramanujan, K))):
+            for g, w in zip(got.values, want, strict=True):
+                assert list(g.num.terms.items()) == list(w.num.terms.items())
+                assert list(g.den.terms.items()) == list(w.den.terms.items())
+
+    def test_numeric_parameter_errors(self):
+        from posroot.catalog import PoleAtParameter
+        for make in (lambda: bessel_coeffs(0, -1), lambda: bessel_coeffs(None, -1),
+                     lambda: qbessel_coeffs(F(1, 2), 0, -1),
+                     lambda: qbessel_coeffs(None, None, -1),
+                     lambda: ramanujan_aq_coeffs(F(1, 2), -1),
+                     lambda: ramanujan_aq_coeffs(None, -1)):
+            with pytest.raises(ValueError):
+                make()
+        for nu in (-1, F(-5, 4), -3):
+            with pytest.raises(PoleAtParameter):
+                bessel_coeffs(nu, 2)
+        for q in (0, 1, F(3, 2), F(-1, 2)):
+            with pytest.raises(ValueError):
+                qbessel_coeffs(q, 0, 2)
+            with pytest.raises(ValueError):
+                ramanujan_aq_coeffs(q, 2)
+        for nu in (F(1, 2), -1):
+            with pytest.raises(ValueError):
+                qbessel_coeffs(F(1, 2), nu, 2)
 
     def test_ramanujan(self):
         e = ramanujan_aq_coeffs(None, 2)
@@ -549,6 +615,15 @@ class TestNodeSplit:
             self._force(monkeypatch, spare)
             with pytest.raises(catalog.QuadratureNotConverged):
                 besselk_moments(1, 4, 256, QuadConfig(levels=1))
+            assert_no_child_process()
+
+    @pytest.mark.parametrize("levels", [0, -1])
+    def test_no_refinement_is_not_converged(self, monkeypatch, levels):
+        for spare in (False, True):
+            self._force(monkeypatch, spare)
+            with pytest.raises(catalog.QuadratureNotConverged,
+                               match=f"after {levels} refinements"):
+                besselk_moments(1, 2, 64, QuadConfig(levels=levels))
             assert_no_child_process()
 
     @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # a child's node, this process's node

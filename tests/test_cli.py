@@ -117,6 +117,14 @@ class TestMomentsCommand:
         code = main(["moments", "--function", "sinc", "--orders", "2"])
         assert code == 1
 
+    def test_no_refinement_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["moments", "--function", "bessel-k", "--a", "1", "--orders", "2",
+                     "--quad-levels", "0", "--output", str(out)])
+        assert code == 1
+        assert "QuadratureNotConverged" in capsys.readouterr().err
+        assert not out.exists()
+
     # the quadrature's child is killed when the moments converge; the scan's
     # child finishes its share and leaves by itself
     @pytest.mark.parametrize("argv", [

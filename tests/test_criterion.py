@@ -117,23 +117,29 @@ class TestCertifyDerivative:
         assert len(calls) <= 2
 
     def test_catalog_coefficients_built_once(self, monkeypatch):
+        # Each producer is reached through its module attribute, where the
+        # benchmark tracer wraps it.
         import posroot.catalog
 
-        calls = []
-        original = posroot.catalog.bessel_coeffs
+        for name, kind, params in (
+                ("bessel_coeffs", FunctionKind.BESSEL, {"nu": F(0)}),
+                ("qbessel_coeffs", FunctionKind.QBESSEL, {"q": F(1, 2), "nu": F(0)}),
+                ("ramanujan_aq_coeffs", FunctionKind.RAMANUJAN_AQ, {"q": F(1, 2)})):
+            calls = []
+            original = getattr(posroot.catalog, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(posroot.catalog, "bessel_coeffs", counting)
-        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact")
-        rep = certify_derivative(spec, 6)
-        assert rep.verdict == "BOUNDED-PASS"
-        assert len(calls) == 1
-        calls.clear()
-        assert route_equality_defect(spec, 6) == 0
-        assert len(calls) == 1
+            monkeypatch.setattr(posroot.catalog, name, counting)
+            spec = FunctionSpec(kind, params=params, mode="exact")
+            rep = certify_derivative(spec, 6)
+            assert rep.verdict == "BOUNDED-PASS"
+            assert len(calls) == 1
+            calls.clear()
+            assert route_equality_defect(spec, 6) == 0
+            assert len(calls) == 1
 
     def test_sinc_symbolic_derivative(self):
         spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=192)

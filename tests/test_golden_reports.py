@@ -8,9 +8,10 @@ transform moved from complex Taylor shifts to real arithmetic, and the two
 high-precision theta-kernel moment runs (an even character, and Riemann at
 1024 bits) before the quadrature moved to libmp tuples, and the three
 symbolic q-Bessel ones (ν = 1/2 certificates and the K = 4 power sums)
-before polynomial products moved to packed exponent keys; a change that
-alters any byte of any of these reports fails here.  Criterion 11 only
-checks that two runs of one tree agree.
+before polynomial products moved to packed exponent keys, and the
+``scan-phi`` and ``zeros --table`` ones before the report envelopes were
+built by one helper; a change that alters any byte of any of these reports
+fails here.  Criterion 11 only checks that two runs of one tree agree.
 """
 
 import hashlib
@@ -132,7 +133,17 @@ GOLDEN = {
     "zeros-nu0": (
         ["zeros", "--nu", "0", "--count", "5", "--precision", "128"],
         "46f94617d891db05fe5ce4950cd9b6633a0932d346a8f9fad5736de5d93845da", None),
+    "scan-phi-D-4": (
+        ["scan-phi", "--discriminant", "-4", "--t-max", "2", "--points", "21",
+         "--precision", "64"],
+        "5cc408101e8dc94ed0d62ee15f73b723688d9def27344b1aecbe944dc30b97b8", None),
 }
+
+# ``zeros --table`` echoes the table path into the report, so it runs from
+# the table's directory with a relative path.
+ZERO_TABLE = ("# test table\n14.134725141734693790\n21.022039638771554993\n"
+              "25.010857580145688763\n30.424876125859513210\n")
+ZERO_TABLE_SHA = "420b7e9d50a6aaf8eaf5dc4a658cacf4ca618126418740a55930f46b8fbbe29e"
 
 
 def _sha(path):
@@ -150,3 +161,10 @@ def _run(args, tmp_path):
 def test_report_bytes_unchanged(name, tmp_path):
     args, json_sha, csv_sha = GOLDEN[name]
     assert _run(args, tmp_path) == (json_sha, csv_sha)
+
+
+def test_zero_table_report_bytes_unchanged(tmp_path, monkeypatch):
+    (tmp_path / "zeros.txt").write_text(ZERO_TABLE)
+    monkeypatch.chdir(tmp_path)
+    args = ["zeros", "--table", "zeros.txt", "--limit", "3", "--precision", "128"]
+    assert _run(args, tmp_path) == (ZERO_TABLE_SHA, None)

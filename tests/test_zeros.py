@@ -7,6 +7,7 @@ from posroot.scalars import BigFloat
 from posroot.zeros import (
     NotMonotone,
     ParseError,
+    _bessel_series,
     bessel_series_value,
     bessel_zeros,
     load_zero_table,
@@ -91,6 +92,56 @@ class TestBesselZeros:
                 return BigFloat(bessel_series_value(F(0), x.value), 128)
 
         verify_sign_changes(table, ev, indices=[0, 1, 2])
+
+
+def _two_loop_reference(nu, x):
+    """The value and derivative sums as two separate loops, each recomputing
+    the shared terms; returns ``((value, n), (derivative, n))`` with the
+    ``n`` at which each loop stopped."""
+    nu = F(nu)
+    out = []
+    for derivative in (False, True):
+        z = x * x
+        quarter = -z / 4
+        term = mpmath.mpf(1)
+        acc = mpmath.mpf(0 if derivative else 1)
+        n = 0
+        eps = mpmath.mpf(2) ** (-(mpmath.mp.prec + 8))
+        maxab = mpmath.mpf(1)
+        while True:
+            n += 1
+            denom = n * (mpmath.mpf(nu.numerator) / nu.denominator + n)
+            term = term * quarter / denom
+            contrib = term * n / x * 2 if derivative else term
+            acc += contrib
+            at = abs(contrib)
+            if at > maxab:
+                maxab = at
+            if n > 2 and at <= eps * maxab:
+                break
+        out.append((acc, n))
+    return tuple(out)
+
+
+class TestMergedBesselSeries:
+    """The one-loop value and derivative equal the two-loop sums to the bit."""
+
+    @pytest.mark.parametrize("prec", [96, 200, 512])
+    def test_bit_identical_to_two_loops(self, prec):
+        stops_differ = 0
+        with mpmath.workprec(prec):
+            for nu in (0, F(1, 2), 3, F(-1, 3)):
+                for x in ("0.25", "1", "2.4048", "7.5", "31.3", "60"):
+                    x = mpmath.mpf(x)
+                    (value, n_value), (deriv, n_deriv) = _two_loop_reference(nu, x)
+                    got_value, got_deriv = _bessel_series(nu, x, True)
+                    assert got_value._mpf_ == value._mpf_
+                    assert got_deriv._mpf_ == deriv._mpf_
+                    assert bessel_series_value(nu, x)._mpf_ == value._mpf_
+                    assert _bessel_series(nu, x, False) == (got_value, None)
+                    stops_differ += n_value != n_deriv
+        # the two sums stop at different n at 8 (96 bits) or 13 of these 24 points
+        assert stops_differ >= 8
 
 
 class TestPartialPowerSums:
