@@ -261,22 +261,30 @@ def _zero_table_for(args, spec):
     raise ConfigError(f"no zero-table source for {spec.kind.value}; pass --zeros")
 
 
+def _write_json(payload: dict, stream) -> None:
+    """Stream the canonical JSON text (sorted keys, indent 2, final newline)."""
+    json.dump(payload, stream, sort_keys=True, indent=2)
+    stream.write("\n")
+
+
 def emit_report(payload: dict, fmt: str, path, csv_text: str = "") -> list[str]:
-    """Write (or print) the report; returns the list of files written."""
+    """Write (or print) the report; returns the list of files written.
+
+    The JSON text is streamed to its destination, never held whole.
+    """
     if fmt == "csv" and not csv_text:
         # commands without a cell triangle fall back to their JSON payload
         fmt = "json"
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     written = []
     if path is None:
         if fmt in ("json", "both"):
-            sys.stdout.write(text)
+            _write_json(payload, sys.stdout)
         if fmt in ("csv", "both") and csv_text:
             sys.stdout.write(csv_text)
         return written
     if fmt in ("json", "both"):
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            _write_json(payload, f)
         written.append(path)
     if fmt in ("csv", "both") and csv_text:
         csv_path = path + ".csv" if not path.endswith(".json") else path[:-5] + ".csv"
@@ -311,7 +319,8 @@ def _cmd_certify(args) -> int:
         report = certify_shifted_even(spec, shift, args.grid,
                                       _resolve_rho_policy(args, spec, args.mode))
     report.metadata.update(_stamp(args))
-    emit_report(report.as_dict(), args.format, args.output, report.to_csv())
+    csv_text = report.to_csv() if args.format in ("csv", "both") else ""
+    emit_report(report.as_dict(), args.format, args.output, csv_text)
     return _report_exit(report)
 
 

@@ -17,10 +17,15 @@ cells.  Any confidently negative cell is a ``FAIL``; cells inside the float
 noise band are ``INDETERMINATE`` and trigger one automatic precision
 doubling before being reported.
 
-The two cell routes (series derivative vs. moment differences) are linked by
-an exact identity; every derivative run recomputes its cells through the
-difference route and records the worst discrepancy, which must vanish in
-exact domains.
+Every derivative run computes its cells twice from one log-derivative
+``f'/f``: the series route sums its coefficients ``g``, the difference route
+the power sums ``p = -g``.  The two are one sum in opposite orders, so the
+worst discrepancy it records (``route_equality_max_defect``) checks the two
+summation loops against each other, not the power sums against an
+independent source such as the Newton recurrence; it must vanish in exact
+domains.  Exact rational cells are summed as integers over one common
+scale, and only the printed cells and the worst discrepancy are reduced to
+fractions.
 
 Adversarial runs plant defects (negative or complex-conjugate entries) into
 a finite positive rational base sequence and report the smallest ``j+k``
@@ -34,7 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Optional
 
 import mpmath
@@ -376,7 +381,9 @@ class CertificateReport(CellVerdicts):
         return min(depths) if depths else None
 
     def as_dict(self) -> dict:
+        """The report payload; a cell listed twice (failure, min margin) shares one dict."""
         mm = self.min_margin_cell()
+        cells = {id(c): c.as_dict() for c in sorted(self.cells, key=lambda c: (c.j, c.k))}
         return {
             "schema": 1,
             "function": self.function,
@@ -385,15 +392,15 @@ class CertificateReport(CellVerdicts):
             "rho": serialize_scalar(self.rho),
             "grid_bound": self.grid_bound,
             "precision_bits": self.precision_bits,
-            "cells": [c.as_dict() for c in sorted(self.cells, key=lambda c: (c.j, c.k))],
+            "cells": list(cells.values()),
             "verdict": self.verdict,
-            "failures": [c.as_dict() for c in self.failures()],
+            "failures": [cells[id(c)] for c in self.failures()],
             "metadata": {
                 **{k: _meta_safe(v) for k, v in sorted(self.metadata.items())},
                 "lambda_provenance": self.lam_provenance,
                 "rho_provenance": self.rho_provenance,
                 "verdict_counts": self.counts(),
-                "min_margin_cell": mm.as_dict() if mm else None,
+                "min_margin_cell": cells[id(mm)] if mm else None,
                 "statement": (
                     f"bounded certificate to j+k <= {self.grid_bound}; "
                     "evidence, not a proof of zero positivity"),
@@ -452,8 +459,10 @@ def _derivative_certificate(label, mode, B, precision, metadata, f, p, rho, rho_
                             bindings=None) -> CertificateReport:
     """Report on the derivative-form cells of ``f`` at ``rho``, decided ``<= 0``.
 
-    The cells are read from the series route; the metadata records their
-    worst discrepancy from the difference route over ``p``.
+    ``p`` holds ``p_1 .. p_(B+1)`` read from ``f'/f``.  The cells are read
+    from the series route over ``g = -p``; the metadata records their worst
+    discrepancy from the difference route over ``p``, a check of the two
+    summations of one sum (see :func:`_two_route_cells`).
     """
     series_route, worst = _two_route_cells(f, p, rho, B, bindings, precision)
     cells = decide_cells(((j, k, v) for (j, k), v in series_route.items()), _deriv_scale,
@@ -463,9 +472,24 @@ def _derivative_certificate(label, mode, B, precision, metadata, f, p, rho, rho_
                              rho_provenance=rho_prov, metadata=metadata)
 
 
-def _two_route_cells(f, p, rho, B, bindings, precision):
-    """Series-route cells for ``j+k <= B`` and the worst |series - difference|."""
-    series_route = derivative_form_cells(f, rho, B)
+def _two_route_cells(f, p, rho, B, bindings, precision, g=None):
+    """Series-route cells for ``j+k <= B`` and the worst |series - difference|.
+
+    The series route sums ``g`` (the coefficients of ``f'/f``; ``-p``
+    unless given), the difference route ``p``.  With ``g = -p`` both sum
+    the same terms in opposite orders, so any discrepancy is a summation
+    fault.  Exact rational inputs run on :func:`_integer_route_cells`:
+    the cells are compared as integers, and a fraction is built only for
+    each returned cell and for the worst discrepancy.
+    """
+    if g is None:
+        g = [-x for x in p.values]
+    if p.domain == "rational" and isinstance(rho, (int, Fraction)):
+        series, s_scale, diff, d_scale = _integer_route_cells(f, g, p, rho, B)
+        worst = max(abs(v * d_scale - diff[jk] * s_scale) for jk, v in series.items())
+        cells = {jk: Fraction(v, s_scale) for jk, v in series.items()}
+        return cells, Fraction(worst, s_scale * d_scale)
+    series_route = derivative_form_cells(f, rho, B, g)
     diff_route = derivative_cells_from_power_sums(p, rho, B)
     worst = None
     for jk, v in series_route.items():
@@ -476,6 +500,34 @@ def _two_route_cells(f, p, rho, B, bindings, precision):
         if worst is None or worst < d:
             worst = d
     return series_route, worst
+
+
+def _integer_route_cells(f, g, p, rho, B):
+    """Both routes' cells over the integers: ``(series, s_scale, diff, d_scale)``.
+
+    Cell ``(j, k)`` of the series route is ``series[(j, k)] / s_scale``, and
+    likewise for the difference route.  The cells of ``f`` at ``rho`` are the
+    cells at 1 of the rescaled ``g_m rho^(m+1)`` and ``p_(m+1) rho^(m+1)``,
+    and they are linear in those; so both loops run at ``rho = 1`` on the
+    integer numerators of :func:`_over_one_scale` and never reduce.
+    """
+    g_num, s_scale = _over_one_scale(g, rho, B)
+    p_num, d_scale = _over_one_scale(p.values, rho, B)
+    return (derivative_form_cells(f, 1, B, g_num), s_scale,
+            derivative_cells_from_power_sums(PowerSumSequence(p_num), 1, B), d_scale)
+
+
+def _over_one_scale(values, rho, B):
+    """Integers ``N_m`` and one scale ``D > 0`` with ``values[m] rho^(m+1) = N_m / D``.
+
+    ``m = 0 .. B``; ``D`` is the lcm of the denominators times
+    ``den(rho)^(B+1)``, so no gcd is taken.
+    """
+    a, b = rho.numerator, rho.denominator
+    values = values[:B + 1]
+    L = lcm(*(v.denominator for v in values))
+    return ([v.numerator * (L // v.denominator) * a ** (m + 1) * b ** (B - m)
+             for m, v in enumerate(values)], L * b ** (B + 1))
 
 
 def _deriv_scale(j, k, v) -> float:
@@ -554,7 +606,11 @@ def certify_derivative(
     B: int,
     rho_policy: Optional[RhoPolicy] = None,
 ) -> CertificateReport:
-    """Derivative-form pipeline with the moment-route cross-check."""
+    """Derivative-form pipeline; the cells are also summed by the difference route.
+
+    Both routes read one ``f'/f``, so the recorded
+    ``route_equality_max_defect`` checks two summations of one sum.
+    """
     if B < 0:
         raise ValueError("grid bound must be nonnegative")
     rho_policy = rho_policy or RhoPolicy(kind="coefficient-bound")
@@ -580,7 +636,10 @@ def _derivative_once(spec, B, rho_policy) -> CertificateReport:
 
 
 def route_equality_defect(spec: FunctionSpec, B: int, rho=None) -> object:
-    """Worst |series-route - difference-route| cell discrepancy at bound B."""
+    """Worst |series-route - difference-route| cell discrepancy at bound B.
+
+    Both routes read the one ``f'/f`` of the spec's series.
+    """
     e, f, p = _log_derivative_inputs(spec, B)
     if rho is None:
         rho, _ = resolve_rho(RhoPolicy(kind="coefficient-bound"), e, f, _is_exact(p),

@@ -16,11 +16,15 @@ product ``f`` of the sequence and any ``0 < rho <= inf |roots|``,
            = -rho * (j+k)! * (-D)^j ( rho^k p_{k+1} )
 
 must be nonpositive cell by cell.  :func:`derivative_form_cells` computes
-the left-hand side of every cell with ``j+k <= B`` from series coefficients
-alone, giving a route independent of the difference table; their exact
-agreement is one of the library's core self-checks.  It builds ``L`` once
-and reads every cell from it, so the triangle costs ``O(B^3)`` scalar
-operations: ``O(B^2)`` for ``L`` and ``O(j)`` for each cell.
+the left-hand side of every cell with ``j+k <= B`` from the coefficients
+``g`` of ``L``, and :func:`derivative_cells_from_power_sums` the right-hand
+side from ``p``.  Since ``g_m = -p_(m+1)``, the two are one alternating
+binomial sum summed in opposite orders: reading both from one ``L``, their
+exact agreement checks the summation loops, not the power sums.  ``L`` is
+built once (or passed in), so the triangle costs ``O(B^3)`` scalar
+operations: ``O(B^2)`` for ``L`` and ``O(j)`` for each cell.  Both loops
+only add and multiply by integers, so they run unchanged on integer
+numerators over one common scale.
 
 Cells of either form are decided by one function, :func:`decide_cells`,
 into :class:`CellRecord` entries; :class:`CellVerdicts` counts them.
@@ -117,12 +121,18 @@ class CellRecord:
     margin: object
 
     def as_dict(self) -> dict:
+        value = serialize_scalar(self.value)
+        if isinstance(self.value, Fraction):
+            # an exact margin is |value|: the value's digits without the sign
+            margin = value.lstrip("-")
+        else:
+            margin = serialize_scalar(self.margin)
         return {
             "j": self.j,
             "k": self.k,
-            "value": serialize_scalar(self.value),
+            "value": value,
             "verdict": self.verdict.value,
-            "margin": serialize_scalar(self.margin),
+            "margin": margin,
         }
 
 
@@ -364,22 +374,22 @@ def decide_cells(cells, scale, bindings, precision: int,
     return out
 
 
-def derivative_form_cells(f: TruncatedSeries, rho, bound: int) -> dict:
+def derivative_form_cells(f: TruncatedSeries, rho, bound: int, g=None) -> dict:
     """Every derivative-form cell with ``j+k <= bound``, keyed by ``(j, k)``.
 
     Cell ``(j, k)`` is ``(j+k)! * [z^(j+k)] { (z-1)^j * d/dz log f(rho*z) }``,
     computed purely from series coefficients.  For a genus-0 product with
     positive roots and admissible ``rho`` it is ``<= 0`` and equals
-    ``-rho*(j+k)!*(-D)^j(rho^k p_{k+1})``.  ``f'/f`` is built once, so the
-    triangle costs ``O(bound^3)`` scalar operations.
+    ``-rho*(j+k)!*(-D)^j(rho^k p_{k+1})``.  ``g`` holds the coefficients
+    ``g_0 .. g_bound`` of ``f'/f``; when it is not given it is built from
+    ``f``, once, so the triangle costs ``O(bound^3)`` scalar operations.
     """
     f.require_normalized()
     if f.order < bound + 1:
         raise InsufficientCoefficients(
             f"series order {f.order} too small for cells j+k <= {bound}")
-    if isinstance(rho, int):
-        rho = Fraction(rho)
-    g = log_derivative_series(f, bound + 1)
+    if g is None:
+        g = log_derivative_series(f, bound + 1)
     # coefficients of d/dz log f(rho z) = rho * (f'/f)(rho z)
     rho_pow = [rho]
     for _ in range(bound):
@@ -411,8 +421,6 @@ def derivative_cells_from_power_sums(p: PowerSumSequence, rho, bound: int):
     The difference-route counterpart of :func:`derivative_form_cells`,
     used for the two-route equality check.
     """
-    if isinstance(rho, int):
-        rho = Fraction(rho)
     seq = []
     scale = rho
     for k in range(bound + 1):

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import posroot
 from posroot.cli import main
 from posroot.scalars import parse_bigfloat
+from posroot.zeros import bessel_zeros
 
 
 def run_cli(args, capsys=None):
@@ -100,6 +102,53 @@ class TestCertifyCommand:
         assert main(args + ["--output", str(a)]) == 0
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["default", "json"])
+    def test_json_only_run_builds_no_csv(self, tmp_path, monkeypatch, fmt):
+        from posroot.criterion import CertificateReport
+
+        def refuse(self):
+            raise AssertionError("to_csv called for a JSON-only report")
+
+        monkeypatch.setattr(CertificateReport, "to_csv", refuse)
+        out = tmp_path / "r.json"
+        assert main(["certify", "--function", "bessel", "--nu", "0", "--mode", "derivative",
+                     "--grid", "6", *fmt, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "BOUNDED-PASS"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_stdout_report_is_the_file_report(self, tmp_path, capsys):
+        args = ["certify", "--function", "sinc", "--mode", "derivative", "--grid", "4"]
+        out = tmp_path / "r.json"
+        assert main(args + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_exact_report_memory_is_its_size(self, tmp_path):
+        # The B=24 exact Bessel report is 1.8 MB.  Serializing it holds its
+        # cell strings once; the JSON text is streamed, never held whole.
+        import tracemalloc
+
+        from posroot.catalog import FunctionKind, FunctionSpec
+        from posroot.cli import emit_report
+        from posroot.criterion import RhoPolicy, certify_derivative
+
+        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": Fraction(0)}, mode="exact")
+        report = certify_derivative(
+            spec, 24, RhoPolicy(kind="zero-table", table=bessel_zeros(0, 1, spec.precision)))
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            emit_report(report.as_dict(), "json", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 1_000_000
+        assert peak <= 1.25 * size, (peak, size)
 
 
 class TestMomentsCommand:

@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posroot import criterion
 from posroot.catalog import FunctionKind, FunctionSpec, sinc_even_series
@@ -31,8 +32,8 @@ from posroot.criterion import (
     route_equality_defect,
     shifted_reduced_series,
 )
-from posroot.scalars import BigFloat, RationalFunction
-from posroot.series import TruncatedSeries
+from posroot.scalars import BigFloat, RationalFunction, serialize_scalar
+from posroot.series import TruncatedSeries, power_sums_from_log_derivative
 from posroot.zeros import bessel_zeros
 
 from test_symfun import direct_power_sums
@@ -157,6 +158,132 @@ class TestCertifyDerivative:
         defect = rep.metadata["route_equality_max_defect"]
         from posroot.scalars import parse_bigfloat
         assert float(parse_bigfloat(defect)) < 2.0 ** -100
+
+
+def fraction_series_cells(g, rho, B):
+    """The series-route loop of ``derivative_form_cells``, transcribed on Fractions."""
+    rho_pow = [rho]
+    for _ in range(B):
+        rho_pow.append(rho_pow[-1] * rho)
+    scaled = [g[m] * rho_pow[m] for m in range(B + 1)]
+    cells = {}
+    for j in range(B + 1):
+        signed = [comb(j, s) * (-1) ** (j - s) for s in range(j + 1)]
+        for k in range(B + 1 - j):
+            n = j + k
+            cells[(j, k)] = sum(scaled[n - s] * c for s, c in enumerate(signed)) * factorial(n)
+    return cells
+
+
+def fraction_difference_cells(p, rho, B):
+    """The difference-route loop of ``derivative_cells_from_power_sums`` on Fractions;
+    ``p`` lists ``p_1 .. p_(B+1)``."""
+    seq = [p[k] * rho ** (k + 1) for k in range(B + 1)]
+    return {(j, k): -sum(seq[k + i] * (-1) ** i * comb(j, i) for i in range(j + 1))
+            * factorial(j + k)
+            for j in range(B + 1) for k in range(B + 1 - j)}
+
+
+@st.composite
+def rational_series_and_rho(draw):
+    B = draw(st.integers(0, 8))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    extra = draw(st.integers(0, 3))
+    f = TruncatedSeries([F(1)] + draw(st.lists(coeff, min_size=B + 1 + extra,
+                                               max_size=B + 1 + extra)))
+    rho = draw(st.fractions(min_value=F(1, 30), max_value=5, max_denominator=30))
+    return f, rho, B
+
+
+class TestIntegerRoutes:
+    """Exact derivative cells summed as integers over one scale."""
+
+    @settings(max_examples=120)
+    @given(rational_series_and_rho())
+    def test_integer_routes_match_fraction_loops(self, case):
+        f, rho, B = case
+        p = power_sums_from_log_derivative(f, B + 1)
+        g = [-x for x in p.values]
+        series, s_scale, diff, d_scale = criterion._integer_route_cells(f, g, p, rho, B)
+        want_series = fraction_series_cells(g, rho, B)
+        want_diff = fraction_difference_cells(p.values, rho, B)
+        assert s_scale > 0 and d_scale > 0
+        assert all(type(v) is int for v in (*series.values(), *diff.values()))
+        assert list(series) == list(want_series)
+        for jk, want in want_series.items():
+            assert F(series[jk], s_scale) == want
+            assert F(diff[jk], d_scale) == want_diff[jk]
+        cells, worst = criterion._two_route_cells(f, p, rho, B, None, 192)
+        assert cells == want_series
+        assert all(type(v) is F for v in cells.values())
+        assert worst == 0 and type(worst) is F
+
+    def test_integer_routes_take_no_gcd(self, monkeypatch):
+        import math
+
+        B = 16
+        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact")
+        f = spec.series(2 * B + 4)
+        p = power_sums_from_log_derivative(f, B + 1)
+        g = [-x for x in p.values]
+        rho = F(7, 5)
+        calls = []
+        gcd = math.gcd
+
+        def counting(*args):
+            calls.append(1)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counting)
+        criterion._integer_route_cells(f, g, p, rho, B)
+        assert calls == []
+        cells, _ = criterion._two_route_cells(f, p, rho, B, None, 192)
+        assert len(calls) == len(cells) + 1  # one reduction per cell, one for the defect
+
+    @pytest.mark.parametrize("index, delta", [(0, F(1, 7)), (3, F(-2, 3)), (8, F(5))])
+    def test_perturbed_power_sum_defect_matches_fractions(self, index, delta):
+        B = 8
+        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact")
+        f = spec.series(2 * B + 4)
+        p = power_sums_from_log_derivative(f, B + 1)
+        g = [-x for x in p.values]
+        bad = list(p.values)
+        bad[index] += delta
+        bad = criterion.PowerSumSequence(bad)
+        rho = F(9, 5)
+        cells, worst = criterion._two_route_cells(f, bad, rho, B, None, 192, g=g)
+        want_series = fraction_series_cells(g, rho, B)
+        want_diff = fraction_difference_cells(bad.values, rho, B)
+        want = max(abs(v - want_diff[jk]) for jk, v in want_series.items())
+        assert cells == want_series
+        assert serialize_scalar(worst) == serialize_scalar(want) != "0"
+
+    @pytest.mark.parametrize("run", [
+        lambda: certify_derivative(
+            FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact"), 8),
+        lambda: certify_derivative(
+            FunctionSpec(FunctionKind.SINC, mode="ratfunc"), 4,
+            RhoPolicy(kind="explicit", value=F(1023, 1024))),
+        lambda: certify_derivative(
+            FunctionSpec(FunctionKind.AIRY_PRODUCT, mode="float", precision=192), 6),
+        lambda: certify_shifted_even(
+            FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=192), F(1, 2), 4),
+    ], ids=["exact", "ratfunc", "float", "shifted-even"])
+    def test_log_derivative_built_once(self, monkeypatch, run):
+        import posroot.hausdorff
+        import posroot.series
+
+        calls = []
+        original = posroot.series.log_derivative_series
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(posroot.hausdorff, "log_derivative_series", counting)
+        monkeypatch.setattr(posroot.series, "log_derivative_series", counting)
+        assert run().verdict == "BOUNDED-PASS"
+        assert len(calls) == 1
 
 
 def complex_shift_reduction(G, c, prec):

@@ -10,8 +10,12 @@ high-precision theta-kernel moment runs (an even character, and Riemann at
 symbolic q-Bessel ones (ν = 1/2 certificates and the K = 4 power sums)
 before polynomial products moved to packed exponent keys, and the
 ``scan-phi`` and ``zeros --table`` ones before the report envelopes were
-built by one helper; a change that alters any byte of any of these reports
-fails here.  Criterion 11 only checks that two runs of one tree agree.
+built by one helper, and the two exact derivative ones (Bessel B=24 as a
+JSON-only run, q-Bessel q=2/3 B=16) before exact cells were summed as
+integers and the JSON was streamed; a change that alters any byte of any of
+these reports fails here.  Criterion 11 only checks that two runs of one
+tree agree.  A certificate runs with ``--format both`` unless its arguments
+name a format.
 """
 
 import hashlib
@@ -130,6 +134,17 @@ GOLDEN = {
     "powersums-qbessel-symbolic-K4": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "4"],
         "758dedbb34897bdc9b7f9010588f451fd36c52328bf74fdfbc49028c5649ceb2", None),
+    # Exact derivative cells summed over one integer scale; the B=24 run is
+    # JSON-only, so no CSV is written.
+    "bessel-nu0-derivative-B24-json": (
+        ["certify", "--function", "bessel", "--nu", "0", "--mode", "derivative",
+         "--grid", "24", "--format", "json"],
+        "465c708035051f6872a4c2812cf62276d67384a139244de4e1be7a07455931c3", None),
+    "qbessel-q2/3-derivative-B16": (
+        ["certify", "--function", "qbessel", "--q", "2/3", "--nu", "0",
+         "--mode", "derivative", "--grid", "16", "--format", "both"],
+        "65a08b5655145161d7e3e84c4e3d0af8cdfd0a1e597352900477cf420a380f68",
+        "d66a9127456e06fecc6054605baa48eba8a02e66fca15dcbecd49472f21effdb"),
     "zeros-nu0": (
         ["zeros", "--nu", "0", "--count", "5", "--precision", "128"],
         "46f94617d891db05fe5ce4950cd9b6633a0932d346a8f9fad5736de5d93845da", None),
@@ -152,7 +167,8 @@ def _sha(path):
 
 def _run(args, tmp_path):
     out = tmp_path / "report.json"
-    fmt = ["--format", "both"] if args[0] in ("certify", "moments", "powersums") else []
+    both = args[0] in ("certify", "moments", "powersums") and "--format" not in args
+    fmt = ["--format", "both"] if both else []
     assert main(args + fmt + ["--output", str(out)]) in (0, 2, 3)
     return _sha(out), _sha(tmp_path / "report.csv")
 
