@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping, Optional, Sequence
 
 from mpmath import mpf, workprec
@@ -216,9 +216,16 @@ def _cross_check(table: DifferenceTable) -> None:
 
     Exact cells must agree exactly; a float cell may differ by
     ``(1 + S_j[k]) 2^-(prec-8)``, with ``S`` the magnitudes of :func:`_magnitudes`.
+    Rational moments are put over one denominator ``D`` first, so the sums
+    run on integer numerators; a cell ``a/b`` agrees with their sum ``N``
+    when ``a D = b N``.
     """
     values = table.rows[0]
     mags = None
+    scale = None
+    if table.moments.domain == "rational":
+        scale = lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
     for j in range(1, len(table.rows), 3):
         row = table.rows[j]
         for k in range(0, len(row), 3):
@@ -229,6 +236,8 @@ def _cross_check(table: DifferenceTable) -> None:
                 with workprec(got.prec):
                     tol = (1 + mags[j][k]) * mpf(2) ** (8 - got.prec)
                     agree = abs((got - direct).value) <= tol
+            elif scale is not None:
+                agree = got.numerator * scale == direct * got.denominator
             else:
                 agree = got == direct
             if not agree:

@@ -4,6 +4,7 @@ from math import comb, factorial
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posroot import hausdorff
 from posroot.catalog import FunctionKind, FunctionSpec
@@ -130,6 +131,43 @@ class TestDifferenceTable:
         spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact")
         with pytest.raises(ScalarError, match="cross-check failed"):
             certify_moment(spec, 6)
+
+
+    @settings(max_examples=60)
+    @given(st.lists(st.fractions(max_denominator=10 ** 6) | st.integers(-50, 50),
+                    min_size=2, max_size=14),
+           st.integers(0, 200), st.sampled_from([F(0), F(1, 10 ** 9), F(-3), 1]))
+    def test_integer_cross_check_agrees_with_fractions(self, vals, where, delta):
+        t = difference_table(MomentVector(vals), len(vals) - 1)
+        sampled = [(j, k) for j in range(1, len(t.rows), 3)
+                   for k in range(0, len(t.rows[j]), 3)]
+        if sampled:
+            j, k = sampled[where % len(sampled)]
+            t.rows[j][k] = t.rows[j][k] + delta
+        # the Fraction comparison the check made before the common denominator
+        bad = [(j, k) for j, k in sampled
+               if t.rows[j][k] != brute_cell([F(v) for v in vals], j, k)]
+        if bad:
+            with pytest.raises(ScalarError, match=r"cross-check failed at \(%d,%d\)" % bad[0]):
+                hausdorff._cross_check(t)
+        else:
+            hausdorff._cross_check(t)
+
+    def test_exact_cross_check_takes_no_gcd(self, monkeypatch):
+        import math
+
+        vals = [F(1, n * n) ** 3 + F(-2, 7) ** n for n in range(1, 26)]
+        t = difference_table(MomentVector(vals), 24)
+        calls = []
+        gcd = math.gcd
+
+        def counting(*args):
+            calls.append(1)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counting)
+        hausdorff._cross_check(t)
+        assert calls == []
 
 
 class TestMomentCriterion:
