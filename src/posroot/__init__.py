@@ -17,7 +17,6 @@ from .scalars import (
     Polynomial,
     Rational,
     RationalFunction,
-    SignPolicy,
     SignVerdict,
     Verdict,
     sign_decide,
@@ -43,7 +42,6 @@ from .series import (
 )
 from .hausdorff import (
     DifferenceTable,
-    MomentVector,
     derivative_form_cells,
     derivative_form_coefficient,
     difference_table,

@@ -17,15 +17,19 @@ cells.  Any confidently negative cell is a ``FAIL``; cells inside the float
 noise band are ``INDETERMINATE`` and trigger one automatic precision
 doubling before being reported.
 
-Every derivative run computes its cells twice from one log-derivative
-``f'/f``: the series route sums its coefficients ``g``, the difference route
-the power sums ``p = -g``.  The two are one sum in opposite orders, so the
-worst discrepancy it records (``route_equality_max_defect``) checks the two
-summation loops against each other, not the power sums against an
-independent source such as the Newton recurrence; it must vanish in exact
-domains.  Exact rational cells are summed as integers over one common
-scale, and only the printed cells and the worst discrepancy are reduced to
-fractions.
+Every derivative run, shifted-even runs included, goes through one
+pipeline and computes its cells twice from one log-derivative ``f'/f``: the
+series route sums its coefficients ``g``, the difference route the power
+sums ``p = -g``.  The two are one sum in opposite orders, so the worst
+discrepancy it records (``route_equality_max_defect``) checks the two
+summation loops against each other and nothing else: it is 0 for any ``p``
+in exact domains.  The power sums themselves are checked against the Newton
+recurrence over the same ``e_k``, in rationals and in fractions of one
+symbol: a log-derivative ``p_k`` that differs raises a ``ScalarError``
+naming the first such ``k``.  Multivariate fractions are not checked, since
+their equality cross-multiplies unreduced fractions.  Exact rational cells
+are summed as integers over one common scale, and only the printed cells
+and the worst discrepancy are reduced to fractions.
 
 Adversarial runs plant defects (negative or complex-conjugate entries) into
 a finite positive rational base sequence and report the smallest ``j+k``
@@ -39,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, inf, lcm
 from typing import Optional
 
 import mpmath
@@ -48,7 +52,6 @@ from mpmath import mpf, workprec
 from .catalog import (
     FunctionKind,
     FunctionSpec,
-    MomentResult,
     even_series_from_moments,
     sinc_even_series,
 )
@@ -73,6 +76,8 @@ from .scalars import (
     Verdict,
     _to_mp,
     bigfloat_str,
+    parse_bigfloat,
+    parse_rational,
     rational_str,
     serialize_scalar,
 )
@@ -211,7 +216,7 @@ def resolve_lambda(policy: LambdaPolicy, e: ElementarySequence, exact: bool,
         return _bound_in_domain(lam_f, exact, precision, prov)
     if policy.kind == "coefficient-bound":
         e1 = _numeric_e1(e, bindings, LambdaUnavailable)
-        if (isinstance(e1, Fraction) and e1 <= 0) or (isinstance(e1, BigFloat) and not e1 > 0):
+        if not e1 > 0:
             raise LambdaUnavailable(f"coefficient bound e_1 = {e1} not positive")
         prov = "lambda = e_1 = sum of the sequence (coefficient bound)"
         if exact and isinstance(e1, BigFloat):
@@ -250,12 +255,10 @@ def resolve_rho(policy: RhoPolicy, e: ElementarySequence, f: TruncatedSeries,
         return _bound_in_domain(rho_f, exact, precision, prov)
     if policy.kind == "coefficient-bound":
         e1 = _numeric_e1(e, bindings, RhoUnavailable)
-        if isinstance(e1, Fraction):
-            if e1 <= 0:
-                raise RhoUnavailable(f"coefficient bound e_1 = {e1} not positive")
-            return SAFETY_DOWN / e1, "rho = safety/e_1 (coefficient bound)"
         if not e1 > 0:
             raise RhoUnavailable(f"coefficient bound e_1 = {e1} not positive")
+        if isinstance(e1, Fraction):
+            return SAFETY_DOWN / e1, "rho = safety/e_1 (coefficient bound)"
         with workprec(precision + 16):
             rho_f = mpf(SAFETY_DOWN.numerator) / SAFETY_DOWN.denominator / e1.value
         return _bound_in_domain(rho_f, exact, precision, "rho = safety/e_1 (coefficient bound)")
@@ -455,23 +458,6 @@ def _moment_certificate(label, B, precision, metadata, p, lam, lam_prov,
                              lam_provenance=lam_prov, metadata=metadata)
 
 
-def _derivative_certificate(label, mode, B, precision, metadata, f, p, rho, rho_prov,
-                            bindings=None) -> CertificateReport:
-    """Report on the derivative-form cells of ``f`` at ``rho``, decided ``<= 0``.
-
-    ``p`` holds ``p_1 .. p_(B+1)`` read from ``f'/f``.  The cells are read
-    from the series route over ``g = -p``; the metadata records their worst
-    discrepancy from the difference route over ``p``, a check of the two
-    summations of one sum (see :func:`_two_route_cells`).
-    """
-    series_route, worst = _two_route_cells(f, p, rho, B, bindings, precision)
-    cells = decide_cells(((j, k, v) for (j, k), v in series_route.items()), _deriv_scale,
-                         bindings, precision, nonpositive=True)
-    metadata["route_equality_max_defect"] = serialize_scalar(worst)
-    return CertificateReport(label, mode, B, precision, cells, rho=rho,
-                             rho_provenance=rho_prov, metadata=metadata)
-
-
 def _two_route_cells(f, p, rho, B, bindings, precision, g=None):
     """Series-route cells for ``j+k <= B`` and the worst |series - difference|.
 
@@ -530,12 +516,18 @@ def _over_one_scale(values, rho, B):
              for m, v in enumerate(values)], L * b ** (B + 1))
 
 
-def _deriv_scale(j, k, v) -> float:
-    # factorial growth of the cell values sets the noise scale
+def _deriv_scale(j, k, v):
+    """Noise scale ``max(1, |v|, (j+k)!)`` of a float derivative cell ``v``, set by
+    the factorial growth of the cells: a float while finite, else an exact mpf."""
+    n = factorial(j + k)
     try:
-        return max(1.0, float(abs(v).value), float(factorial(j + k)))
+        scale = max(1.0, float(abs(v).value), float(n))
     except OverflowError:
-        return float(factorial(min(j + k, 150)))
+        scale = inf
+    if scale < inf:
+        return scale
+    with workprec(max(v.prec, n.bit_length())):
+        return max(abs(v.value), mpf(n))
 
 
 def _spec_metadata(spec) -> dict:
@@ -547,13 +539,15 @@ def _spec_metadata(spec) -> dict:
     return meta
 
 
-def _run_with_retry(once, spec, *args) -> CertificateReport:
-    """``once(spec, *args)``, rerun once at doubled precision if INDETERMINATE."""
-    report = once(spec, *args)
+def _run_with_retry(once, spec, B, *args) -> CertificateReport:
+    """``once(spec, B, *args)``, rerun once at doubled precision if INDETERMINATE."""
+    if B < 0:
+        raise ValueError("grid bound must be nonnegative")
+    report = once(spec, B, *args)
     if report.verdict == "INDETERMINATE":
         new_prec = min(spec.precision * 2, MAX_RETRY_PRECISION)
         if new_prec > spec.precision:
-            report = once(replace(spec, precision=new_prec), *args)
+            report = once(replace(spec, precision=new_prec), B, *args)
             report.metadata["retried_at_bits"] = new_prec
     return report
 
@@ -574,8 +568,6 @@ def certify_moment(
 ) -> CertificateReport:
     """Full moment-mode pipeline: coefficients -> power sums -> scaled
     difference table -> per-cell verdicts."""
-    if B < 0:
-        raise ValueError("grid bound must be nonnegative")
     lam_policy = lam_policy or _default_lambda_policy(spec)
     return _run_with_retry(_moment_once, spec, B, lam_policy)
 
@@ -611,41 +603,77 @@ def certify_derivative(
     Both routes read one ``f'/f``, so the recorded
     ``route_equality_max_defect`` checks two summations of one sum.
     """
-    if B < 0:
-        raise ValueError("grid bound must be nonnegative")
     rho_policy = rho_policy or RhoPolicy(kind="coefficient-bound")
     return _run_with_retry(_derivative_once, spec, B, rho_policy)
 
 
-def _log_derivative_inputs(spec, B: int):
-    """``e_0..e_N``, the reduced series ``f`` to order ``N = 2B+4`` and
-    ``p_1..p_(B+1)`` from ``f'/f``.  A catalog spec builds its coefficients
-    once and derives the series from them."""
-    N = 2 * B + 4
-    e = spec.elementary(N)
-    f = series_from_elementary(e) if isinstance(spec, FunctionSpec) else spec.series(N)
+def _log_derivative_inputs(spec, B: int, shift=None):
+    """``e``, the reduced series ``f`` and ``p_1..p_(B+1)`` from ``f'/f``.
+
+    Without a shift, ``f`` is the spec's reduced series to order
+    ``N = 2B+4`` and ``e = e_0..e_N``; a catalog spec builds its
+    coefficients once and derives the series from them.  With a shift ``c``,
+    ``f`` is :func:`shifted_reduced_series` of the spec's even series, to
+    order ``2B+8``, and ``e`` is read off ``f``.
+    """
+    if shift is None:
+        N = 2 * B + 4
+        e = spec.elementary(N)
+        f = series_from_elementary(e) if isinstance(spec, FunctionSpec) else spec.series(N)
+    else:
+        f = shifted_reduced_series(_even_source_series(spec, 4 * B + 16), shift,
+                                   spec.precision)
+        e = elementary_from_series(f)
     return e, f, power_sums_from_log_derivative(f, B + 1)
 
 
-def _derivative_once(spec, B, rho_policy) -> CertificateReport:
-    e, f, p = _log_derivative_inputs(spec, B)
+def _check_newton(e: ElementarySequence, p: PowerSumSequence) -> None:
+    """Raise unless ``p`` equals the Newton power sums of ``e``; rationals and
+    fractions in one symbol only (see the module docstring)."""
+    symbols = {s for v in p.values for s in getattr(v, "symbols", ())}
+    if p.domain == "float" or len(symbols) > 1:
+        return
+    newton = power_sums_from_elementary(e, len(p))
+    for k in range(1, len(p) + 1):
+        if p[k] != newton[k]:
+            raise ScalarError(
+                f"log-derivative p_{k} differs from the Newton recurrence over e")
+
+
+def _derivative_once(spec, B, rho_policy, shift=None) -> CertificateReport:
+    """One derivative-form run at ``spec.precision``, on the series shifted by
+    ``shift`` if one is given; the cells are decided ``<= 0``.
+
+    The cells are read from the series route over ``g = -p``; the metadata
+    records their worst discrepancy from the difference route over ``p``
+    (see :func:`_two_route_cells`).
+    """
+    e, f, p = _log_derivative_inputs(spec, B, shift)
+    _check_newton(e, p)
     bindings = spec.bindings()
     rho, rho_prov = resolve_rho(rho_policy, e, f, _is_exact(p), spec.precision, bindings)
-    return _derivative_certificate(spec.label, "DERIVATIVE", B, spec.precision,
-                                   _spec_metadata(spec), f, p, rho, rho_prov, bindings)
+    series_route, worst = _two_route_cells(f, p, rho, B, bindings, spec.precision)
+    cells = decide_cells(((j, k, v) for (j, k), v in series_route.items()), _deriv_scale,
+                         bindings, spec.precision, nonpositive=True)
+    metadata = _spec_metadata(spec)
+    metadata["route_equality_max_defect"] = serialize_scalar(worst)
+    label, mode = spec.label, "DERIVATIVE"
+    if shift is not None:
+        label, mode = f"{spec.label} shifted by c={shift}", "SHIFTED_EVEN"
+        metadata["shift_c"] = serialize_scalar(BigFloat(shift, spec.precision))
+    return CertificateReport(label, mode, B, spec.precision, cells, rho=rho,
+                             rho_provenance=rho_prov, metadata=metadata)
 
 
 def route_equality_defect(spec: FunctionSpec, B: int, rho=None) -> object:
     """Worst |series-route - difference-route| cell discrepancy at bound B.
 
-    Both routes read the one ``f'/f`` of the spec's series.
+    The ``route_equality_max_defect`` of one derivative run at ``rho``
+    (default: the coefficient bound), read back as a number.
     """
-    e, f, p = _log_derivative_inputs(spec, B)
-    if rho is None:
-        rho, _ = resolve_rho(RhoPolicy(kind="coefficient-bound"), e, f, _is_exact(p),
-                             spec.precision)
-    _, worst = _two_route_cells(f, p, rho, B, spec.bindings(), spec.precision)
-    return worst
+    policy = RhoPolicy() if rho is None else RhoPolicy(kind="explicit", value=rho)
+    defect = _derivative_once(spec, B, policy).metadata["route_equality_max_defect"]
+    return parse_bigfloat(defect) if "@" in defect else parse_rational(defect)
 
 
 # ---------------------------------------------------------------------------
@@ -705,31 +733,15 @@ def certify_shifted_even(
     B: int,
     rho_policy: Optional[RhoPolicy] = None,
 ) -> CertificateReport:
-    """Shifted-even certification for an even real entire function."""
-    if B < 0:
-        raise ValueError("grid bound must be nonnegative")
-    order2 = 4 * B + 16
-    G = _even_source_series(spec, order2)
-    f = shifted_reduced_series(G, c, spec.precision)
+    """Shifted-even certification for an even real entire function: the
+    derivative pipeline on the reduction shifted by ``c``."""
     rho_policy = rho_policy or RhoPolicy(kind="first-root")
-    e = elementary_from_series(f)
-    p = power_sums_from_log_derivative(f, B + 1)
-    rho, rho_prov = resolve_rho(rho_policy, e, f, False, spec.precision)
-    metadata = _spec_metadata(spec)
-    metadata["shift_c"] = serialize_scalar(BigFloat(c, spec.precision))
-    return _derivative_certificate(f"{spec.label} shifted by c={c}", "SHIFTED_EVEN", B,
-                                   spec.precision, metadata, f, p, rho, rho_prov)
+    return _run_with_retry(_derivative_once, spec, B, rho_policy, c)
 
 
 # ---------------------------------------------------------------------------
 # explicit low-order formulas from even moments
 # ---------------------------------------------------------------------------
-
-
-def _moment_list(b) -> list:
-    if isinstance(b, MomentResult):
-        return list(b.values)
-    return list(b)
 
 
 def explicit_p_formulas(b, K: int = 4) -> PowerSumSequence:
@@ -738,7 +750,7 @@ def explicit_p_formulas(b, K: int = 4) -> PowerSumSequence:
     b supplies b_0, b_2, .., b_8 (a MomentResult or plain list).  Must agree
     exactly with the generic Newton pipeline on e_i = b_{2i}/((2i)! b_0).
     """
-    bs = _moment_list(b)
+    bs = list(b)
     if not 1 <= K <= 4:
         raise ValueError("explicit formulas cover K = 1..4 only")
     if len(bs) < K + 1:
@@ -765,7 +777,7 @@ def explicit_p_formulas(b, K: int = 4) -> PowerSumSequence:
 
 def _moment_elementary(b, K: int) -> ElementarySequence:
     """e_i = b_{2i}/((2i)! b_0), i = 0..K."""
-    bs = _moment_list(b)
+    bs = list(b)
     b0 = bs[0]
     if b0 == 0:
         raise ZeroB0("b_0 = 0")
@@ -780,7 +792,7 @@ def power_sums_from_moment_list(b, K: int) -> PowerSumSequence:
 
 def b_recurrence_power_sums(b, K: int) -> PowerSumSequence:
     """p_k by the moment-form recurrence (independent transcription)."""
-    bs = _moment_list(b)
+    bs = list(b)
     b0 = bs[0]
     if b0 == 0:
         raise ZeroB0("b_0 = 0")

@@ -47,7 +47,6 @@ from .scalars import (
     BigFloat,
     RationalFunction,
     ScalarError,
-    SignPolicy,
     Verdict,
     _to_mp,
     serialize_scalar,
@@ -58,7 +57,6 @@ from .symfun import InsufficientCoefficients, PowerSumSequence, _domain_tag
 from .series import TruncatedSeries, log_derivative_series
 
 __all__ = [
-    "MomentVector",
     "CellRecord",
     "DifferenceTable",
     "difference_table",
@@ -76,29 +74,6 @@ class InsufficientMoments(ScalarError):
 
 class NonPositiveLambda(ScalarError):
     """The scaling bound must be a positive number."""
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Moments ``m_0 .. m_K``."""
-
-    values: tuple
-
-    def __init__(self, values: Sequence):
-        values = tuple(values)
-        if not values:
-            raise InsufficientMoments("empty moment vector")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int):
-        return self.values[k]
-
-    @property
-    def domain(self) -> str:
-        return _domain_tag(self.values)
 
 
 def _binomial_cell(values, j: int, k: int):
@@ -162,13 +137,14 @@ class CellVerdicts:
 class DifferenceTable(CellVerdicts):
     """Triangle ``rows[j][k] = (-D)^j m_k``; ``cells`` holds the decided cells.
 
-    Row 0 is the moment vector itself; each later row is the elementwise
+    Row 0 holds the moments themselves, and ``domain`` their domain tag
+    (``rational``, ``ratfunc`` or ``float``); each later row is the elementwise
     difference ``rows[j-1][k] - rows[j-1][k+1]``.  Row ``j`` holds columns
     ``k = 0 .. len(m) - 1 - j`` (rows capped by ``J``).
     ``cells`` stays empty until :func:`decide_table_verdicts` runs.
     """
 
-    moments: MomentVector
+    domain: str
     rows: list = field(default_factory=list)
     cells: list = field(default_factory=list)
 
@@ -184,8 +160,8 @@ class DifferenceTable(CellVerdicts):
         return self.verdict == "BOUNDED-PASS"
 
 
-def difference_table(m: MomentVector, J: int) -> DifferenceTable:
-    """Build the triangle of iterated differences of ``m`` up to row ``J``.
+def difference_table(m: Sequence, J: int) -> DifferenceTable:
+    """Build the triangle of iterated differences of the moments ``m`` up to row ``J``.
 
     Computed by recursive subtraction; a sample of cells is recomputed with
     the alternating binomial formula and compared (exactly in exact domains,
@@ -193,8 +169,8 @@ def difference_table(m: MomentVector, J: int) -> DifferenceTable:
     """
     if len(m) < J + 1:
         raise InsufficientMoments(f"need at least {J + 1} moments, have {len(m)}")
-    values = list(m.values)
-    domain = m.domain
+    values = list(m)
+    domain = _domain_tag(values)
     if domain == "float":
         # one extra guard bit per triangle dimension absorbs difference loss
         boost = len(values) + J
@@ -206,7 +182,7 @@ def difference_table(m: MomentVector, J: int) -> DifferenceTable:
         if len(prev) < 2:
             break
         rows.append([prev[k] - prev[k + 1] for k in range(len(prev) - 1)])
-    table = DifferenceTable(moments=m, rows=rows)
+    table = DifferenceTable(domain=domain, rows=rows)
     _cross_check(table)
     return table
 
@@ -223,7 +199,7 @@ def _cross_check(table: DifferenceTable) -> None:
     values = table.rows[0]
     mags = None
     scale = None
-    if table.moments.domain == "rational":
+    if table.domain == "rational":
         scale = lcm(*(v.denominator for v in values))
         values = [v.numerator * (scale // v.denominator) for v in values]
     for j in range(1, len(table.rows), 3):
@@ -300,25 +276,20 @@ def moment_criterion(
     table.  Float cells are decided with a per-cell noise scale equal to the
     pre-cancellation binomial magnitude.
     """
-    if isinstance(lam, (int, Fraction)):
-        if lam <= 0:
-            raise NonPositiveLambda(f"lambda = {lam}")
-        lam = Fraction(lam)
-    elif isinstance(lam, BigFloat):
-        if not lam > 0:
-            raise NonPositiveLambda(f"lambda = {lam}")
-    else:
+    if not isinstance(lam, (int, Fraction, BigFloat)):
         raise NonPositiveLambda(f"lambda must be rational or BigFloat, got {type(lam)}")
+    if not lam > 0:
+        raise NonPositiveLambda(f"lambda = {lam}")
     need = J + 1
     if len(p) < need:
         raise InsufficientCoefficients(f"need p_1..p_{need}, have p_1..p_{len(p)}")
-    inv = 1 / lam
+    inv = Fraction(1) / lam
     moments = []
     scale = inv
     for k in range(need):
         moments.append(p[k + 1] * scale)
         scale = scale * inv
-    table = difference_table(MomentVector(moments), J)
+    table = difference_table(moments, J)
     decide_table_verdicts(table, bindings=bindings, verdict_precision=verdict_precision)
     return table
 
@@ -367,18 +338,14 @@ def decide_cells(cells, scale, bindings, precision: int,
 
     Each value is bound by :func:`bind_cell` and the sign of it (of its
     negation when ``nonpositive``) is decided: exactly for rationals, and
-    for BigFloats against the noise scale ``scale(j, k, bound value)`` with
-    the default ``kappa``.
+    for BigFloats against the noise scale ``scale(j, k, bound value)``.
     """
     out = []
     for j, k, value in cells:
         x = bind_cell(value, bindings, precision)
         if nonpositive:
             x = -x
-        if isinstance(x, BigFloat):
-            sv = sign_decide(x, SignPolicy(scale=scale(j, k, x)))
-        else:
-            sv = sign_decide(x)
+        sv = sign_decide(x, scale(j, k, x)) if isinstance(x, BigFloat) else sign_decide(x)
         out.append(CellRecord(j, k, value, sv.verdict, sv.margin))
     return out
 

@@ -23,10 +23,10 @@ at a point, read back as a polynomial and accepted only when it divides both
 exactly.  A Euclidean gcd over ``Fraction`` is the fallback.
 
 Sign decisions over the float domain are heuristic, not rigorous interval
-arithmetic: a value counts as NONNEGATIVE only when it clears a noise
-threshold ``eps = scale * 2**(-precision/2)``, as NEGATIVE only when it falls
-below ``-eps*kappa``, and is reported INDETERMINATE in between.  Exact
-domains always decide.
+arithmetic: ``sign_decide(x, scale)`` counts a value as NONNEGATIVE only
+when it clears a noise threshold ``eps = scale * 2**(-precision/2)``, as
+NEGATIVE only when it falls below ``-KAPPA*eps`` (``KAPPA = 4``), and reports
+INDETERMINATE in between.  Exact domains always decide.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "BigFloat",
     "Verdict",
     "SignVerdict",
-    "SignPolicy",
     "sign_decide",
     "DEFAULT_PRECISION_BITS",
     "MIN_PRECISION_BITS",
@@ -820,45 +819,32 @@ def _unit_eps(prec: int) -> mpf:
         return mpf(2) ** (-Fraction(prec, 2))
 
 
-@dataclass(frozen=True)
-class SignPolicy:
-    """Noise model for float sign decisions.
+KAPPA = 4  # widens the indeterminate band on the negative side
 
-    ``eps = scale * 2**(-precision_bits/2)``.  A float is NONNEGATIVE only
-    above ``eps``, NEGATIVE only below ``-eps*kappa`` (``kappa >= 1`` widens
-    the indeterminate band on the negative side), INDETERMINATE between.
+
+def sign_decide(x, scale=1.0) -> SignVerdict:
+    """Decide the sign of a scalar.  Exact domains never return INDETERMINATE.
+
+    A float is NONNEGATIVE only at or above ``eps = scale * 2**(-prec/2)``,
+    NEGATIVE only below ``-KAPPA*eps``, INDETERMINATE between.
     """
-
-    scale: float = 1.0
-    kappa: float = 4.0
-
-    def eps(self, prec: int) -> mpf:
-        with workprec(prec + 16):
-            return mpf(self.scale) * _unit_eps(prec)
-
-
-DEFAULT_SIGN_POLICY = SignPolicy()
-
-
-def sign_decide(x, policy: SignPolicy = DEFAULT_SIGN_POLICY) -> SignVerdict:
-    """Decide the sign of a scalar.  Exact domains never return INDETERMINATE."""
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
         v = Verdict.NONNEGATIVE if x >= 0 else Verdict.NEGATIVE
         return SignVerdict(v, abs(x))
     if isinstance(x, RationalFunction):
         if x.is_constant():
-            return sign_decide(x.constant_value(), policy)
+            return sign_decide(x.constant_value())
         raise DomainMismatch(
             "sign of a non-constant rational function; bind its symbols first")
     if isinstance(x, BigFloat):
         if not x.is_finite():
             raise NonFinite(f"cannot decide sign of {x}")
-        eps = policy.eps(x.prec)
         with workprec(x.prec + 16):
+            eps = mpf(scale) * _unit_eps(x.prec)
             if x.value >= eps:
                 return SignVerdict(Verdict.NONNEGATIVE, abs(x))
-            if x.value < -eps * policy.kappa:
+            if x.value < -eps * KAPPA:
                 return SignVerdict(Verdict.NEGATIVE, abs(x))
         return SignVerdict(Verdict.INDETERMINATE, abs(x))
     raise DomainMismatch(f"cannot decide sign of {type(x).__name__}")

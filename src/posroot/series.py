@@ -22,7 +22,6 @@ from typing import Sequence
 
 from .scalars import (
     BigFloat,
-    RationalFunction,
     ScalarError,
     workprec,
 )
@@ -52,14 +51,6 @@ class NotNormalized(ScalarError):
 
 class NotEven(ScalarError):
     """An odd-index coefficient is significantly nonzero."""
-
-
-def _is_zeroish(c, tol) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    if isinstance(c, RationalFunction):
-        return c.is_zero()
-    return abs(c) <= tol
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ class TruncatedSeries:
         a0 = self.coefficients[0]
         if a0 == 1:
             return self
-        if _is_zeroish(a0, 0):
+        if a0 == 0:
             raise NotNormalized("a_0 = 0 cannot be normalized away")
         return TruncatedSeries([c / a0 for c in self.coefficients])
 
@@ -213,6 +204,6 @@ def even_sqrt_reduce(G: TruncatedSeries) -> TruncatedSeries:
         with workprec(prec):
             tol = scale * BigFloat(2, prec) ** Fraction(-prec, 2)
     for i in range(1, len(coeffs), 2):
-        if not _is_zeroish(coeffs[i], tol):
+        if coeffs[i] != 0 and not (tol and abs(coeffs[i]) <= tol):
             raise NotEven(f"odd coefficient a_{i} = {coeffs[i]} exceeds tolerance")
     return TruncatedSeries(coeffs[0::2])

@@ -57,6 +57,16 @@ class TestCertifyCommand:
         assert data["mode"] == "DERIVATIVE"
         assert data["rho"] is not None
 
+    def test_shifted_even_retries_at_doubled_precision(self, tmp_path):
+        # INDETERMINATE at 64 bits and BOUNDED-PASS at 128: every float mode retries once
+        out = tmp_path / "r.json"
+        code = main(["certify", "--function", "sinc", "--mode", "shifted-even", "--grid", "16",
+                     "--shift", "1/2", "--precision", "64", "--output", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "BOUNDED-PASS"
+        assert data["metadata"]["retried_at_bits"] == 128
+
     def test_symbolic_ramanujan_derivative_grid6(self, tmp_path):
         # Univariate fractions in q of high degree: the gcd in every
         # RationalFunction must stay cheap for this run to finish quickly.

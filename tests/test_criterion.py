@@ -74,6 +74,10 @@ class TestCertifyMoment:
         spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc")
         with pytest.raises(ValueError):
             certify_moment(spec, -1)
+        with pytest.raises(ValueError):
+            certify_derivative(spec, -1)
+        with pytest.raises(ValueError):
+            certify_shifted_even(spec, F(1, 2), -1)
 
 
 class TestCertifyDerivative:
@@ -149,6 +153,31 @@ class TestCertifyDerivative:
         assert rep.verdict == "BOUNDED-PASS"
         assert rep.metadata["route_equality_max_defect"] == "0"
 
+    def test_route_equality_defect_binds_symbols(self):
+        # the coefficient-bound rho needs e_1 at the binding nu = 1/2
+        spec = FunctionSpec(FunctionKind.BESSEL, params={"nu": F(1, 2)}, mode="ratfunc",
+                            precision=128)
+        assert certify_derivative(spec, 4).metadata["route_equality_max_defect"] == "0"
+        assert route_equality_defect(spec, 4) == 0
+
+    @pytest.mark.parametrize("spec, B", [
+        (FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact"), 8),
+        (FunctionSpec(FunctionKind.SINC, mode="ratfunc"), 6),
+    ], ids=["exact", "ratfunc"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_perturbed_log_derivative_power_sum_raises(self, monkeypatch, spec, B, k):
+        # the route equality is 0 for any p; the Newton check is not
+        real = criterion.power_sums_from_log_derivative
+
+        def perturbed(f, K):
+            p = list(real(f, K).values)
+            p[k - 1] += F(1, 10 ** 9)
+            return criterion.PowerSumSequence(p)
+
+        monkeypatch.setattr(criterion, "power_sums_from_log_derivative", perturbed)
+        with pytest.raises(criterion.ScalarError, match=rf"p_{k} differs"):
+            certify_derivative(spec, B, RhoPolicy(kind="explicit", value=F(1, 100)))
+
     def test_riemann_derivative_route(self):
         from posroot.zeros import packaged_riemann_table
         table = packaged_riemann_table(limit=10, precision=256)
@@ -158,6 +187,24 @@ class TestCertifyDerivative:
         defect = rep.metadata["route_equality_max_defect"]
         from posroot.scalars import parse_bigfloat
         assert float(parse_bigfloat(defect)) < 2.0 ** -100
+
+
+class TestDerivScale:
+    @pytest.mark.parametrize("n", [0, 7, 170, 171, 180])
+    @pytest.mark.parametrize("v", ["3", "-2.5e100", "6e329"])
+    def test_scale_covers_value_and_factorial(self, n, v):
+        # a float scale (the value for every cell in float range) holds each
+        # term rounded to a double; beyond that range it is an exact mpf
+        x = BigFloat(v, 192)
+        scale = criterion._deriv_scale(n // 3, n - n // 3, x)
+        if isinstance(scale, float):
+            assert n <= 170 and v != "6e329"
+            assert scale == max(1.0, abs(float(x)), float(factorial(n)))
+        else:
+            assert n >= 171 or v == "6e329"
+            exact = criterion._mpf_to_fraction(scale)
+            assert exact >= abs(criterion._mpf_to_fraction(x.value))
+            assert exact >= factorial(n)
 
 
 def fraction_series_cells(g, rho, B):

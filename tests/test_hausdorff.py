@@ -11,7 +11,6 @@ from posroot.catalog import FunctionKind, FunctionSpec
 from posroot.criterion import certify_moment
 from posroot.hausdorff import (
     InsufficientMoments,
-    MomentVector,
     NonPositiveLambda,
     _noise_scales,
     bind_cell,
@@ -67,21 +66,21 @@ def same_scalar(a, b):
 class TestDifferenceTable:
     def test_geometric_half(self):
         # m_k = (1/2)^k: differencing telescopes to (1/2)^(k+j)
-        m = MomentVector([F(1, 2) ** k for k in range(9)])
+        m = [F(1, 2) ** k for k in range(9)]
         t = difference_table(m, 8)
         for j in range(len(t.rows)):
             for k in range(len(t.rows[j])):
                 assert t.cell(j, k) == F(1, 2) ** (k + j)
 
     def test_constant_moments(self):
-        m = MomentVector([F(1)] * 7)
+        m = [F(1)] * 7
         t = difference_table(m, 6)
         for j in range(1, len(t.rows)):
             assert all(c == 0 for c in t.rows[j])
 
     def test_alternating_point_mass(self):
         # point mass at -1/2: cells (-1/2)^k (3/2)^j by the binomial sum
-        m = MomentVector([F(-1, 2) ** k for k in range(8)])
+        m = [F(-1, 2) ** k for k in range(8)]
         t = difference_table(m, 7)
         for j in range(len(t.rows)):
             for k in range(len(t.rows[j])):
@@ -90,18 +89,18 @@ class TestDifferenceTable:
     def test_recursive_equals_binomial_everywhere(self):
         rng = random.Random(90210)
         vals = [F(rng.randint(-40, 40), rng.randint(1, 17)) for _ in range(10)]
-        t = difference_table(MomentVector(vals), 9)
+        t = difference_table(vals, 9)
         for j in range(len(t.rows)):
             for k in range(len(t.rows[j])):
                 assert t.cell(j, k) == brute_cell(vals, j, k)
 
     def test_insufficient_moments(self):
         with pytest.raises(InsufficientMoments):
-            difference_table(MomentVector([F(1), F(2)]), 5)
+            difference_table([F(1), F(2)], 5)
 
     def test_float_cross_check_and_boost(self):
         vals = [BigFloat(F(1, 2) ** k, 128) for k in range(12)]
-        t = difference_table(MomentVector(vals), 11)
+        t = difference_table(vals, 11)
         for j in range(0, 12, 3):
             for k in range(len(t.rows[j])):
                 expected = float(F(1, 2) ** (k + j))
@@ -113,7 +112,7 @@ class TestDifferenceTable:
         vals = [F(1, 2) ** k for k in range(10)]
         if not exact:
             vals = [BigFloat(v, 128) for v in vals]
-        t = difference_table(MomentVector(vals), 9)
+        t = difference_table(vals, 9)
         hausdorff._cross_check(t)
         # the check samples rows 1, 4, 7 and columns 0, 3, 6
         t.rows[4][3] = t.rows[4][3] + F(1, 10 ** 6)
@@ -138,7 +137,7 @@ class TestDifferenceTable:
                     min_size=2, max_size=14),
            st.integers(0, 200), st.sampled_from([F(0), F(1, 10 ** 9), F(-3), 1]))
     def test_integer_cross_check_agrees_with_fractions(self, vals, where, delta):
-        t = difference_table(MomentVector(vals), len(vals) - 1)
+        t = difference_table(vals, len(vals) - 1)
         sampled = [(j, k) for j in range(1, len(t.rows), 3)
                    for k in range(0, len(t.rows[j]), 3)]
         if sampled:
@@ -157,7 +156,7 @@ class TestDifferenceTable:
         import math
 
         vals = [F(1, n * n) ** 3 + F(-2, 7) ** n for n in range(1, 26)]
-        t = difference_table(MomentVector(vals), 24)
+        t = difference_table(vals, 24)
         calls = []
         gcd = math.gcd
 

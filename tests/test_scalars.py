@@ -17,7 +17,6 @@ from posroot.scalars import (
     NonFinite,
     Polynomial,
     RationalFunction,
-    SignPolicy,
     UnboundSymbol,
     Verdict,
     _common_denominator,
@@ -390,7 +389,7 @@ class TestSignDecide:
     def test_tiny_negative_float_is_indeterminate(self):
         # eps = 2^-128 ~ 2.9e-39 dwarfs 1e-200, so the sign cannot be called
         x = BigFloat("-1e-200", 256)
-        sv = sign_decide(x, SignPolicy(scale=1.0, kappa=1.0))
+        sv = sign_decide(x, 1.0)
         assert sv.verdict is Verdict.INDETERMINATE
 
     def test_clearly_signed_floats(self):
@@ -399,12 +398,11 @@ class TestSignDecide:
 
     def test_monotone(self):
         rng = random.Random(99)
-        policy = SignPolicy(scale=1.0, kappa=2.0)
         pts = [BigFloat(F(rng.randint(-1000, 1000), 997), 128) for _ in range(60)]
         for x in pts:
             for y in pts:
-                if x <= y and sign_decide(x, policy).verdict is Verdict.NONNEGATIVE:
-                    assert sign_decide(y, policy).verdict is Verdict.NONNEGATIVE
+                if x <= y and sign_decide(x, 1.0).verdict is Verdict.NONNEGATIVE:
+                    assert sign_decide(y, 1.0).verdict is Verdict.NONNEGATIVE
 
     def test_nonfinite_rejected(self):
         bad = BigFloat(1, 128)
@@ -414,11 +412,22 @@ class TestSignDecide:
 
     @pytest.mark.parametrize("prec", [64, 96, 161, 320, 1024])
     def test_eps_equals_uncached_formula(self, prec):
+        # the verdicts change exactly at eps and at -KAPPA*eps, to the ulp at prec+16 bits
+        def at(value):
+            x = BigFloat(0, prec)
+            x.value = value
+            return x
+
         for scale in (1, 3.5, 1e30):
             with mpmath.workprec(prec + 16):
                 want = mpmath.mpf(scale) * mpmath.mpf(2) ** (-F(prec, 2))
+                ulp = mpmath.mpf(2) ** (mpmath.frexp(want)[1] - prec - 16)
+                below, low, lower = want - ulp, -4 * want, -4 * (want + ulp)
             for _ in range(2):
-                assert SignPolicy(scale=scale).eps(prec)._mpf_ == want._mpf_
+                assert sign_decide(at(want), scale).verdict is Verdict.NONNEGATIVE
+                assert sign_decide(at(below), scale).verdict is Verdict.INDETERMINATE
+                assert sign_decide(at(low), scale).verdict is Verdict.INDETERMINATE
+                assert sign_decide(at(lower), scale).verdict is Verdict.NEGATIVE
 
     def test_exact_domains_never_indeterminate(self):
         rng = random.Random(5)
