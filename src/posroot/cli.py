@@ -42,8 +42,7 @@ from .catalog import (
 from .characters import kronecker_character
 from .criterion import (
     CertificateReport,
-    LambdaPolicy,
-    RhoPolicy,
+    BoundPolicy,
     adversarial_run,
     certify_derivative,
     certify_moment,
@@ -217,44 +216,32 @@ def _stamp(args) -> dict:
     return {"config_echo": echo, "timestamp": args.timestamp}
 
 
-def _resolve_lambda_policy(args, spec) -> LambdaPolicy:
-    pol = args.lambda_policy
-    if pol == "explicit" or args.lambda_value is not None:
-        value = _parse_fraction(args.lambda_value, "lambda")
+def _bound_policy(args, spec, form) -> BoundPolicy:
+    """The policy of ``--lambda-policy`` (``form`` "lambda") or ``--rho-policy`` ("rho")."""
+    pol, value = getattr(args, form + "_policy"), getattr(args, form + "_value")
+    auto = pol == "auto"
+    if pol == "explicit" or value is not None:
+        value = _parse_fraction(value, form)
         if value is None:
-            raise ConfigError("--lambda-policy explicit needs --lambda")
-        return LambdaPolicy(kind="explicit", value=value)
-    if pol == "zero-table" or (pol == "auto" and spec.kind in
+            raise ConfigError(f"--{form}-policy explicit needs --{form}")
+        return BoundPolicy(kind="explicit", value=value)
+    if pol == "zero-table" or (auto and args.mode != "shifted-even" and spec.kind in
                                (FunctionKind.BESSEL, FunctionKind.RIEMANN_XI)):
-        table = _zero_table_for(args, spec)
-        return LambdaPolicy(kind="zero-table", table=table)
-    if pol == "auto" and spec.kind is FunctionKind.SINC:
-        return LambdaPolicy(kind="explicit", value=Fraction(1))
-    return LambdaPolicy(kind="coefficient-bound")
-
-
-def _resolve_rho_policy(args, spec, mode) -> RhoPolicy:
-    pol = args.rho_policy
-    if pol == "explicit" or args.rho_value is not None:
-        value = _parse_fraction(args.rho_value, "rho")
-        if value is None:
-            raise ConfigError("--rho-policy explicit needs --rho")
-        return RhoPolicy(kind="explicit", value=value)
-    if pol == "zero-table" or (pol == "auto" and mode == "derivative" and spec.kind in
-                               (FunctionKind.BESSEL, FunctionKind.RIEMANN_XI)):
-        table = _zero_table_for(args, spec)
-        return RhoPolicy(kind="zero-table", table=table)
-    if pol == "first-root" or (pol == "auto" and mode == "shifted-even"):
-        return RhoPolicy(kind="first-root")
-    if pol == "auto" and spec.kind is FunctionKind.SINC:
-        return RhoPolicy(kind="explicit", value=Fraction(1023, 1024))
-    return RhoPolicy(kind="coefficient-bound")
+        return BoundPolicy(kind="zero-table", table=_zero_table_for(args, spec))
+    if pol == "first-root" or (auto and args.mode == "shifted-even"):
+        return BoundPolicy(kind="first-root")
+    if auto and spec.kind is FunctionKind.SINC:
+        return BoundPolicy(kind="explicit",
+                           value=Fraction(1) if form == "lambda" else Fraction(1023, 1024))
+    return BoundPolicy()
 
 
 def _zero_table_for(args, spec):
     if getattr(args, "zeros", None):
         return load_zero_table(args.zeros, precision=spec.precision)
     if spec.kind is FunctionKind.BESSEL:
+        if "nu" not in spec.params:
+            raise ConfigError("a bessel zero table needs a numeric --nu (or pass --zeros)")
         return bessel_zeros(spec.params["nu"], 1, spec.precision)
     if spec.kind is FunctionKind.RIEMANN_XI:
         return packaged_riemann_table(limit=1000, precision=spec.precision)
@@ -310,14 +297,12 @@ def _cmd_certify(args) -> int:
         raise ConfigError(f"--grid {args.grid} must be nonnegative")
     spec = _build_spec(args)
     if args.mode == "moment":
-        report = certify_moment(spec, args.grid, _resolve_lambda_policy(args, spec))
+        report = certify_moment(spec, args.grid, _bound_policy(args, spec, "lambda"))
     elif args.mode == "derivative":
-        report = certify_derivative(spec, args.grid,
-                                    _resolve_rho_policy(args, spec, args.mode))
+        report = certify_derivative(spec, args.grid, _bound_policy(args, spec, "rho"))
     else:
         shift = _parse_fraction(args.shift, "shift")
-        report = certify_shifted_even(spec, shift, args.grid,
-                                      _resolve_rho_policy(args, spec, args.mode))
+        report = certify_shifted_even(spec, shift, args.grid, _bound_policy(args, spec, "rho"))
     report.metadata.update(_stamp(args))
     csv_text = report.to_csv() if args.format in ("csv", "both") else ""
     emit_report(report.as_dict(), args.format, args.output, csv_text)
@@ -405,7 +390,7 @@ def run(args) -> int:
         if args.command not in _COMMANDS:
             raise ConfigError(f"unknown command {args.command!r}")
         return _COMMANDS[args.command](args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except ScalarError as exc:

@@ -1,8 +1,9 @@
 """End-to-end bounded positivity certifications.
 
 A certification run takes a catalog entry, produces its power sums, picks an
-admissible scaling bound, and checks the sign pattern of a finite triangle
-of criterion cells:
+admissible scaling bound (:func:`resolve_bound` for either form; a float
+bound enters exact pipelines as its exact dyadic), and checks the sign
+pattern of a finite triangle of criterion cells:
 
 * MOMENT mode: cells ``(-D)^j (p_{k+1}/lam^{k+1}) >= 0`` for a bound
   ``lam >= sup |l_n|``;
@@ -24,9 +25,11 @@ sums ``p = -g``.  The two are one sum in opposite orders, so the worst
 discrepancy it records (``route_equality_max_defect``) checks the two
 summation loops against each other and nothing else: it is 0 for any ``p``
 in exact domains.  The power sums themselves are checked against the Newton
-recurrence over the same ``e_k``, in rationals and in fractions of one
-symbol: a log-derivative ``p_k`` that differs raises a ``ScalarError``
-naming the first such ``k``.  Multivariate fractions are not checked, since
+recurrence over the same ``e_k``: a log-derivative ``p_k`` that differs
+raises a ``ScalarError`` naming the first such ``k``.  In floats the check
+is exact too: both recurrences multiply the same operand pairs and add them
+in the same order, up to sign, and round-to-nearest is symmetric, so the two
+results are bit-identical.  Multivariate fractions are not checked, since
 their equality cross-multiplies unreduced fractions.  Exact rational cells
 are summed as integers over one common scale, and only the printed cells
 and the worst discrepancy are reduced to fractions.
@@ -43,11 +46,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, factorial, inf, lcm
+from math import comb, factorial
 from typing import Optional
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import from_int
 
 from .catalog import (
     FunctionKind,
@@ -61,6 +65,7 @@ from .catalog import (
 from .hausdorff import (
     CellRecord,
     CellVerdicts,
+    _noise_scale,
     bind_cell,
     decide_cells,
     derivative_cells_from_power_sums,
@@ -74,6 +79,7 @@ from .scalars import (
     RationalFunction,
     ScalarError,
     Verdict,
+    _common_denominator,
     _to_mp,
     bigfloat_str,
     parse_bigfloat,
@@ -99,6 +105,7 @@ from .zeros import ZeroTable
 
 __all__ = [
     "CertificateReport",
+    "BoundPolicy",
     "LambdaPolicy",
     "RhoPolicy",
     "AdversarialSpec",
@@ -161,21 +168,31 @@ def _mpf_to_fraction(x) -> Fraction:
 
 
 def _bound_in_domain(x, exact: bool, precision: int, prov: str) -> tuple[object, str]:
-    """A float bound ``x`` (mpf) as the pipeline needs it: exact pipelines,
-    symbolic ones included, take its exact dyadic value, float ones a BigFloat."""
+    """A bound ``x`` as the pipeline needs it: a float (mpf or BigFloat) becomes
+    its exact dyadic value in exact pipelines, symbolic ones included; a float
+    pipeline takes an mpf as a BigFloat and a BigFloat as it is.  Anything
+    else, a rational above all, passes unchanged."""
+    if isinstance(x, BigFloat) and exact:
+        x = x.value
+    if not isinstance(x, mpf):
+        return x, prov
     if exact:
         return _mpf_to_fraction(x), prov + " [exact dyadic]"
     return BigFloat(x, precision), prov
 
 
 @dataclass(frozen=True)
-class LambdaPolicy:
-    """How to obtain ``lam >= sup |l_n|``.
+class BoundPolicy:
+    """How to obtain a scaling bound: ``lam >= sup |l_n|`` for the moment
+    form, or ``0 < rho <= inf |roots| = 1/sup |l_n|`` of the reduced product
+    for the derivative form.
 
     kinds: ``explicit`` (use ``value``), ``zero-table`` (``SAFETY_UP/min_zero^2``
-    from ``table``; exact pipelines receive the dyadic value exactly),
-    ``coefficient-bound`` (``lam = e_1 = sum l_n``, valid under the
-    positivity hypothesis being tested).
+    or ``SAFETY_DOWN * min_zero^2`` from ``table``, the squared ordinate being
+    the root of the reduced product), ``coefficient-bound`` (``lam = e_1 =
+    sum l_n`` or ``rho = SAFETY_DOWN/e_1``, valid under the positivity
+    hypothesis being tested), ``first-root`` (rho only: bracket the first
+    sign change of the truncated series and bisect).
     """
 
     kind: str = "coefficient-bound"
@@ -183,89 +200,61 @@ class LambdaPolicy:
     table: Optional[ZeroTable] = None
 
 
-@dataclass(frozen=True)
-class RhoPolicy:
-    """How to obtain ``0 < rho <= inf |roots|`` of the reduced product.
+LambdaPolicy = RhoPolicy = BoundPolicy
 
-    kinds: ``explicit``, ``zero-table`` (``SAFETY_DOWN * min_zero^2``, the
-    squared ordinate being the root of the reduced product),
-    ``coefficient-bound`` (``rho = SAFETY_DOWN/e_1`` since ``inf roots >=
-    1/sum l_n``), ``first-root`` (bracket the first sign change of the
-    truncated series and bisect).
+
+def resolve_bound(policy: BoundPolicy, form: str, e: ElementarySequence,
+                  f: Optional[TruncatedSeries], exact: bool, precision: int,
+                  bindings=None) -> tuple[object, str]:
+    """The bound of ``form`` (``"lambda"`` or ``"rho"``) and its provenance.
+
+    Every bound leaves through :func:`_bound_in_domain`; ``f`` is the
+    reduced series, read by the first-root scan only.
     """
-
-    kind: str = "coefficient-bound"
-    value: object = None
-    table: Optional[ZeroTable] = None
-
-
-def resolve_lambda(policy: LambdaPolicy, e: ElementarySequence, exact: bool,
-                   precision: int, bindings=None) -> tuple[object, str]:
+    err = LambdaUnavailable if form == "lambda" else RhoUnavailable
     if policy.kind == "explicit":
         if policy.value is None:
-            raise LambdaUnavailable("explicit lambda policy without a value")
-        return policy.value, f"explicit lambda = {policy.value}"
-    if policy.kind == "zero-table":
-        if policy.table is None or len(policy.table) == 0:
-            raise LambdaUnavailable("zero-table lambda policy without a table")
-        z1 = policy.table.first
+            raise err(f"explicit {form} policy without a value")
+        x, prov = policy.value, f"explicit {form} = {policy.value}"
+    elif policy.kind == "zero-table":
+        table = policy.table
+        if table is None or len(table) == 0:
+            raise err(f"zero-table {form} policy without a table")
+        z1 = table.first
         with workprec(precision + 16):
-            lam_f = mpf(SAFETY_UP.numerator) / SAFETY_UP.denominator / (z1.value ** 2)
-        prov = (f"lambda = {SAFETY_UP} / min_zero^2, min_zero = {z1} "
-                f"({policy.table.source} table, {len(policy.table)} zeros)")
-        return _bound_in_domain(lam_f, exact, precision, prov)
-    if policy.kind == "coefficient-bound":
-        e1 = _numeric_e1(e, bindings, LambdaUnavailable)
-        if not e1 > 0:
-            raise LambdaUnavailable(f"coefficient bound e_1 = {e1} not positive")
-        prov = "lambda = e_1 = sum of the sequence (coefficient bound)"
-        if exact and isinstance(e1, BigFloat):
-            return _bound_in_domain(e1.value, exact, precision, prov)
-        return e1, prov
-    raise LambdaUnavailable(f"unknown lambda policy {policy.kind!r}")
-
-
-def _numeric_e1(e: ElementarySequence, bindings, err):
-    """e_1 as a number; symbolic values are evaluated at the bindings."""
-    e1 = e[1]
-    if isinstance(e1, RationalFunction):
-        if e1.is_constant():
-            return e1.constant_value()
-        if bindings and all(s in bindings for s in e1.symbols):
-            return e1.evaluate({s: bindings[s] for s in e1.symbols})
-        raise err(
-            "coefficient bound needs numeric e_1; bind symbols or use explicit")
-    return e1
-
-
-def resolve_rho(policy: RhoPolicy, e: ElementarySequence, f: TruncatedSeries,
-                exact: bool, precision: int, bindings=None) -> tuple[object, str]:
-    if policy.kind == "explicit":
-        if policy.value is None:
-            raise RhoUnavailable("explicit rho policy without a value")
-        return policy.value, f"explicit rho = {policy.value}"
-    if policy.kind == "zero-table":
-        if policy.table is None or len(policy.table) == 0:
-            raise RhoUnavailable("zero-table rho policy without a table")
-        z1 = policy.table.first
-        with workprec(precision + 16):
-            rho_f = mpf(SAFETY_DOWN.numerator) / SAFETY_DOWN.denominator * (z1.value ** 2)
-        prov = (f"rho = {SAFETY_DOWN} * min_zero^2, min_zero = {z1} "
-                f"({policy.table.source} table)")
-        return _bound_in_domain(rho_f, exact, precision, prov)
-    if policy.kind == "coefficient-bound":
-        e1 = _numeric_e1(e, bindings, RhoUnavailable)
-        if not e1 > 0:
-            raise RhoUnavailable(f"coefficient bound e_1 = {e1} not positive")
-        if isinstance(e1, Fraction):
-            return SAFETY_DOWN / e1, "rho = safety/e_1 (coefficient bound)"
-        with workprec(precision + 16):
-            rho_f = mpf(SAFETY_DOWN.numerator) / SAFETY_DOWN.denominator / e1.value
-        return _bound_in_domain(rho_f, exact, precision, "rho = safety/e_1 (coefficient bound)")
-    if policy.kind == "first-root":
-        rho = _first_root_bound(f, precision, SAFETY_DOWN)
-        return rho, "rho = safety * first bracketed root of the truncated series"
-    raise RhoUnavailable(f"unknown rho policy {policy.kind!r}")
+            if form == "lambda":
+                x = mpf(SAFETY_UP.numerator) / SAFETY_UP.denominator / (z1.value ** 2)
+                prov = (f"lambda = {SAFETY_UP} / min_zero^2, min_zero = {z1} "
+                        f"({table.source} table, {len(table)} zeros)")
+            else:
+                x = mpf(SAFETY_DOWN.numerator) / SAFETY_DOWN.denominator * (z1.value ** 2)
+                prov = f"rho = {SAFETY_DOWN} * min_zero^2, min_zero = {z1} ({table.source} table)"
+    elif policy.kind == "coefficient-bound":
+        x = e[1]
+        if isinstance(x, RationalFunction) and x.is_constant():
+            x = x.constant_value()
+        elif isinstance(x, RationalFunction):
+            if not (bindings and all(s in bindings for s in x.symbols)):
+                raise err("coefficient bound needs numeric e_1; bind symbols or use explicit")
+            x = x.evaluate({s: bindings[s] for s in x.symbols})
+        if not x > 0:
+            raise err(f"coefficient bound e_1 = {x} not positive")
+        if form == "lambda":
+            prov = "lambda = e_1 = sum of the sequence (coefficient bound)"
+        else:
+            prov = "rho = safety/e_1 (coefficient bound)"
+            if isinstance(x, BigFloat):
+                with workprec(precision + 16):
+                    x = mpf(SAFETY_DOWN.numerator) / SAFETY_DOWN.denominator / x.value
+            else:
+                x = SAFETY_DOWN / x
+    elif policy.kind == "first-root" and form == "rho":
+        bound_f = TruncatedSeries([bind_cell(c, bindings, precision) for c in f.coefficients])
+        x = _first_root_bound(bound_f, precision, SAFETY_DOWN)
+        prov = "rho = safety * first bracketed root of the truncated series"
+    else:
+        raise err(f"unknown {form} policy {policy.kind!r}")
+    return _bound_in_domain(x, exact, precision, prov)
 
 
 def _horner(coeffs, z):
@@ -510,24 +499,14 @@ def _over_one_scale(values, rho, B):
     ``den(rho)^(B+1)``, so no gcd is taken.
     """
     a, b = rho.numerator, rho.denominator
-    values = values[:B + 1]
-    L = lcm(*(v.denominator for v in values))
-    return ([v.numerator * (L // v.denominator) * a ** (m + 1) * b ** (B - m)
-             for m, v in enumerate(values)], L * b ** (B + 1))
+    L, nums = _common_denominator(values[:B + 1])
+    return [n * a ** (m + 1) * b ** (B - m) for m, n in enumerate(nums)], L * b ** (B + 1)
 
 
 def _deriv_scale(j, k, v):
     """Noise scale ``max(1, |v|, (j+k)!)`` of a float derivative cell ``v``, set by
     the factorial growth of the cells: a float while finite, else an exact mpf."""
-    n = factorial(j + k)
-    try:
-        scale = max(1.0, float(abs(v).value), float(n))
-    except OverflowError:
-        scale = inf
-    if scale < inf:
-        return scale
-    with workprec(max(v.prec, n.bit_length())):
-        return max(abs(v.value), mpf(n))
+    return _noise_scale(abs(v).value, mpmath.mp.make_mpf(from_int(factorial(j + k))))
 
 
 def _spec_metadata(spec) -> dict:
@@ -564,7 +543,7 @@ def _is_exact(p: PowerSumSequence) -> bool:
 def certify_moment(
     spec: FunctionSpec,
     B: int,
-    lam_policy: Optional[LambdaPolicy] = None,
+    lam_policy: Optional[BoundPolicy] = None,
 ) -> CertificateReport:
     """Full moment-mode pipeline: coefficients -> power sums -> scaled
     difference table -> per-cell verdicts."""
@@ -572,18 +551,19 @@ def certify_moment(
     return _run_with_retry(_moment_once, spec, B, lam_policy)
 
 
-def _default_lambda_policy(spec) -> LambdaPolicy:
+def _default_lambda_policy(spec) -> BoundPolicy:
     if getattr(spec, "kind", None) is FunctionKind.SINC:
         # smallest zero of the reduced product is exactly 1
-        return LambdaPolicy(kind="explicit", value=Fraction(1))
-    return LambdaPolicy(kind="coefficient-bound")
+        return BoundPolicy(kind="explicit", value=Fraction(1))
+    return BoundPolicy()
 
 
 def _moment_once(spec, B, lam_policy) -> CertificateReport:
     e = spec.elementary(B + 1)
     p = power_sums_from_elementary(e, B + 1)
     bindings = spec.bindings()
-    lam, lam_prov = resolve_lambda(lam_policy, e, _is_exact(p), spec.precision, bindings)
+    lam, lam_prov = resolve_bound(lam_policy, "lambda", e, None, _is_exact(p), spec.precision,
+                                  bindings)
     return _moment_certificate(spec.label, B, spec.precision, _spec_metadata(spec), p, lam,
                                lam_prov, bindings)
 
@@ -596,14 +576,14 @@ def _moment_once(spec, B, lam_policy) -> CertificateReport:
 def certify_derivative(
     spec: FunctionSpec,
     B: int,
-    rho_policy: Optional[RhoPolicy] = None,
+    rho_policy: Optional[BoundPolicy] = None,
 ) -> CertificateReport:
     """Derivative-form pipeline; the cells are also summed by the difference route.
 
     Both routes read one ``f'/f``, so the recorded
     ``route_equality_max_defect`` checks two summations of one sum.
     """
-    rho_policy = rho_policy or RhoPolicy(kind="coefficient-bound")
+    rho_policy = rho_policy or BoundPolicy()
     return _run_with_retry(_derivative_once, spec, B, rho_policy)
 
 
@@ -628,10 +608,9 @@ def _log_derivative_inputs(spec, B: int, shift=None):
 
 
 def _check_newton(e: ElementarySequence, p: PowerSumSequence) -> None:
-    """Raise unless ``p`` equals the Newton power sums of ``e``; rationals and
-    fractions in one symbol only (see the module docstring)."""
-    symbols = {s for v in p.values for s in getattr(v, "symbols", ())}
-    if p.domain == "float" or len(symbols) > 1:
+    """Raise unless ``p`` equals the Newton power sums of ``e``; not for
+    fractions in several symbols (see the module docstring)."""
+    if len({s for v in p.values for s in getattr(v, "symbols", ())}) > 1:
         return
     newton = power_sums_from_elementary(e, len(p))
     for k in range(1, len(p) + 1):
@@ -651,7 +630,8 @@ def _derivative_once(spec, B, rho_policy, shift=None) -> CertificateReport:
     e, f, p = _log_derivative_inputs(spec, B, shift)
     _check_newton(e, p)
     bindings = spec.bindings()
-    rho, rho_prov = resolve_rho(rho_policy, e, f, _is_exact(p), spec.precision, bindings)
+    rho, rho_prov = resolve_bound(rho_policy, "rho", e, f, _is_exact(p), spec.precision,
+                                  bindings)
     series_route, worst = _two_route_cells(f, p, rho, B, bindings, spec.precision)
     cells = decide_cells(((j, k, v) for (j, k), v in series_route.items()), _deriv_scale,
                          bindings, spec.precision, nonpositive=True)
@@ -671,7 +651,7 @@ def route_equality_defect(spec: FunctionSpec, B: int, rho=None) -> object:
     The ``route_equality_max_defect`` of one derivative run at ``rho``
     (default: the coefficient bound), read back as a number.
     """
-    policy = RhoPolicy() if rho is None else RhoPolicy(kind="explicit", value=rho)
+    policy = BoundPolicy() if rho is None else BoundPolicy(kind="explicit", value=rho)
     defect = _derivative_once(spec, B, policy).metadata["route_equality_max_defect"]
     return parse_bigfloat(defect) if "@" in defect else parse_rational(defect)
 
@@ -731,11 +711,11 @@ def certify_shifted_even(
     spec: FunctionSpec,
     c,
     B: int,
-    rho_policy: Optional[RhoPolicy] = None,
+    rho_policy: Optional[BoundPolicy] = None,
 ) -> CertificateReport:
     """Shifted-even certification for an even real entire function: the
     derivative pipeline on the reduction shifted by ``c``."""
-    rho_policy = rho_policy or RhoPolicy(kind="first-root")
+    rho_policy = rho_policy or BoundPolicy(kind="first-root")
     return _run_with_retry(_derivative_once, spec, B, rho_policy, c)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, inf
 from typing import Mapping, Optional, Sequence
 
 from mpmath import mpf, workprec
@@ -48,6 +48,7 @@ from .scalars import (
     RationalFunction,
     ScalarError,
     Verdict,
+    _common_denominator,
     _to_mp,
     serialize_scalar,
     sign_decide,
@@ -200,8 +201,7 @@ def _cross_check(table: DifferenceTable) -> None:
     mags = None
     scale = None
     if table.domain == "rational":
-        scale = lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
+        scale, values = _common_denominator(values)
     for j in range(1, len(table.rows), 3):
         row = table.rows[j]
         for k in range(0, len(row), 3):
@@ -252,9 +252,16 @@ def _magnitudes(values, rows: int) -> list:
     return out
 
 
+def _noise_scale(*terms):
+    """``max(1, *terms)`` of nonnegative mpfs, the noise scale of a float verdict:
+    a float while it is finite, else the largest term itself."""
+    scale = max(1.0, *map(float, terms))
+    return scale if scale < inf else max(terms)
+
+
 def _noise_scales(values, rows: int) -> list:
-    """The verdicts' noise scales, ``max(1, float(binomial_scale(values, j, k)))``."""
-    return [[max(1.0, float(x)) for x in row] for row in _magnitudes(values, rows)]
+    """The verdicts' noise scales, :func:`_noise_scale` of each ``binomial_scale(values, j, k)``."""
+    return [[_noise_scale(x) for x in row] for row in _magnitudes(values, rows)]
 
 
 def moment_criterion(

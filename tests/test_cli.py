@@ -104,6 +104,40 @@ class TestCertifyCommand:
         if data["mode"] == "DERIVATIVE":
             assert data["metadata"]["route_equality_max_defect"] == "0"
 
+    @pytest.mark.parametrize("args", [
+        ["--function", "sinc"],
+        ["--function", "bessel", "--symbolic", "--nu", "1/2"],
+        ["--function", "ramanujan-aq", "--symbolic", "--q", "1/2"],
+    ], ids=["sinc", "bessel-symbolic", "ramanujan-symbolic"])
+    def test_symbolic_first_root_rho_binds_symbols(self, tmp_path, args):
+        # the first-root scan reads the series at the bindings, and its float
+        # root enters the symbolic pipeline as an exact dyadic rational
+        out = tmp_path / "r.json"
+        assert main(["certify", *args, "--mode", "derivative", "--rho-policy", "first-root",
+                     "--grid", "3", "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "BOUNDED-PASS"
+        assert data["metadata"]["route_equality_max_defect"] == "0"
+        assert data["metadata"]["rho_provenance"].endswith("[exact dyadic]")
+        assert "@" not in data["rho"]
+
+    def test_exact_first_root_rho_is_rational(self, tmp_path):
+        from posroot.catalog import FunctionKind, FunctionSpec
+        from posroot.criterion import SAFETY_DOWN, _first_root_bound, _mpf_to_fraction
+
+        out = tmp_path / "r.json"
+        assert main(["certify", "--function", "bessel", "--nu", "0", "--mode", "derivative",
+                     "--rho-policy", "first-root", "--grid", "3", "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "BOUNDED-PASS"
+        assert data["metadata"]["route_equality_max_defect"] == "0"
+        assert data["metadata"]["rho_provenance"].endswith("[exact dyadic]")
+        prec = data["precision_bits"]
+        f = FunctionSpec(FunctionKind.BESSEL, params={"nu": Fraction(0)}).series(10)
+        assert Fraction(data["rho"]) == _mpf_to_fraction(
+            _first_root_bound(f, prec, SAFETY_DOWN).value)
+        assert all("@" not in c["value"] for c in data["cells"])
+
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -285,6 +319,25 @@ class TestAdversarialCommand:
         assert main(args + ["--output", str(a)]) == 0
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    "certify --function bessel-k --a 0 --grid 2",
+    "certify --function qbessel --q 2 --nu 0 --grid 2",
+    "certify --function bessel --nu -2 --grid 2",
+    "certify --function qbessel --q 1/2 --nu 1/2 --grid 2",
+    "moments --function bessel-k --a 1 --orders -1",
+    "zeros --nu 0 --count 0",
+    "powersums --function riemann-xi --count 0",
+    "certify --function bessel --symbolic --grid 4",
+])
+def test_bad_parameter_is_one_error_line(argv, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestEnvPrecision:

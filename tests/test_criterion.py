@@ -5,12 +5,14 @@ from math import comb, factorial
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import given, settings, strategies as st
 
-from posroot import criterion
+from posroot import criterion, hausdorff
 from posroot.catalog import FunctionKind, FunctionSpec, sinc_even_series
 from posroot.criterion import (
     AdversarialSpec,
+    BoundPolicy,
     Defect,
     LambdaPolicy,
     RhoPolicy,
@@ -163,15 +165,18 @@ class TestCertifyDerivative:
     @pytest.mark.parametrize("spec, B", [
         (FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact"), 8),
         (FunctionSpec(FunctionKind.SINC, mode="ratfunc"), 6),
-    ], ids=["exact", "ratfunc"])
+        (FunctionSpec(FunctionKind.AIRY_PRODUCT, mode="float", precision=128), 8),
+    ], ids=["exact", "ratfunc", "float"])
     @pytest.mark.parametrize("k", [1, 4])
     def test_perturbed_log_derivative_power_sum_raises(self, monkeypatch, spec, B, k):
-        # the route equality is 0 for any p; the Newton check is not
+        # the route equality is 0 for any p; the Newton check is not, and in
+        # floats it sees a p_k moved by one unit in the last place
         real = criterion.power_sums_from_log_derivative
 
         def perturbed(f, K):
             p = list(real(f, K).values)
-            p[k - 1] += F(1, 10 ** 9)
+            x = p[k - 1]
+            p[k - 1] = one_ulp_up(x) if isinstance(x, BigFloat) else x + F(1, 10 ** 9)
             return criterion.PowerSumSequence(p)
 
         monkeypatch.setattr(criterion, "power_sums_from_log_derivative", perturbed)
@@ -187,6 +192,72 @@ class TestCertifyDerivative:
         defect = rep.metadata["route_equality_max_defect"]
         from posroot.scalars import parse_bigfloat
         assert float(parse_bigfloat(defect)) < 2.0 ** -100
+
+
+def one_ulp_up(x: BigFloat) -> BigFloat:
+    """``x`` (nonzero) moved one unit in its last place, away from zero."""
+    sign, man, exp, bc = x.value._mpf_
+    shift = x.prec - bc
+    mag = (man << shift) + 1
+    y = BigFloat(mpmath.mp.make_mpf(from_man_exp(-mag if sign else mag, exp - shift)), x.prec)
+    assert y != x and criterion._mpf_to_fraction(y.value - x.value) != 0
+    return y
+
+
+class TestResolveBound:
+    @pytest.mark.parametrize("form, err", [("lambda", criterion.LambdaUnavailable),
+                                           ("rho", criterion.RhoUnavailable)])
+    def test_errors_name_the_form(self, form, err):
+        e = criterion.ElementarySequence([F(1), F(-1, 4)])
+        cases = [(BoundPolicy(kind="explicit"), f"explicit {form} policy without a value"),
+                 (BoundPolicy(kind="zero-table"), f"zero-table {form} policy without a table"),
+                 (BoundPolicy(), "coefficient bound e_1 = -1/4 not positive"),
+                 (BoundPolicy(kind="nearest"), f"unknown {form} policy 'nearest'")]
+        for policy, message in cases:
+            with pytest.raises(err, match=f"^{message}$"):
+                criterion.resolve_bound(policy, form, e, None, True, 128)
+
+    def test_first_root_is_a_rho_policy_only(self):
+        e = criterion.ElementarySequence([F(1), F(1, 4)])
+        with pytest.raises(criterion.LambdaUnavailable, match="unknown lambda policy"):
+            criterion.resolve_bound(BoundPolicy(kind="first-root"), "lambda", e, None, True, 128)
+
+    def test_one_policy_type(self):
+        assert LambdaPolicy is RhoPolicy is BoundPolicy
+
+    @pytest.mark.parametrize("form", ["lambda", "rho"])
+    def test_coefficient_bound_values(self, form):
+        e = criterion.ElementarySequence([F(1), F(3, 4)])
+        want = F(3, 4) if form == "lambda" else SAFETY_DOWN / F(3, 4)
+        assert criterion.resolve_bound(BoundPolicy(), form, e, None, True, 128)[0] == want
+        e = criterion.ElementarySequence([F(1), BigFloat(F(3, 4), 128)])
+        got, prov = criterion.resolve_bound(BoundPolicy(), form, e, None, True, 128)
+        assert prov.endswith(" [exact dyadic]")
+        assert type(got) is F and (form == "lambda") == (got == F(3, 4))
+
+    def test_bound_in_domain(self):
+        x = mpmath.mpf(1) / 3
+        bf = BigFloat(x, 64)
+        got, prov = criterion._bound_in_domain(x, True, 64, "p")
+        assert got == criterion._mpf_to_fraction(x) and prov == "p [exact dyadic]"
+        got, prov = criterion._bound_in_domain(bf, True, 64, "p")
+        assert got == criterion._mpf_to_fraction(bf.value) and prov == "p [exact dyadic]"
+        assert criterion._bound_in_domain(bf, False, 128, "p") == (bf, "p")
+        got, prov = criterion._bound_in_domain(x, False, 64, "p")
+        assert got.prec == 64 and got.value == bf.value and prov == "p"
+        assert criterion._bound_in_domain(F(2, 3), True, 64, "p") == (F(2, 3), "p")
+
+    def test_first_root_binds_symbols(self):
+        # sinc over Q(t): the scan reads the series at t = pi^2
+        spec = FunctionSpec(FunctionKind.SINC, mode="ratfunc", precision=128)
+        f = spec.series(10)
+        bindings = spec.bindings()
+        rho, prov = criterion.resolve_bound(BoundPolicy(kind="first-root"), "rho",
+                                            spec.elementary(10), f, True, 128, bindings)
+        bound = TruncatedSeries([hausdorff.bind_cell(c, bindings, 128) for c in f.coefficients])
+        assert rho == criterion._mpf_to_fraction(_first_root_bound(bound, 128, SAFETY_DOWN).value)
+        assert prov.endswith(" [exact dyadic]")
+        assert 0.99 < float(rho) < 1  # the smallest root of the reduced sinc product is 1
 
 
 class TestDerivScale:

@@ -21,7 +21,7 @@ from posroot.hausdorff import (
     difference_table,
     moment_criterion,
 )
-from posroot.scalars import DEFAULT_PRECISION_BITS, BigFloat, ScalarError
+from posroot.scalars import DEFAULT_PRECISION_BITS, BigFloat, ScalarError, Verdict
 from posroot.symfun import (
     InsufficientCoefficients,
     PowerSumSequence,
@@ -258,6 +258,36 @@ class TestNoiseScales:
             assert scales[j][k] == max(1.0, float(binomial_scale(floats, j, k, cell_prec).value))
             cells += 1
         assert cells == (B + 1) * (B + 2) // 2
+
+    def test_scale_beyond_float_range_is_exact(self):
+        # moments -2^(1100(k+1)): every Pascal magnitude is beyond float range,
+        # and the cells are decided by their sign, (-1)^(j+1)
+        p = PowerSumSequence([BigFloat(-1, 256)] * 4)
+        t = moment_criterion(p, BigFloat(F(1, 2 ** 1100), 256), J=3)
+        assert t.counts() == {"NONNEGATIVE": 4, "NEGATIVE": 6, "INDETERMINATE": 0}
+        for c in t.cells:
+            assert c.verdict is (Verdict.NEGATIVE if c.j % 2 == 0 else Verdict.NONNEGATIVE)
+        row0 = list(t.rows[0])
+        scale = _noise_scales(row0, 4)[3][0]
+        assert isinstance(scale, mpmath.mpf)
+        assert scale == hausdorff._magnitudes(row0, 4)[3][0] >= mpmath.mpf(2) ** 4400
+
+    @pytest.mark.parametrize("terms, want", [
+        (("0.25",), 1.0),
+        (("3", "7"), 7.0),
+        (("1e300", "2.5e299"), 1e300),
+    ])
+    def test_scale_in_float_range_is_a_float(self, terms, want):
+        scale = hausdorff._noise_scale(*map(mpmath.mpf, terms))
+        assert type(scale) is float and scale == want
+
+    @pytest.mark.parametrize("terms", [
+        (mpmath.mpf(3), mpmath.mp.make_mpf(mpmath.libmp.from_int(factorial(171)))),
+        (mpmath.mpf(2) ** 1100 + 1, mpmath.mpf(7)),
+    ])
+    def test_scale_beyond_float_range_is_the_exact_max(self, terms):
+        scale = hausdorff._noise_scale(*terms)
+        assert scale is max(terms)
 
 
 class TestDerivativeForm:
