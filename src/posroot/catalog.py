@@ -13,12 +13,13 @@ coefficient form; their even Taylor coefficients are moments
     b_{2n} = integral t^{2n} phi(t) dt
 
 of an explicit fast-decaying kernel, computed here with an arbitrary
-precision trapezoidal scheme on the half line.  Because every kernel decays
-double-exponentially and is analytic in a strip around the real axis, the
-plain trapezoid rule at step ``h`` converges geometrically in ``1/h``; the
-node spacing is halved until two consecutive refinements agree to the target
-precision, and that last difference is recorded as the per-moment error
-estimate.
+precision trapezoidal scheme.  Every kernel decays double-exponentially and
+is analytic in a strip ``|Im t| < s``, so the trapezoid rule at step ``h``
+errs by at most ``2M/(e^(2 pi s/h) - 1)`` (Trefethen & Weideman, SIAM Rev.
+56(3), 2014, Thm 5.1), ``M`` bounding the integral of ``|t^(2n) phi|`` along
+the strip's lines.  Low-precision Riemann sums bound ``M``, the truncation
+tail and the moments themselves; they choose the final ``h`` before any
+kernel value is computed, and the bound plus rounding is the recorded error.
 
 The xi kernels are theta-type series.  Evaluated literally they suffer
 catastrophic cancellation for ``t > 0`` (the terms are huge compared to the
@@ -43,17 +44,6 @@ libmp functions the ``mpf`` operators call (``mpf_mul``, ``mpf_mul_int``,
 working precision with round-to-nearest, so every rounding and every stop
 decision is the operators', without a wrapper object per operation.
 
-Kernel values are independent of each other, so when a second CPU is free
-(``_spare_cpu``) a quadrature forks one child that evaluates every other
-node, level after level, and streams each value back through a pipe
-(``_values``); ``phi_nonneg_scan`` splits its grid the same way.  The result
-is bit for bit that of one process: a kernel value is a deterministic
-function of its node and the working precision, whichever process computes
-it, and this process consumes the values in node order and does every
-``t^(2n)`` product, every sum and every stop test itself, in the order of
-the one-process loop.  A missing or failing child only moves evaluations
-back into this process.
-
 For the Dirichlet kernel with an odd character the widely printed exponent
 ``-(1+a)t/2`` fails that evenness check; the exponent ``-(2a+1)t/2`` that
 follows from the theta functional equation passes it and is what this module
@@ -64,10 +54,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
-import os
-import threading
-from contextlib import closing
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -84,7 +71,9 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_mul_int,
+    mpf_pos,
     mpf_sub,
+    round_ceiling,
     round_nearest,
 )
 
@@ -134,7 +123,7 @@ _make_mpf = mpmath.mp.make_mpf
 
 
 class QuadratureNotConverged(ScalarError):
-    """Trapezoid refinements did not reach the target tolerance."""
+    """The trapezoid error bound misses the target tolerance, or a check of it fails."""
 
 
 class PoleAtParameter(ScalarError):
@@ -282,7 +271,7 @@ class QuadConfig:
     """Knobs for the moment quadrature: truncation, refinement, series caps."""
 
     T: Optional[float] = None      # half-line truncation point (None = adaptive)
-    levels: int = 12               # maximum number of h-halvings
+    levels: int = 12               # highest number of h-halvings the strip bound may choose
     N_s_max: int = 200000          # cap on kernel series terms per node
     h0: float = 0.25               # coarsest node spacing
 
@@ -296,7 +285,7 @@ class MomentResult:
     """Even moments b_0, b_2, .., b_{2K} with quadrature metadata."""
 
     values: tuple          # BigFloat b_{2n}, n = 0..K
-    errors: tuple          # estimated |error| per moment (BigFloat)
+    errors: tuple          # bound on |values[n] - b_{2n}| per moment (BigFloat)
     metadata: dict
 
     def __len__(self) -> int:
@@ -311,177 +300,195 @@ class MomentResult:
         return self.metadata["precision_bits"]
 
 
-def _spare_cpu() -> bool:
-    """Whether a forked child would get a CPU of its own.
-
-    ``fork`` must exist, the affinity mask must hold two CPUs or more, and no
-    other thread may be alive: ``fork`` copies only the calling thread, so a
-    lock another thread holds would stay locked in the child.
-    """
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
-
-
-def _values(f: Callable[[object], object], xs):
-    """Yield ``f(x)`` for each ``x`` of the iterable ``xs``, in order.
-
-    When ``_spare_cpu()`` holds, the first value requested forks one child,
-    which walks ``xs`` on its own, evaluates every other ``x`` (odd
-    positions) and writes each value to a pipe as one pickle, running ahead
-    of the caller by as much as the pipe holds.  This process evaluates the
-    even positions and reads the odd ones from the pipe, so the values
-    arrive in order and each is what ``f(x)`` gives in this process: ``f``
-    must be deterministic and its values picklable.  The child's share is
-    empty without a spare CPU.
-
-    If the child stops early (``f`` raised there), this process evaluates the
-    rest itself, so the error is raised here at the same ``x``.  Closing the
-    generator, by exhaustion, an exception or ``close()``, kills and reaps
-    the child; the child always leaves through ``os._exit``, so it runs no
-    exit handler and flushes none of the parent's buffers.
-    """
-    import pickle
-    import signal
-
-    pid = None
-    if _spare_cpu():
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as out:
-                    for x in itertools.islice(xs, 1, None, 2):
-                        pickle.dump(f(x), out, pickle.HIGHEST_PROTOCOL)
-                        out.flush()
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        inbox = open(read_fd, "rb")
-    try:
-        for j, x in enumerate(xs):
-            if pid is not None and j % 2:
-                try:
-                    v = pickle.load(inbox)
-                except (EOFError, pickle.UnpicklingError):
-                    inbox.close()
-                    os.waitpid(pid, 0)
-                    pid = None
-                else:
-                    yield v
-                    continue
-            yield f(x)
-    finally:
-        if pid is not None:
-            inbox.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def _trapezoid_levels(h0, T, levels: int):
-    """``(h, nodes)`` of trapezoid levels 0..levels on [0, T], one level at a time.
-
-    Level 0 has the nodes ``i h0 <= T``, i >= 0; level L halves the spacing
-    and has the new nodes, the odd multiples of ``h0 / 2^L`` up to ``T``.
-    Nodes are libmp tuples at the ambient precision.
-    """
+    """``(h, nodes)`` of trapezoid levels 0..levels on [0, T]: level 0 has the
+    nodes ``i h0 <= T``, i >= 0, and level L the new ones, the odd multiples of
+    ``h0 / 2^L`` up to ``T``; libmp tuples at the ambient precision."""
     wp = mpmath.mp.prec
     h = mpf(h0)
-    yield h, [mpf_mul_int(h._mpf_, i, wp, round_nearest)
-              for i in range(int(mpmath.floor(T / h)) + 1)]
-    for _ in range(levels):
+    for level in range(levels + 1):
+        first, stride = (1, 2) if level else (0, 1)
+        yield h, [mpf_mul_int(h._mpf_, i, wp, round_nearest)
+                  for i in range(first, int(mpmath.floor(T / h)) + 1, stride)]
         h = h / 2
-        nodes = []
-        i = 1
+
+
+# ---------------------------------------------------------------------------
+# a priori strip bound of the trapezoid error
+# ---------------------------------------------------------------------------
+
+_CELL = 1 / 32      # cell width of the bound's Riemann sums
+_DECAY = 16         # the sums stop where every log-integrand falls at rate _DECAY or more
+_LN2 = math.log(2)
+_SLACK = 2.0 ** -10   # log of the factor that covers the bound sums' double rounding
+
+
+def _lse(logs) -> float:
+    """``log sum exp(l)`` over ``logs``; ``-inf`` for none."""
+    top = max(logs, default=-math.inf)
+    return top if top == -math.inf else top + math.log(sum(math.exp(l - top) for l in logs))
+
+
+@dataclass(frozen=True)
+class _ThetaMajorant:
+    """Log bounds on a tame-side theta kernel ``sum_k a_k(x) e^(-mu k^2 e^(2x))``, x >= 0:
+    ``k^d A_1 e^(alpha x) <= a_k(x) <= k^d A e^(alpha x)`` where ``sign(k) > 0``,
+    ``|a_k(x)| <= k^d A e^(alpha x)`` where ``sign(k) < 0``, ``a_k = 0`` elsewhere.
+    At ``x + ib``, ``|e^(-mu k^2 e^(2(x+ib)))| = e^(-mu k^2 e^(2x) cos 2b)``.
+    """
+
+    log_amp: float                          # log A
+    log_first: float                        # log A_1, A_1 > 0
+    alpha: float
+    d: int
+    mu: float
+    sign: Callable[[int], int] = lambda k: 1
+    s = 0.75                                # strip half-width, below pi/4
+    c = math.cos(2 * s)                     # the least cos 2b on the strip
+
+    def _sums(self, X):
+        """Logs of the sums of ``k^d e^(-X k^2)`` over sign(k) > 0 and over sign(k) < 0
+        plus the rest; the terms' ratio bound ``(1 + 1/k)^d e^(-X(2k+1))`` falls in k."""
+        pos, neg, top, k = [], [], -math.inf, 1
         while True:
-            t = mpf_mul_int(h._mpf_, i, wp, round_nearest)
-            if not mpf_le(t, T._mpf_):
-                break
-            nodes.append(t)
-            i += 2
-        yield h, nodes
+            b = self.d * math.log(k) - X * k * k
+            top, sign = max(top, b), self.sign(k)
+            (pos if sign > 0 else neg if sign else []).append(b)
+            r = self.d * math.log1p(1 / k) - X * (2 * k + 1)
+            if r < -1 and b < top - 40:
+                return _lse(pos), _lse(neg + [b + r - math.log(-math.expm1(r))])
+            k += 1
+
+    def upper(self, lo, hi, c):
+        """Bound on ``|phi(x + ib)|`` for lo <= x <= hi, |b| <= s (c = self.c) or b = 0 (c = 1)."""
+        return self.log_amp + self.alpha * hi + _lse(self._sums(c * self.mu * math.exp(2 * lo)))
+
+    def lower(self, lo, hi):
+        """``(P, N)`` with ``phi(x) >= e^P - e^N`` for lo <= x <= hi."""
+        return (self.log_first + self.alpha * lo + self._sums(self.mu * math.exp(2 * hi))[0],
+                self.log_amp + self.alpha * hi + self._sums(self.mu * math.exp(2 * lo))[1])
+
+    def slope(self, x, c):
+        """Bound on the rate of ``upper`` beyond x."""
+        return self.alpha - 2 * c * self.mu * math.exp(2 * x)
 
 
-def _even_line_moments(
-    kernel: Callable[[object], object],
-    K: int,
-    precision: int,
-    T,
-    quad: QuadConfig,
-    kernel_name: str,
-) -> MomentResult:
+@dataclass(frozen=True)
+class _BesselKMajorant:
+    """Log bounds on ``e^(-a cosh x)``: ``|e^(-a cosh(x + ib))| = e^(-a cos(b) cosh x)``."""
+
+    a: float
+    s = 1.4                                 # strip half-width, below pi/2
+    c = math.cos(s)
+
+    def upper(self, lo, hi, c):
+        return -self.a * c * math.cosh(lo)
+
+    def lower(self, lo, hi):
+        return -self.a * math.cosh(hi), -math.inf
+
+    def slope(self, x, c):
+        return -self.a * c * math.sinh(x)
+
+
+def _strip_bounds(maj, K: int, T: float, h0: float):
+    """Logs ``(M, tail, low)`` per n = 0..K for ``g_n(z) = z^(2n) phi(z)``, phi even:
+    ``M[n]`` bounds the integral of ``|g_n(x + ib)|`` over x for ``|b| <= maj.s``,
+    ``tail[n]`` bounds ``h sum |g_n(ih)|`` over ``|ih| > T`` for ``h <= h0``, and
+    ``e^low[n]`` is at most the integral of ``g_n``.  Sums over cells of width
+    ``_CELL`` take the majorant (with ``|z|^(2n) <= (x^2 + s^2)^n``, rising at
+    rate ``2n/x`` at most) at its worst and the minorant at its least, up to the
+    first edge X beyond which every log-integrand falls at rate ``_DECAY``, plus
+    ``g_n(X)/_DECAY``; the tail needs a fall at rate 1.  Double precision."""
+    s, w = maj.s, _CELL
+    if maj.slope(T, 1.0) + 2 * K / T > -1:
+        raise QuadratureNotConverged(f"T = {T} is too small for a truncation bound")
+    strip, cells, X = [], [], 0.0
+    while X == 0 or maj.slope(X, maj.c) + 2 * K / X > -_DECAY:
+        hi = X + w   # (log at n = 0, log of the n-th root) of a strip term
+        strip.append((math.log(w) + maj.upper(X, hi, maj.c), math.log(hi * hi + s * s)))
+        cells.append((*maj.lower(X, hi), math.log(X) if X else -math.inf, math.log(hi)))
+        X = hi
+    # beyond X the integrals are at most the integrands at X over _DECAY
+    end, end_real = (maj.upper(X, X, c) - math.log(_DECAY) for c in (maj.c, 1.0))
+    strip.append((end, math.log(X * X + s * s)))
+    tail0 = maj.upper(T, T, 1.0) + math.log(h0 / -math.expm1(-h0)) + _LN2 + _SLACK
+    M, tail, low = [], [], []
+    for n in range(K + 1):
+        M.append(_LN2 + _SLACK + _lse([a + n * b for a, b in strip]))
+        tail.append(tail0 + 2 * n * math.log(T))
+        m = 2 * n + 1       # J: logs of the cells' integrals of x^(2n)
+        J = [m * hi + math.log1p(-math.exp(m * (lo - hi))) - math.log(m) for *_, lo, hi in cells]
+        P = _lse([p + j for (p, _, _, _), j in zip(cells, J)])
+        N = _lse([q + j for (_, q, _, _), j in zip(cells, J)] + [end_real + 2 * n * math.log(X)])
+        low.append(P + math.log(-math.expm1(N - P)) + _LN2 - _SLACK if N < P else -math.inf)
+    return M, tail, low
+
+
+def _even_line_moments(kernel: Callable[[object], object], K: int, precision: int, T,
+                       quad: QuadConfig, kernel_name: str, majorant) -> MomentResult:
     """integral t^{2n} f(t) dt over the whole line, n = 0..K, f even.
 
     ``kernel(t)`` is evaluated for t >= 0 only, at the ambient mpmath
-    precision.  Trapezoid sums at spacing h are refined by halving; the
-    difference of the last two refinements is the recorded error estimate.
+    precision; ``majorant`` bounds it (``_strip_bounds``).  The last level L
+    is the first (from 1) whose strip bound at ``h = h0 / 2^L``, tail
+    included, is below ``2^-(precision+8)`` times every moment's lower bound;
+    without one up to ``quad.levels``, or if ``|T_h - T_2h|`` exceeds the two
+    levels' bounds plus rounding, this raises ``QuadratureNotConverged``.
 
-    At convergence that difference is in practice working-precision
-    rounding noise, not a discretization error: each halving roughly
-    doubles the correct digits, so the level before the last is already
-    exact to the ``precision + 64`` working bits.  The Riemann moments at
-    1024 bits, for example, record ``0x5p-1088`` for b_0 and exactly 0 for
-    b_4.
-
-    The node sums run on libmp tuples with the calls, precision and
-    rounding (to nearest) of the ``mpf`` operators, so they are the
-    operator loop's sums bit for bit.  The kernel values come from
-    ``_values`` in node order, whichever process evaluated them.
+    The error, rounded up to 53 bits, bounds ``|values[n] - b_2n|``: the
+    strip bound at h, the rounding to ``precision`` bits and
+    ``2^-(precision+16) |T_h|`` for the node sums.  That allowance takes
+    each kernel value of one sign and within ``2^-(precision+22)`` of its
+    size: the theta series stop at ``2^-(precision+24)`` of their largest
+    term plus partial sum (the first term dominates on the tame side), 64
+    bits above the target.  The node sums are the ``mpf`` operators' calls,
+    precision and rounding on tuples.
     """
     wp = precision + _QUAD_GUARD_BITS
-    target = mpf(2) ** (-(precision + 8))
+    log_M, log_tail, log_low = _strip_bounds(majorant, K, float(T), quad.h0)
 
-    def add_node(sums, t, w):
-        """``sums[n] += w t^(2n)`` for n = 0..K, ``w = f(t)`` (tuples)."""
-        t2 = mpf_mul(t, t, wp, round_nearest)
-        sums[0] = mpf_add(sums[0], w, wp, round_nearest)
-        for n in range(1, K + 1):
-            w = mpf_mul(w, t2, wp, round_nearest)
-            sums[n] = mpf_add(sums[n], w, wp, round_nearest)
+    def bound(h):           # logs of the strip bound plus the tail at spacing h
+        y = 2 * math.pi * majorant.s / h
+        disc = _LN2 - y - math.log(-math.expm1(-y))     # log 2/(e^y - 1)
+        return [_lse([disc + m, t]) for m, t in zip(log_M, log_tail)]
+
+    goal = [low - (precision + 8) * _LN2 for low in log_low]
+    level = next((L for L in range(1, quad.levels + 1)
+                  if all(b <= g for b, g in zip(bound(quad.h0 / 2 ** L), goal))), None)
+    if level is None:
+        raise QuadratureNotConverged(f"{kernel_name}: the strip bound meets the target "
+                                     f"at no level up to {quad.levels} refinements")
 
     with workprec(wp):
-        Tm = mpf(T)
-        all_nodes = (t for _, ts in _trapezoid_levels(quad.h0, Tm, quad.levels) for t in ts)
-        with closing(_values(lambda t: kernel(_make_mpf(t))._mpf_, all_nodes)) as values:
-            levels = _trapezoid_levels(quad.h0, Tm, quad.levels)
-            # level 0 sums: s[n] = f(0)*[n==0]/2 + sum_{i>=1} (ih)^{2n} f(ih)
-            h, ts = next(levels)
-            sums = [(_make_mpf(next(values)) / 2)._mpf_] + [fzero] * K
-            for t in ts[1:]:
-                add_node(sums, t, next(values))
-            nodes = len(ts)
-            I = [2 * h * _make_mpf(s) for s in sums]
-            errors = None
-            level = 0
-            for level, (h, ts) in enumerate(levels, 1):
-                add = [fzero] * (K + 1)
-                for t in ts:
-                    add_node(add, t, next(values))
-                nodes += len(ts)
-                I_prev = I
-                I = [I_prev[n] / 2 + 2 * h * _make_mpf(add[n]) for n in range(K + 1)]
-                errors = [abs(I[n] - I_prev[n]) for n in range(K + 1)]
-                if all(errors[n] <= target * abs(I[n]) for n in range(K + 1)):
-                    break
-            else:
-                # with no refinement (levels <= 0) there is no error estimate
-                worst = max((float(e / abs(v)) for e, v in zip(errors or (), I)),
-                            default=float("inf"))
-                raise QuadratureNotConverged(
-                    f"{kernel_name}: no convergence after {quad.levels} refinements "
-                    f"(worst rel. err {worst:.3e})")
+        I, nodes = [mpf(0)] * (K + 1), 0
+        for h, ts in _trapezoid_levels(quad.h0, mpf(T), level):
+            add = [fzero] * (K + 1)
+            for t in ts:            # add[n] += w t^(2n), w = f(t), halved at t = 0
+                w = kernel(_make_mpf(t))
+                w = (w / 2 if t == fzero else w)._mpf_
+                t2 = mpf_mul(t, t, wp, round_nearest)
+                add[0] = mpf_add(add[0], w, wp, round_nearest)
+                for n in range(1, K + 1):
+                    w = mpf_mul(w, t2, wp, round_nearest)
+                    add[n] = mpf_add(add[n], w, wp, round_nearest)
+            nodes += len(ts)
+            I_prev, I = I, [I[n] / 2 + 2 * h * _make_mpf(add[n]) for n in range(K + 1)]
         values = tuple(BigFloat(v, precision) for v in I)
-        errs = tuple(BigFloat(e, precision) for e in errors)
-    meta = {
-        "kernel": kernel_name,
-        "precision_bits": precision,
-        "T": float(T),
-        "h_final": float(h),
-        "levels_used": level,
-        "nodes": nodes,
-        "orders": K,
-    }
-    return MomentResult(values=values, errors=errs, metadata=meta)
+        # e^b = 2^(b // ln 2) e^(b % ln 2), also below the float range
+        at_h, at_2h = ([mpmath.ldexp(math.exp(b % _LN2), int(b // _LN2)) for b in bound(g)]
+                       for g in (float(h), 2 * float(h)))
+        errs = []
+        for n in range(K + 1):
+            allowance = abs(I[n]) * mpf(2) ** -(precision + 16)
+            if abs(I[n] - I_prev[n]) > at_h[n] + at_2h[n] + 2 * allowance:
+                raise QuadratureNotConverged(
+                    f"{kernel_name}: |T_h - T_2h| of b_{2 * n} exceeds its strip bound")
+            err = (at_h[n] + allowance + abs(values[n].value - I[n]))._mpf_
+            errs.append(BigFloat(_make_mpf(mpf_pos(err, 53, round_ceiling)), precision))
+    meta = {"kernel": kernel_name, "precision_bits": precision, "T": float(T),
+            "h_final": float(h), "levels_used": level, "nodes": nodes, "orders": K}
+    return MomentResult(values=values, errors=tuple(errs), metadata=meta)
 
 
 def _adaptive_T(decay_rate_log, K: int, precision: int) -> float:
@@ -490,17 +497,12 @@ def _adaptive_T(decay_rate_log, K: int, precision: int) -> float:
     ``decay_rate_log(T)`` returns log(kernel decay) ~ c * e^{2T}; solved by
     fixed-point iteration on log(kernel(T)) = -(precision+48) ln2 - 2K ln T.
     """
-    import math
-
     need = (precision + 48) * math.log(2)
     T = 1.0
     for _ in range(60):
-        rhs = need + 2 * K * math.log(max(T, 1.0))
-        T_new = decay_rate_log(rhs)
-        if abs(T_new - T) < 1e-9:
-            T = T_new
+        T, T_old = decay_rate_log(need + 2 * K * math.log(max(T, 1.0))), T
+        if abs(T - T_old) < 1e-9:
             break
-        T = T_new
     return T + 0.1
 
 
@@ -543,8 +545,6 @@ def _kernel_value(terms, t, precision: int, use_evenness: bool, modulus: int = 1
     the estimated cancellation ``~ pi e^{2t} / (m ln 2)`` bits for a kernel
     whose Gaussian factors are ``e^{-n^2 pi e^{-2t}/m}`` (``m = 1``: Riemann).
     """
-    import math
-
     boost = 0
     if not use_evenness and float(t) > 0:
         boost = int(math.pi * math.exp(2 * float(t)) / (modulus * math.log(2))) + 64
@@ -558,9 +558,12 @@ def _kernel_value(terms, t, precision: int, use_evenness: bool, modulus: int = 1
         return BigFloat(v, precision)
 
 
-def _reflected(terms, N_s_max: int, eps_bits: int):
-    """The quadrature kernel ``t -> phi(-t)`` (tame terms for ``t >= 0``)."""
-    return lambda t: terms(-t, N_s_max, eps_bits)[0]
+def _theta_moments(terms, majorant, K, precision, T, quad, name) -> MomentResult:
+    """Moments of the theta kernel of ``terms``, its series summed at ``-t`` (tame terms)."""
+    mr = _even_line_moments(lambda t: terms(-t, quad.N_s_max, precision + 24)[0], K,
+                            precision, T, quad, name, majorant)
+    mr.metadata["variant"] = "theta-even"
+    return mr
 
 
 def _evenness_defect(phi, t, precision: int) -> BigFloat:
@@ -640,21 +643,23 @@ def riemann_evenness_defect(t, precision: int = DEFAULT_PRECISION_BITS) -> BigFl
     return _evenness_defect(lambda s, p: riemann_phi(s, p, use_evenness=False), t, precision)
 
 
+# the Riemann terms a_k(x) = 2 pi (2 pi k^4 e^(9x/2) - 3 k^2 e^(5x/2)) at x >= 0 lie
+# between k^4 2 pi (2 pi -+ 3) e^(9x/2)
+_RIEMANN_MAJORANT = _ThetaMajorant(math.log(2 * math.pi * (2 * math.pi + 3)),
+                                   math.log(2 * math.pi * (2 * math.pi - 3)), 4.5, 4, math.pi)
+
+
 def riemann_moments(
     K: int,
     precision: int = DEFAULT_PRECISION_BITS,
     quad: QuadConfig = DEFAULT_QUAD,
 ) -> MomentResult:
     """Even moments b_{2n} of the xi kernel, n = 0..K."""
-    import math
-
     if K < 0:
         raise ValueError("K must be nonnegative")
     T = quad.T or _adaptive_T(lambda rhs: 0.5 * math.log(rhs / math.pi), K, precision)
-    kernel = _reflected(_riemann_kernel_terms, quad.N_s_max, precision + 24)
-    mr = _even_line_moments(kernel, K, precision, T, quad, "riemann_xi")
-    mr.metadata["variant"] = "theta-even"
-    return mr
+    return _theta_moments(_riemann_kernel_terms, _RIEMANN_MAJORANT, K, precision, T, quad,
+                          "riemann_xi")
 
 
 # ---------------------------------------------------------------------------
@@ -743,16 +748,14 @@ def dirichlet_moments(
     If a nonnegativity scan is supplied its outcome is recorded; a failed
     scan flags the moments instead of refusing to compute them.
     """
-    import math
-
     if K < 0:
         raise ValueError("K must be nonnegative")
     m = chi.modulus
     T = quad.T or _adaptive_T(lambda rhs: 0.5 * math.log(m * rhs / math.pi), K, precision)
-    kernel = _reflected(_character_terms(chi, 2 * chi.parity + 1), quad.N_s_max,
-                        precision + 24)
-    mr = _even_line_moments(kernel, K, precision, T, quad, f"dirichlet_xi[{chi.label}]")
-    mr.metadata["variant"] = "theta-even"
+    majorant = _ThetaMajorant(math.log(2), math.log(2), chi.parity + 0.5, chi.parity,
+                              math.pi / m, chi)
+    mr = _theta_moments(_character_terms(chi, 2 * chi.parity + 1), majorant, K, precision,
+                        T, quad, f"dirichlet_xi[{chi.label}]")
     mr.metadata["modulus"] = m
     mr.metadata["parity"] = chi.parity
     if scan is not None:
@@ -778,8 +781,6 @@ def besselk_moments(
     These give the even Taylor coefficients of K_{iz}(a) around z = 0:
     K_{iz}(a) = sum (-1)^n c_{2n} z^{2n} / (2n)!.
     """
-    import math
-
     af = float(a)
     if af <= 0:
         raise ValueError("a must be positive")
@@ -797,7 +798,8 @@ def besselk_moments(
     def kernel(u):
         return mpmath.exp(neg_a * mpmath.cosh(u))
 
-    mr = _even_line_moments(kernel, K, precision, T, quad, f"bessel_k[a={af}]")
+    mr = _even_line_moments(kernel, K, precision, T, quad, f"bessel_k[a={af}]",
+                            _BesselKMajorant(af))
     # kernel integral was over the whole line; these moments are half-line
     with workprec(precision + 8):
         values = tuple(BigFloat(v.value / 2, precision) for v in mr.values)
@@ -847,23 +849,12 @@ def phi_nonneg_scan(
     Evenness covers negative t.  A PASS (no negative value) is grid evidence
     for the kernel-nonnegativity assumption, never a proof.
     """
-    best = None
-    best_t = 0.0
     step = grid.t_max / (grid.points - 1)
-    ts = (i * step for i in range(grid.points))
-    with closing(_values(lambda t: (t, dirichlet_phi(t, chi, precision)), ts)) as values:
-        for t, v in values:
-            if best is None or v < best:
-                best = v
-                best_t = t
-    return ScanReport(
-        passed=bool(best >= 0),
-        min_value=best,
-        argmin=best_t,
-        t_max=grid.t_max,
-        points=grid.points,
-        label=chi.label,
-    )
+    # min keeps the first of equal values
+    best, best_t = min(((dirichlet_phi(i * step, chi, precision), i * step)
+                        for i in range(grid.points)), key=lambda pair: pair[0])
+    return ScanReport(passed=bool(best >= 0), min_value=best, argmin=best_t,
+                      t_max=grid.t_max, points=grid.points, label=chi.label)
 
 
 # ---------------------------------------------------------------------------

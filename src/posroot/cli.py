@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep parameters symbolic (rational-function mode)")
         p.add_argument("--precision", type=int, default=None, help="bits")
         p.add_argument("--quad-T", type=float, default=None)
-        p.add_argument("--quad-levels", type=int, default=12)
+        p.add_argument("--quad-levels", type=int, default=12,
+                       help="highest h-halving level the error bound may choose")
         p.add_argument("--quad-ns-max", type=int, default=200000)
         p.add_argument("--output", default=None, help="report path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv", "both"])
@@ -310,6 +311,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.orders < 0:
+        raise ConfigError(f"--orders {args.orders} must be nonnegative")
     spec = _build_spec(args)
     mr = spec.moments(args.orders)
     _emit(args, mr.metadata, function=spec.label,
@@ -320,6 +323,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_powersums(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count {args.count} must be positive")
     spec = _build_spec(args)
     e = spec.elementary(args.count)
     p = power_sums_from_elementary(e, args.count)
@@ -346,6 +351,8 @@ def _cmd_zeros(args) -> int:
         return EXIT_PASS
     if args.nu is None or args.count is None:
         raise ConfigError("zeros needs either --table or both --nu and --count")
+    if args.count < 1:
+        raise ConfigError(f"--count {args.count} must be positive")
     table = bessel_zeros(_parse_fraction(args.nu, "nu"), args.count, precision)
     _emit(args, source=table.source, function="bessel", nu=str(args.nu),
           zeros=[str(z) for z in table.ordinates])

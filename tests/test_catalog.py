@@ -1,5 +1,4 @@
-import os
-import threading
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 from math import factorial
@@ -8,6 +7,7 @@ import mpmath
 import pytest
 
 from posroot.catalog import (
+    DEFAULT_QUAD,
     FunctionKind,
     FunctionSpec,
     GridConfig,
@@ -545,113 +545,118 @@ class TestFunctionSpec:
         assert meta["quadrature"] == {**full.metadata, "orders": 2}
 
 
-def _quad_digest(mr):
-    """Every bit of a moment result: values, errors (tuple and precision) and metadata."""
-    return ([(v.value._mpf_, v.prec) for v in mr.values],
-            [(e.value._mpf_, e.prec) for e in mr.errors], mr.metadata)
-
-
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestNodeSplit:
-    """Kernel values from a forked child give the one-process results bit for bit."""
-
-    @staticmethod
-    def _force(monkeypatch, spare):
-        monkeypatch.setattr(catalog, "_spare_cpu", lambda: spare)
-
-    @pytest.mark.parametrize("run", [
-        lambda: riemann_moments(16, 1024),
-        lambda: dirichlet_moments(kronecker_character(8), 8, 640),
-        lambda: besselk_moments(2, 8, 256),
-    ], ids=["riemann-1024", "dirichlet-8-640", "besselk-2-256"])
-    def test_moments_bit_identical(self, monkeypatch, run):
-        digests = []
-        for spare in (False, True):
-            self._force(monkeypatch, spare)
-            digests.append(_quad_digest(run()))
-            assert_no_child_process()
-        assert digests[0] == digests[1]
-
-    def test_scan_identical(self, monkeypatch):
-        chi = kronecker_character(-4)
-        reports = []
-        for spare in (False, True):
-            self._force(monkeypatch, spare)
-            rep = phi_nonneg_scan(chi, GridConfig(t_max=6.0, points=401), precision=96)
-            reports.append((rep, rep.min_value.value._mpf_, rep.min_value.prec))
-            assert_no_child_process()
-        assert reports[0] == reports[1]
+    """The node list split into levels: the strip bound picks the last level
+    before any kernel value is computed, and a kernel error surfaces at its node."""
 
     def test_scan_first_minimum_wins(self, monkeypatch):
-        # ties at grid points 11 (a child's), 12 (this process's) and 21
+        # ties at grid points 11, 12 and 21
         def phi(t, chi, precision):
             return BigFloat(0 if round(10 * t) in (11, 12, 21) else 1, precision)
 
         monkeypatch.setattr(catalog, "dirichlet_phi", phi)
-        for spare in (False, True):
-            self._force(monkeypatch, spare)
-            rep = phi_nonneg_scan(kronecker_character(-4), GridConfig(t_max=3.0, points=31))
-            assert rep.argmin == 11 * 0.1
-            assert_no_child_process()
+        rep = phi_nonneg_scan(kronecker_character(-4), GridConfig(t_max=3.0, points=31))
+        assert rep.argmin == 11 * 0.1
 
-    def test_values_in_order(self, monkeypatch):
-        self._force(monkeypatch, True)
-        assert list(catalog._values(lambda x: x * x, range(50))) == [x * x for x in range(50)]
-        assert_no_child_process()
-
-    def test_generator_closed_early(self, monkeypatch):
-        self._force(monkeypatch, True)
-        values = catalog._values(lambda x: x + 1, range(1000))
-        assert [next(values) for _ in range(5)] == [1, 2, 3, 4, 5]
-        values.close()
-        assert_no_child_process()
-
-    def test_not_converged(self, monkeypatch):
-        for spare in (False, True):
-            self._force(monkeypatch, spare)
-            with pytest.raises(catalog.QuadratureNotConverged):
-                besselk_moments(1, 4, 256, QuadConfig(levels=1))
-            assert_no_child_process()
+    def test_not_converged(self):
+        with pytest.raises(catalog.QuadratureNotConverged, match="no level up to 1 "):
+            besselk_moments(1, 4, 256, QuadConfig(levels=1))
 
     @pytest.mark.parametrize("levels", [0, -1])
-    def test_no_refinement_is_not_converged(self, monkeypatch, levels):
-        for spare in (False, True):
-            self._force(monkeypatch, spare)
-            with pytest.raises(catalog.QuadratureNotConverged,
-                               match=f"after {levels} refinements"):
-                besselk_moments(1, 2, 64, QuadConfig(levels=levels))
-            assert_no_child_process()
+    def test_no_refinement_is_not_converged(self, levels):
+        def kernel(t):
+            raise AssertionError("a kernel value was computed")
 
-    @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # a child's node, this process's node
-    def test_kernel_error_raised_here(self, monkeypatch, bad_t):
+        with pytest.raises(catalog.QuadratureNotConverged,
+                           match=f"no level up to {levels} refinements"):
+            catalog._even_line_moments(kernel, 2, 64, 4.0, QuadConfig(levels=levels),
+                                       "never", catalog._BesselKMajorant(1.0))
+
+    @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # nodes of level 0
+    def test_kernel_error_raised_here(self, bad_t):
         class KernelFailed(Exception):
             pass
 
         def kernel(t):
             if t == bad_t:
                 raise KernelFailed(t)
-            return mpmath.exp(-t * t)
+            return mpmath.exp(-mpmath.cosh(t))
 
-        for spare in (False, True):
-            self._force(monkeypatch, spare)
-            with pytest.raises(KernelFailed):
-                catalog._even_line_moments(kernel, 2, 64, 4.0, QuadConfig(), "failing")
-            assert_no_child_process()
+        with pytest.raises(KernelFailed):
+            catalog._even_line_moments(kernel, 2, 64, 6.0, QuadConfig(), "failing",
+                                       catalog._BesselKMajorant(1.0))
 
-    def test_no_spare_cpu_while_another_thread_runs(self):
-        release = threading.Event()
-        worker = threading.Thread(target=release.wait, args=(10,))
-        worker.start()
-        try:
-            assert not catalog._spare_cpu()
-        finally:
-            release.set()
-            worker.join(10)
-        assert not worker.is_alive()
+
+def _with_strip_bounds(monkeypatch, change):
+    """Run ``_strip_bounds`` and hand its (M, tail, low) to ``change``."""
+    strip_bounds = catalog._strip_bounds
+    monkeypatch.setattr(catalog, "_strip_bounds",
+                        lambda *args: change(*strip_bounds(*args)))
+
+
+class TestStripBound:
+    """The a priori trapezoid bound: level choice, recorded errors and the guard."""
+
+    def test_understated_M_trips_the_guard(self, monkeypatch):
+        cut = 200 * math.log(2)
+        _with_strip_bounds(monkeypatch, lambda M, tail, low: ([m - cut for m in M], tail, low))
+        with pytest.raises(catalog.QuadratureNotConverged, match="exceeds its strip bound"):
+            riemann_moments(4, 256)
+
+    @pytest.mark.parametrize("precision", [160, 256, 1024])
+    def test_riemann_error_covers_closed_form(self, precision):
+        mr = riemann_moments(1, precision)
+        with mpmath.workprec(precision + 64):
+            b0 = (-mpmath.pi ** (-mpmath.mpf(1) / 4) * mpmath.gamma(mpmath.mpf(1) / 4)
+                  * mpmath.zeta(mpmath.mpf(1) / 2) / 8)
+            assert abs(mr[0].value - b0) <= mr.errors[0].value
+            # the bound is tight: rounding to the report precision dominates it
+            assert mr.errors[0].value < b0 * mpmath.mpf(2) ** -precision
+
+    @pytest.mark.parametrize("a", [1, 2])
+    @pytest.mark.parametrize("precision", [192, 512])
+    def test_besselk_error_covers_closed_form(self, a, precision):
+        mr = besselk_moments(a, 1, precision)
+        with mpmath.workprec(precision + 64):
+            c0 = mpmath.besselk(0, a)
+            assert abs(mr[0].value - c0) <= mr.errors[0].value
+            assert mr.errors[0].value < c0 * mpmath.mpf(2) ** -precision
+
+    @pytest.mark.parametrize("run, precision", [
+        (lambda p: riemann_moments(4, p), 256),
+        (lambda p: dirichlet_moments(kronecker_character(-4), 4, p), 192),
+        (lambda p: dirichlet_moments(kronecker_character(5), 4, p), 192),
+        (lambda p: besselk_moments(1, 4, p), 192),
+    ], ids=["riemann", "dirichlet-4", "dirichlet5", "besselk"])
+    def test_error_covers_finer_reference(self, monkeypatch, run, precision):
+        mr = run(precision)
+        level = run(precision + 64).metadata["levels_used"]
+        # inflating M by e^(2 pi s/h) at that level makes the bound pick one more
+        majorant = catalog._BesselKMajorant if "bessel" in mr.metadata["kernel"] \
+            else catalog._ThetaMajorant
+        boost = 2 * math.pi * majorant.s * 2 ** level / DEFAULT_QUAD.h0
+        _with_strip_bounds(monkeypatch, lambda M, tail, low: ([m + boost for m in M], tail, low))
+        ref = run(precision + 64)
+        assert ref.metadata["levels_used"] == level + 1
+        assert level >= mr.metadata["levels_used"]
+        with mpmath.workprec(precision + 128):
+            for n in range(5):
+                assert abs(mr[n].value - ref[n].value) <= mr.errors[n].value + ref.errors[n].value
+                assert ref.errors[n].value < mr.errors[n].value * mpmath.mpf(2) ** -48
+
+    # one level below the stop of the refine-until-two-levels-agree rule
+    @pytest.mark.parametrize("run, level", [
+        (lambda: riemann_moments(25, 1024), 6),
+        (lambda: riemann_moments(16, 1024), 6),
+        (lambda: dirichlet_moments(kronecker_character(-4), 25, 1024), 6),
+        (lambda: dirichlet_moments(kronecker_character(8), 17, 640), 5),
+        (lambda: besselk_moments(2, 16, 1024), 5),
+    ], ids=["riemann-K25-1024", "riemann-K16-1024", "dirichlet-4-K25-1024",
+            "dirichlet8-K17-640", "besselk2-K16-1024"])
+    def test_levels_of_the_xi_quadrature_jobs(self, run, level):
+        mr = run()
+        assert mr.metadata["levels_used"] == level
+        assert mr.metadata["h_final"] == DEFAULT_QUAD.h0 / 2 ** level
 
 
 class TestHoistedConstants:

@@ -1,12 +1,8 @@
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import posroot
 from posroot.cli import main
 from posroot.scalars import parse_bigfloat
 from posroot.zeros import bessel_zeros
@@ -218,30 +214,6 @@ class TestMomentsCommand:
         assert "QuadratureNotConverged" in capsys.readouterr().err
         assert not out.exists()
 
-    # the quadrature's child is killed when the moments converge; the scan's
-    # child finishes its share and leaves by itself
-    @pytest.mark.parametrize("argv", [
-        ["moments", "--function", "riemann-xi", "--orders", "2", "--precision", "128"],
-        ["scan-phi", "--discriminant", "-4", "--points", "41", "--precision", "96"],
-    ], ids=["moments", "scan-phi"])
-    def test_stdout_not_duplicated_by_the_child(self, argv):
-        # stdout to a pipe is block-buffered, so the marker is still in this
-        # process's buffer when the child is forked
-        script = ("import sys; from posroot import catalog; "
-                  "catalog._spare_cpu = lambda: {spare}; print('marker'); "
-                  "from posroot.cli import main; sys.exit(main({argv!r}))")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(posroot.__file__))
-        outs = []
-        for spare in (False, True):
-            done = subprocess.run([sys.executable, "-c", script.format(spare=spare, argv=argv)],
-                                  capture_output=True, text=True, env=env, timeout=120)
-            assert done.returncode == 0, done.stderr
-            outs.append(done.stdout)
-        assert outs[0] == outs[1]
-        assert outs[1].count("marker") == 1
-        assert outs[1].count('"schema"') == 1
-
 
 class TestPowerSumsCommand:
     def test_symbolic_bessel(self, tmp_path):
@@ -338,6 +310,11 @@ def test_bad_parameter_is_one_error_line(argv, capsys):
     assert "Traceback" not in captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    # a range error names the flag the user typed
+    flag = {"--orders": "--orders -1 must be nonnegative", "--count": "--count 0 must be positive"}
+    for name, message in flag.items():
+        if name in argv.split():
+            assert lines[0] == f"error: {message}"
 
 
 class TestEnvPrecision:
