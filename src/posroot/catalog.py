@@ -18,8 +18,8 @@ is analytic in a strip ``|Im t| < s``, so the trapezoid rule at step ``h``
 errs by at most ``2M/(e^(2 pi s/h) - 1)`` (Trefethen & Weideman, SIAM Rev.
 56(3), 2014, Thm 5.1), ``M`` bounding the integral of ``|t^(2n) phi|`` along
 the strip's lines.  Low-precision Riemann sums bound ``M``, the truncation
-tail and the moments themselves; they choose the final ``h`` before any
-kernel value is computed, and the bound plus rounding is the recorded error.
+tail and the moments; they choose the cut-off ``T`` and the final ``h`` before
+any kernel value is computed, and the bound plus rounding is the recorded error.
 
 The xi kernels are theta-type series.  Evaluated literally they suffer
 catastrophic cancellation for ``t > 0`` (the terms are huge compared to the
@@ -270,7 +270,7 @@ def airy_coeffs(K: int, precision: int = DEFAULT_PRECISION_BITS) -> ElementarySe
 class QuadConfig:
     """Knobs for the moment quadrature: truncation, refinement, series caps."""
 
-    T: Optional[float] = None      # half-line truncation point (None = adaptive)
+    T: Optional[float] = None      # half-line truncation point; None = the tail bound's
     levels: int = 12               # highest number of h-halvings the strip bound may choose
     N_s_max: int = 200000          # cap on kernel series terms per node
     h0: float = 0.25               # coarsest node spacing
@@ -321,6 +321,8 @@ _CELL = 1 / 32      # cell width of the bound's Riemann sums
 _DECAY = 16         # the sums stop where every log-integrand falls at rate _DECAY or more
 _LN2 = math.log(2)
 _SLACK = 2.0 ** -10   # log of the factor that covers the bound sums' double rounding
+_T_STEP = 1 / 16    # grid of the truncation point T
+_T_SPARE = 16       # bits by which the tail at T undercuts every moment's goal
 
 
 def _lse(logs) -> float:
@@ -391,18 +393,20 @@ class _BesselKMajorant:
         return -self.a * c * math.sinh(x)
 
 
-def _strip_bounds(maj, K: int, T: float, h0: float):
-    """Logs ``(M, tail, low)`` per n = 0..K for ``g_n(z) = z^(2n) phi(z)``, phi even:
-    ``M[n]`` bounds the integral of ``|g_n(x + ib)|`` over x for ``|b| <= maj.s``,
-    ``tail[n]`` bounds ``h sum |g_n(ih)|`` over ``|ih| > T`` for ``h <= h0``, and
-    ``e^low[n]`` is at most the integral of ``g_n``.  Sums over cells of width
-    ``_CELL`` take the majorant (with ``|z|^(2n) <= (x^2 + s^2)^n``, rising at
-    rate ``2n/x`` at most) at its worst and the minorant at its least, up to the
-    first edge X beyond which every log-integrand falls at rate ``_DECAY``, plus
-    ``g_n(X)/_DECAY``; the tail needs a fall at rate 1.  Double precision."""
+def _strip_bounds(maj, K: int, precision: int, h0: float, T: Optional[float] = None):
+    """``T`` and logs ``(M, tail, goal)`` per n = 0..K for ``g_n(z) = z^(2n) phi(z)``,
+    phi even: ``M[n]`` bounds the integral of ``|g_n(x + ib)|`` over x for ``|b| <=
+    maj.s``, ``tail[n]`` bounds ``h sum |g_n(ih)|`` over ``|ih| > T`` for ``h <= h0``,
+    and ``goal[n]`` is ``2^-(precision+8)`` times a lower bound of the integral of
+    ``g_n``.  Sums over cells of width ``_CELL`` take the majorant (with ``|z|^(2n)
+    <= (x^2 + s^2)^n``, rising at rate ``2n/x`` at most) at its worst and the
+    minorant at its least, up to the first edge X beyond which every log-integrand
+    falls at rate ``_DECAY``, plus ``g_n(X)/_DECAY``.  ``T`` is the first multiple
+    of ``_T_STEP`` whose tail is ``_T_SPARE`` bits under every goal; a given ``T``
+    only has to meet the goals.  The tail needs a fall at rate 1.  Double precision."""
+    if T is not None and not 0 < T < math.inf:
+        raise ValueError(f"T = {T} must be positive and finite")
     s, w = maj.s, _CELL
-    if maj.slope(T, 1.0) + 2 * K / T > -1:
-        raise QuadratureNotConverged(f"T = {T} is too small for a truncation bound")
     strip, cells, X = [], [], 0.0
     while X == 0 or maj.slope(X, maj.c) + 2 * K / X > -_DECAY:
         hi = X + w   # (log at n = 0, log of the n-th root) of a strip term
@@ -412,29 +416,42 @@ def _strip_bounds(maj, K: int, T: float, h0: float):
     # beyond X the integrals are at most the integrands at X over _DECAY
     end, end_real = (maj.upper(X, X, c) - math.log(_DECAY) for c in (maj.c, 1.0))
     strip.append((end, math.log(X * X + s * s)))
-    tail0 = maj.upper(T, T, 1.0) + math.log(h0 / -math.expm1(-h0)) + _LN2 + _SLACK
-    M, tail, low = [], [], []
+    M, goal = [], []
     for n in range(K + 1):
         M.append(_LN2 + _SLACK + _lse([a + n * b for a, b in strip]))
-        tail.append(tail0 + 2 * n * math.log(T))
         m = 2 * n + 1       # J: logs of the cells' integrals of x^(2n)
         J = [m * hi + math.log1p(-math.exp(m * (lo - hi))) - math.log(m) for *_, lo, hi in cells]
         P = _lse([p + j for (p, _, _, _), j in zip(cells, J)])
         N = _lse([q + j for (_, q, _, _), j in zip(cells, J)] + [end_real + 2 * n * math.log(X)])
-        low.append(P + math.log(-math.expm1(N - P)) + _LN2 - _SLACK if N < P else -math.inf)
-    return M, tail, low
+        if N >= P:
+            raise QuadratureNotConverged(f"no positive lower bound of b_{2 * n}")
+        goal.append(P + math.log(-math.expm1(N - P)) + _LN2 - _SLACK - (precision + 8) * _LN2)
+
+    def tail(T):        # +inf where the integrand may not fall at rate 1 beyond T
+        if maj.slope(T, 1.0) + 2 * K / T > -1:
+            return [math.inf] * (K + 1)
+        t0 = maj.upper(T, T, 1.0) + math.log(h0 / -math.expm1(-h0)) + _LN2 + _SLACK
+        return [t0 + 2 * n * math.log(T) for n in range(K + 1)]
+
+    if T is None:
+        T = _T_STEP
+        while any(t > g - _T_SPARE * _LN2 for t, g in zip(tail(T), goal)):
+            T += _T_STEP
+    elif any(t > g for t, g in zip(tail(T), goal)):
+        raise QuadratureNotConverged(f"T = {T} is too small: its tail misses the target")
+    return float(T), M, tail(T), goal
 
 
-def _even_line_moments(kernel: Callable[[object], object], K: int, precision: int, T,
+def _even_line_moments(kernel: Callable[[object], object], K: int, precision: int,
                        quad: QuadConfig, kernel_name: str, majorant) -> MomentResult:
     """integral t^{2n} f(t) dt over the whole line, n = 0..K, f even.
 
     ``kernel(t)`` is evaluated for t >= 0 only, at the ambient mpmath
-    precision; ``majorant`` bounds it (``_strip_bounds``).  The last level L
-    is the first (from 1) whose strip bound at ``h = h0 / 2^L``, tail
-    included, is below ``2^-(precision+8)`` times every moment's lower bound;
-    without one up to ``quad.levels``, or if ``|T_h - T_2h|`` exceeds the two
-    levels' bounds plus rounding, this raises ``QuadratureNotConverged``.
+    precision; ``majorant`` bounds it and gives ``T`` unless ``quad.T`` does
+    (``_strip_bounds``).  The last level L is the first (from 1) whose strip
+    bound at ``h = h0 / 2^L``, tail included, is below the goals; without one
+    up to ``quad.levels``, or if ``|T_h - T_2h|`` exceeds the two levels'
+    bounds plus rounding, this raises ``QuadratureNotConverged``.
 
     The error, rounded up to 53 bits, bounds ``|values[n] - b_2n|``: the
     strip bound at h, the rounding to ``precision`` bits and
@@ -446,14 +463,13 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
     precision and rounding on tuples.
     """
     wp = precision + _QUAD_GUARD_BITS
-    log_M, log_tail, log_low = _strip_bounds(majorant, K, float(T), quad.h0)
+    T, log_M, log_tail, goal = _strip_bounds(majorant, K, precision, quad.h0, quad.T)
 
     def bound(h):           # logs of the strip bound plus the tail at spacing h
         y = 2 * math.pi * majorant.s / h
         disc = _LN2 - y - math.log(-math.expm1(-y))     # log 2/(e^y - 1)
         return [_lse([disc + m, t]) for m, t in zip(log_M, log_tail)]
 
-    goal = [low - (precision + 8) * _LN2 for low in log_low]
     level = next((L for L in range(1, quad.levels + 1)
                   if all(b <= g for b, g in zip(bound(quad.h0 / 2 ** L), goal))), None)
     if level is None:
@@ -489,21 +505,6 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
     meta = {"kernel": kernel_name, "precision_bits": precision, "T": float(T),
             "h_final": float(h), "levels_used": level, "nodes": nodes, "orders": K}
     return MomentResult(values=values, errors=tuple(errs), metadata=meta)
-
-
-def _adaptive_T(decay_rate_log, K: int, precision: int) -> float:
-    """Truncation point T with kernel(T) * T^{2K} below the target.
-
-    ``decay_rate_log(T)`` returns log(kernel decay) ~ c * e^{2T}; solved by
-    fixed-point iteration on log(kernel(T)) = -(precision+48) ln2 - 2K ln T.
-    """
-    need = (precision + 48) * math.log(2)
-    T = 1.0
-    for _ in range(60):
-        T, T_old = decay_rate_log(need + 2 * K * math.log(max(T, 1.0))), T
-        if abs(T - T_old) < 1e-9:
-            break
-    return T + 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +559,10 @@ def _kernel_value(terms, t, precision: int, use_evenness: bool, modulus: int = 1
         return BigFloat(v, precision)
 
 
-def _theta_moments(terms, majorant, K, precision, T, quad, name) -> MomentResult:
+def _theta_moments(terms, majorant, K, precision, quad, name) -> MomentResult:
     """Moments of the theta kernel of ``terms``, its series summed at ``-t`` (tame terms)."""
     mr = _even_line_moments(lambda t: terms(-t, quad.N_s_max, precision + 24)[0], K,
-                            precision, T, quad, name, majorant)
+                            precision, quad, name, majorant)
     mr.metadata["variant"] = "theta-even"
     return mr
 
@@ -657,8 +658,7 @@ def riemann_moments(
     """Even moments b_{2n} of the xi kernel, n = 0..K."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    T = quad.T or _adaptive_T(lambda rhs: 0.5 * math.log(rhs / math.pi), K, precision)
-    return _theta_moments(_riemann_kernel_terms, _RIEMANN_MAJORANT, K, precision, T, quad,
+    return _theta_moments(_riemann_kernel_terms, _RIEMANN_MAJORANT, K, precision, quad,
                           "riemann_xi")
 
 
@@ -750,13 +750,11 @@ def dirichlet_moments(
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    m = chi.modulus
-    T = quad.T or _adaptive_T(lambda rhs: 0.5 * math.log(m * rhs / math.pi), K, precision)
     majorant = _ThetaMajorant(math.log(2), math.log(2), chi.parity + 0.5, chi.parity,
-                              math.pi / m, chi)
+                              math.pi / chi.modulus, chi)
     mr = _theta_moments(_character_terms(chi, 2 * chi.parity + 1), majorant, K, precision,
-                        T, quad, f"dirichlet_xi[{chi.label}]")
-    mr.metadata["modulus"] = m
+                        quad, f"dirichlet_xi[{chi.label}]")
+    mr.metadata["modulus"] = chi.modulus
     mr.metadata["parity"] = chi.parity
     if scan is not None:
         mr.metadata["scan_passed"] = scan.passed
@@ -786,7 +784,6 @@ def besselk_moments(
         raise ValueError("a must be positive")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    T = quad.T or _adaptive_T(lambda rhs: math.log(2 * rhs / af), K, precision)
     if isinstance(a, BigFloat):
         a_num, a_den = a.value, 1
     else:
@@ -798,7 +795,7 @@ def besselk_moments(
     def kernel(u):
         return mpmath.exp(neg_a * mpmath.cosh(u))
 
-    mr = _even_line_moments(kernel, K, precision, T, quad, f"bessel_k[a={af}]",
+    mr = _even_line_moments(kernel, K, precision, quad, f"bessel_k[a={af}]",
                             _BesselKMajorant(af))
     # kernel integral was over the whole line; these moments are half-line
     with workprec(precision + 8):

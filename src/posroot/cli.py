@@ -176,6 +176,8 @@ def _parse_fraction(text, name):
 def _build_spec(args) -> FunctionSpec:
     kind = FunctionKind(args.function)
     precision = _precision(args)
+    if args.quad_T is not None and not 0 < args.quad_T < float("inf"):
+        raise ConfigError(f"--quad-T {args.quad_T} must be positive and finite")
     quad = QuadConfig(T=args.quad_T, levels=args.quad_levels, N_s_max=args.quad_ns_max)
     params = {}
     if args.nu is not None:

@@ -29,6 +29,7 @@ from posroot.catalog import (
     sinc_coeffs,
 )
 from posroot import catalog
+from posroot.cli import main
 from posroot.characters import kronecker_character
 from posroot.scalars import BigFloat, RationalFunction, ScalarError
 from posroot.symfun import power_sums_from_elementary
@@ -569,7 +570,7 @@ class TestNodeSplit:
 
         with pytest.raises(catalog.QuadratureNotConverged,
                            match=f"no level up to {levels} refinements"):
-            catalog._even_line_moments(kernel, 2, 64, 4.0, QuadConfig(levels=levels),
+            catalog._even_line_moments(kernel, 2, 64, QuadConfig(levels=levels),
                                        "never", catalog._BesselKMajorant(1.0))
 
     @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # nodes of level 0
@@ -583,15 +584,19 @@ class TestNodeSplit:
             return mpmath.exp(-mpmath.cosh(t))
 
         with pytest.raises(KernelFailed):
-            catalog._even_line_moments(kernel, 2, 64, 6.0, QuadConfig(), "failing",
+            catalog._even_line_moments(kernel, 2, 64, QuadConfig(), "failing",
                                        catalog._BesselKMajorant(1.0))
 
 
 def _with_strip_bounds(monkeypatch, change):
-    """Run ``_strip_bounds`` and hand its (M, tail, low) to ``change``."""
+    """Run ``_strip_bounds`` and hand its (M, tail, goal) to ``change``; T passes as is."""
     strip_bounds = catalog._strip_bounds
-    monkeypatch.setattr(catalog, "_strip_bounds",
-                        lambda *args: change(*strip_bounds(*args)))
+
+    def changed(*args):
+        T, *bounds = strip_bounds(*args)
+        return (T, *change(*bounds))
+
+    monkeypatch.setattr(catalog, "_strip_bounds", changed)
 
 
 class TestStripBound:
@@ -599,7 +604,7 @@ class TestStripBound:
 
     def test_understated_M_trips_the_guard(self, monkeypatch):
         cut = 200 * math.log(2)
-        _with_strip_bounds(monkeypatch, lambda M, tail, low: ([m - cut for m in M], tail, low))
+        _with_strip_bounds(monkeypatch, lambda M, tail, goal: ([m - cut for m in M], tail, goal))
         with pytest.raises(catalog.QuadratureNotConverged, match="exceeds its strip bound"):
             riemann_moments(4, 256)
 
@@ -635,7 +640,7 @@ class TestStripBound:
         majorant = catalog._BesselKMajorant if "bessel" in mr.metadata["kernel"] \
             else catalog._ThetaMajorant
         boost = 2 * math.pi * majorant.s * 2 ** level / DEFAULT_QUAD.h0
-        _with_strip_bounds(monkeypatch, lambda M, tail, low: ([m + boost for m in M], tail, low))
+        _with_strip_bounds(monkeypatch, lambda M, tail, goal: ([m + boost for m in M], tail, goal))
         ref = run(precision + 64)
         assert ref.metadata["levels_used"] == level + 1
         assert level >= mr.metadata["levels_used"]
@@ -644,19 +649,86 @@ class TestStripBound:
                 assert abs(mr[n].value - ref[n].value) <= mr.errors[n].value + ref.errors[n].value
                 assert ref.errors[n].value < mr.errors[n].value * mpmath.mpf(2) ** -48
 
-    # one level below the stop of the refine-until-two-levels-agree rule
-    @pytest.mark.parametrize("run, level", [
-        (lambda: riemann_moments(25, 1024), 6),
-        (lambda: riemann_moments(16, 1024), 6),
-        (lambda: dirichlet_moments(kronecker_character(-4), 25, 1024), 6),
-        (lambda: dirichlet_moments(kronecker_character(8), 17, 640), 5),
-        (lambda: besselk_moments(2, 16, 1024), 5),
+    # levels one below the stop of the refine-until-two-levels-agree rule (K=41
+    # keeps its level 5); the node counts are ceilings, so a longer cut-off shows
+    @pytest.mark.parametrize("run, level, nodes", [
+        (lambda: riemann_moments(25, 1024), 6, 734),
+        (lambda: riemann_moments(16, 1024), 6, 731),
+        (lambda: dirichlet_moments(kronecker_character(-4), 25, 1024), 6, 913),
+        (lambda: dirichlet_moments(kronecker_character(8), 17, 640), 5, 473),
+        (lambda: besselk_moments(2, 16, 1024), 5, 870),
+        (lambda: riemann_moments(41, 320), 5, 310),
     ], ids=["riemann-K25-1024", "riemann-K16-1024", "dirichlet-4-K25-1024",
-            "dirichlet8-K17-640", "besselk2-K16-1024"])
-    def test_levels_of_the_xi_quadrature_jobs(self, run, level):
+            "dirichlet8-K17-640", "besselk2-K16-1024", "riemann-K41-320"])
+    def test_levels_of_the_xi_quadrature_jobs(self, run, level, nodes):
         mr = run()
         assert mr.metadata["levels_used"] == level
         assert mr.metadata["h_final"] == DEFAULT_QUAD.h0 / 2 ** level
+        assert mr.metadata["nodes"] <= nodes
+
+    @pytest.mark.parametrize("T", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+    def test_bad_override_T_fails_first(self, T, monkeypatch, capsys):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"a bound was computed ({name})")
+
+        def never(*args):
+            raise AssertionError("a kernel value or a bound was computed")
+
+        with pytest.raises(ValueError, match=f"T = {T} must be positive and finite"):
+            catalog._even_line_moments(never, 2, 64, QuadConfig(T=T), "never", Untouchable())
+        monkeypatch.setattr(catalog, "_strip_bounds", never)
+        monkeypatch.setattr(catalog, "_riemann_kernel_terms", never)
+        assert main(["moments", "--function", "riemann-xi", "--orders", "2",
+                     "--quad-T", str(T)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --quad-T {float(T)} must be positive and finite\n"
+
+    @pytest.mark.parametrize("run", [
+        lambda quad: riemann_moments(4, 256, quad),
+        lambda quad: besselk_moments(50, 2, 128, quad),
+    ], ids=["riemann", "besselk50"])
+    def test_short_override_T_names_the_tail(self, run, monkeypatch):
+        def never(*args):
+            raise AssertionError("a kernel value was computed")
+
+        monkeypatch.setattr(catalog, "_riemann_kernel_terms", never)
+        monkeypatch.setattr(mpmath, "cosh", never)
+        with pytest.raises(catalog.QuadratureNotConverged,
+                           match="T = 1.5 is too small: its tail misses the target"):
+            run(QuadConfig(T=1.5))
+
+    def test_override_T_may_be_a_fraction(self):
+        mr = riemann_moments(4, 256, QuadConfig(T=F(5, 2)))
+        assert mr.metadata["T"] == 2.5
+        assert mr.values == riemann_moments(4, 256, QuadConfig(T=2.5)).values
+
+    @pytest.mark.parametrize("a, T", [(50, 1.875), (1000, 0.5)])
+    def test_besselk_converges_at_large_a(self, a, T):
+        mr = besselk_moments(a, 2, 128)
+        assert mr.metadata["T"] == T
+        with mpmath.workprec(256):
+            assert abs(mr[0].value - mpmath.besselk(0, a)) <= mr.errors[0].value
+
+    @pytest.mark.parametrize("majorant, K, precision", [
+        (catalog._RIEMANN_MAJORANT, 4, 256),
+        (catalog._RIEMANN_MAJORANT, 41, 320),
+        (catalog._BesselKMajorant(2.0), 16, 1024),
+        (catalog._BesselKMajorant(50.0), 2, 128),
+        (catalog._BesselKMajorant(1000.0), 2, 128),
+    ], ids=["riemann-K4", "riemann-K41", "besselk2", "besselk50", "besselk1000"])
+    def test_T_is_the_first_grid_point_whose_tail_meets_the_goal(self, majorant, K, precision):
+        spare = catalog._T_SPARE * math.log(2)
+        T, _, tail, goal = catalog._strip_bounds(majorant, K, precision, DEFAULT_QUAD.h0)
+        assert T > catalog._T_STEP and T % catalog._T_STEP == 0
+        assert all(t <= g - spare for t, g in zip(tail, goal))
+        shorter = T - catalog._T_STEP
+        try:
+            _, _, tail, _ = catalog._strip_bounds(majorant, K, precision, DEFAULT_QUAD.h0,
+                                                  shorter)
+        except catalog.QuadratureNotConverged:
+            return      # the tail misses the goal itself
+        assert any(t > g - spare for t, g in zip(tail, goal))
 
 
 class TestHoistedConstants:

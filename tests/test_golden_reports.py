@@ -16,7 +16,9 @@ integers and the JSON was streamed, and the eight quadrature-backed ones
 (Riemann, Dirichlet and Bessel-K moments and certificates) were re-recorded
 when the quadrature began to stop at an a priori strip bound, which moved
 only their ``errors``/``moment_errors``, ``nodes``, ``levels_used`` and
-``h_final`` fields; a change that alters any byte of any of
+``h_final`` fields, and re-recorded again when the strip bound's tail began to
+choose the truncation point ``T``, which moved only their ``T``, ``nodes`` and
+``errors``/``moment_errors`` fields; a change that alters any byte of any of
 these reports fails here.  Criterion 11 only checks that two runs of one
 tree agree.  A certificate runs with ``--format both`` unless its arguments
 name a format.
@@ -67,7 +69,7 @@ GOLDEN = {
     "besselk-shifted-even-B3": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "3", "--precision", "192"],
-        "ba6a08faa0f96fc17595f2ba35a2286718ff9ed905802ead80e56ee732adc5ec",
+        "8092946e456b1ea3163bebfe198c5270c072ec09f7507bdd69f89b9aed39aa0d",
         "2dc478dd48655b65facabbc45a5a3d5645c35297a6c30eb93177958872bc224a"),
     # Shifts of order 64 and 48 (C(n, j) exceeds 53 bits at order 64).  The
     # powers of the dyadic shift 1/2 are exact, so the 7/3 shift also pins
@@ -80,7 +82,7 @@ GOLDEN = {
     "besselk-shifted-even-B8": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "8", "--precision", "256"],
-        "8427ff7fe70005b28e64d88270d6ccfef9004f03afac736a1078895a025c4d05",
+        "b562256d5399eadb13d1450c7450679c2e73fd3cffde1c5d5df41866bbd6fc5d",
         "3d57c00e9938a8fe22669b3543b26ea96f3ef3a09d95d0a888743ec3875207e4"),
     "sinc-shifted-even-B8-shift7/3": (
         ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "7/3",
@@ -90,17 +92,17 @@ GOLDEN = {
     "riemann-moment-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "4",
          "--precision", "256"],
-        "2bbc5f59da81c651b48231cd21b5d115a074386fd5d5aefd319d08c98643e6c6",
+        "25b2ee987cd42fa626f52503414ab5c1cc9fa6224e91a28bc693fd383ec04a34",
         "b7340bc0b9f19638b672a82eb60970e9e2336f52c00a4e5fb6a0ad3aacd23299"),
     "riemann-derivative-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "derivative", "--grid", "4",
          "--precision", "256"],
-        "ad3dbd5a0f83c7f0eff606cff29e39bd5e388822e62e8300cab192c259ef0ff7",
+        "a2e56b1f0278c0cfe22cdc30269840336a2e166f2ed926a893886dd28d9b922c",
         "07fdaec399de829e2d51ff99efff5836b81dfb5d3502cc313920c9869ad28624"),
     "dirichlet-m4-moment-B4": (
         ["certify", "--function", "dirichlet-xi", "--discriminant", "-4",
          "--mode", "moment", "--grid", "4", "--precision", "192"],
-        "3e7d84bdbf518b184b32ceb1e1ea3ad513b2e28225d2ee14596fa93cf1144305",
+        "4e36d227b9e69ed4e9f001b8ac09055300e94ecd494423e9987f5a2b5b79d9f4",
         "31a3d994dc0b2911b59f6e6121423aa8dff7a91cafb8b2c0c8de7d254d921be3"),
     "adversarial-seed42": (
         ["adversarial", "--seed", "42", "--draws", "3", "--grid", "16",
@@ -109,16 +111,16 @@ GOLDEN = {
     "moments-besselk": (
         ["moments", "--function", "bessel-k", "--a", "1", "--orders", "4",
          "--precision", "192"],
-        "0b2c552136615cb6a6c613d96aa7b5991f1dcd35e70e95cf0a3f34a26587e8c3", None),
+        "ff54a4eaa40fd9e0255bb611c91aef297b7b0adc1ba21f99dbdb070942916567", None),
     # D = 8 is an even character (a = 0); Riemann at the 1024 bits of the
     # xi-quadrature benchmark workload.
     "moments-dirichlet-D8-640": (
         ["moments", "--function", "dirichlet-xi", "--discriminant", "8", "--orders", "6",
          "--precision", "640"],
-        "260f33a9b328b3e6da75dd47394789c7267b5649bbc31b892cf1ee6273b90d25", None),
+        "b13d3737d0b900b60672362fff8561b9b61ab667af3a9ee470a2ccade6095e16", None),
     "moments-riemann-1024": (
         ["moments", "--function", "riemann-xi", "--orders", "6", "--precision", "1024"],
-        "f25ec8385d047d93e6e5ab8c4d3e532a04dede4b2096d11d8886448fac1c0d6b", None),
+        "e41adeaa589094784e124c8de091636900e4cea469a84166575a619e4b86bffc", None),
     # At ν = 1/2 the binding t_nu = q^ν is a BigFloat, so each multivariate
     # cell is summed term by term in float: the bytes pin the term order.
     "qbessel-symbolic-nu1/2-moment-B2": (
