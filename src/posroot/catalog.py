@@ -271,7 +271,7 @@ class QuadConfig:
     """Knobs for the moment quadrature: truncation, refinement, series caps."""
 
     T: Optional[float] = None      # half-line truncation point; None = the tail bound's
-    levels: int = 12               # highest number of h-halvings the strip bound may choose
+    levels: int = 12               # the strip bound's step h may be as fine as h0 / 2^levels
     N_s_max: int = 200000          # cap on kernel series terms per node
     h0: float = 0.25               # coarsest node spacing
 
@@ -300,25 +300,12 @@ class MomentResult:
         return self.metadata["precision_bits"]
 
 
-def _trapezoid_levels(h0, T, levels: int):
-    """``(h, nodes)`` of trapezoid levels 0..levels on [0, T]: level 0 has the
-    nodes ``i h0 <= T``, i >= 0, and level L the new ones, the odd multiples of
-    ``h0 / 2^L`` up to ``T``; libmp tuples at the ambient precision."""
-    wp = mpmath.mp.prec
-    h = mpf(h0)
-    for level in range(levels + 1):
-        first, stride = (1, 2) if level else (0, 1)
-        yield h, [mpf_mul_int(h._mpf_, i, wp, round_nearest)
-                  for i in range(first, int(mpmath.floor(T / h)) + 1, stride)]
-        h = h / 2
-
-
 # ---------------------------------------------------------------------------
 # a priori strip bound of the trapezoid error
 # ---------------------------------------------------------------------------
 
-_CELL = 1 / 32      # cell width of the bound's Riemann sums
-_DECAY = 16         # the sums stop where every log-integrand falls at rate _DECAY or more
+_CELL = 1 / 32      # widest cell of the bound's Riemann sums
+_DECAY = 16         # the sums stop where every log-integrand falls at rate _DECAY _CELL/cell
 _LN2 = math.log(2)
 _SLACK = 2.0 ** -10   # log of the factor that covers the bound sums' double rounding
 _T_STEP = 1 / 16    # grid of the truncation point T
@@ -347,6 +334,7 @@ class _ThetaMajorant:
     sign: Callable[[int], int] = lambda k: 1
     s = 0.75                                # strip half-width, below pi/4
     c = math.cos(2 * s)                     # the least cos 2b on the strip
+    cell = _CELL                            # cell width of the bound sums
 
     def _sums(self, X):
         """Logs of the sums of ``k^d e^(-X k^2)`` over sign(k) > 0 and over sign(k) < 0
@@ -383,6 +371,11 @@ class _BesselKMajorant:
     s = 1.4                                 # strip half-width, below pi/2
     c = math.cos(s)
 
+    @property
+    def cell(self):
+        """Cells of a quarter of the kernel's width ``1/sqrt(a)``, at most ``_CELL``."""
+        return min(_CELL, 1 / (4 * math.sqrt(self.a)))
+
     def upper(self, lo, hi, c):
         return -self.a * c * math.cosh(lo)
 
@@ -398,23 +391,25 @@ def _strip_bounds(maj, K: int, precision: int, h0: float, T: Optional[float] = N
     phi even: ``M[n]`` bounds the integral of ``|g_n(x + ib)|`` over x for ``|b| <=
     maj.s``, ``tail[n]`` bounds ``h sum |g_n(ih)|`` over ``|ih| > T`` for ``h <= h0``,
     and ``goal[n]`` is ``2^-(precision+8)`` times a lower bound of the integral of
-    ``g_n``.  Sums over cells of width ``_CELL`` take the majorant (with ``|z|^(2n)
+    ``g_n``.  Sums over cells of width ``maj.cell`` take the majorant (with ``|z|^(2n)
     <= (x^2 + s^2)^n``, rising at rate ``2n/x`` at most) at its worst and the
     minorant at its least, up to the first edge X beyond which every log-integrand
-    falls at rate ``_DECAY``, plus ``g_n(X)/_DECAY``.  ``T`` is the first multiple
-    of ``_T_STEP`` whose tail is ``_T_SPARE`` bits under every goal; a given ``T``
-    only has to meet the goals.  The tail needs a fall at rate 1.  Double precision."""
+    falls at rate ``decay = _DECAY _CELL/maj.cell``, plus ``g_n(X)/decay``.  ``T``
+    is the first multiple of ``_T_STEP`` whose tail is ``_T_SPARE`` bits under every
+    goal; a given ``T`` only needs tails below the goals.  The tail needs a fall at rate 1.
+    Double precision."""
     if T is not None and not 0 < T < math.inf:
         raise ValueError(f"T = {T} must be positive and finite")
-    s, w = maj.s, _CELL
+    s, w = maj.s, maj.cell
+    decay = _DECAY * _CELL / w
     strip, cells, X = [], [], 0.0
-    while X == 0 or maj.slope(X, maj.c) + 2 * K / X > -_DECAY:
+    while X == 0 or maj.slope(X, maj.c) + 2 * K / X > -decay:
         hi = X + w   # (log at n = 0, log of the n-th root) of a strip term
         strip.append((math.log(w) + maj.upper(X, hi, maj.c), math.log(hi * hi + s * s)))
         cells.append((*maj.lower(X, hi), math.log(X) if X else -math.inf, math.log(hi)))
         X = hi
-    # beyond X the integrals are at most the integrands at X over _DECAY
-    end, end_real = (maj.upper(X, X, c) - math.log(_DECAY) for c in (maj.c, 1.0))
+    # beyond X the integrals are at most the integrands at X over decay
+    end, end_real = (maj.upper(X, X, c) - math.log(decay) for c in (maj.c, 1.0))
     strip.append((end, math.log(X * X + s * s)))
     M, goal = [], []
     for n in range(K + 1):
@@ -437,7 +432,7 @@ def _strip_bounds(maj, K: int, precision: int, h0: float, T: Optional[float] = N
         T = _T_STEP
         while any(t > g - _T_SPARE * _LN2 for t, g in zip(tail(T), goal)):
             T += _T_STEP
-    elif any(t > g for t, g in zip(tail(T), goal)):
+    elif any(t >= g for t, g in zip(tail(T), goal)):
         raise QuadratureNotConverged(f"T = {T} is too small: its tail misses the target")
     return float(T), M, tail(T), goal
 
@@ -448,10 +443,15 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
 
     ``kernel(t)`` is evaluated for t >= 0 only, at the ambient mpmath
     precision; ``majorant`` bounds it and gives ``T`` unless ``quad.T`` does
-    (``_strip_bounds``).  The last level L is the first (from 1) whose strip
-    bound at ``h = h0 / 2^L``, tail included, is below the goals; without one
-    up to ``quad.levels``, or if ``|T_h - T_2h|`` exceeds the two levels'
-    bounds plus rounding, this raises ``QuadratureNotConverged``.
+    (``_strip_bounds``).  The spacing h is the largest the strip bound allows,
+    tail included: with ``y = 2 pi s/h`` and ``D = log(e^goal - e^tail) - M <
+    0``, moment n needs ``2/(e^y - 1) <= e^D``, that is ``y >= -D + log(2 +
+    e^D)``.  Shrunk by ``2^-20`` for double rounding and checked again before
+    any kernel value, h is at most ``h0/2``, so that the check spacing 2h
+    stays within the tail bound's ``h <= h0``.  One grid ``i h``, i =
+    0..floor(T/h), gives ``T_h`` and, from its even i, ``T_2h``.  If h is
+    finer than ``h0 / 2^quad.levels``, or if ``|T_h - T_2h|`` exceeds the two
+    spacings' bounds plus rounding, this raises ``QuadratureNotConverged``.
 
     The error, rounded up to 53 bits, bounds ``|values[n] - b_2n|``: the
     strip bound at h, the rounding to ``precision`` bits and
@@ -470,30 +470,33 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
         disc = _LN2 - y - math.log(-math.expm1(-y))     # log 2/(e^y - 1)
         return [_lse([disc + m, t]) for m, t in zip(log_M, log_tail)]
 
-    level = next((L for L in range(1, quad.levels + 1)
-                  if all(b <= g for b, g in zip(bound(quad.h0 / 2 ** L), goal))), None)
-    if level is None:
+    D = [g + math.log(-math.expm1(t - g)) - m for m, t, g in zip(log_M, log_tail, goal)]
+    y = max(-d + math.log(2 + math.exp(d)) for d in D)
+    h = min(quad.h0 / 2, 2 * math.pi * majorant.s / y * (1 - 2 ** -20))
+    if h < math.ldexp(quad.h0, -quad.levels):
         raise QuadratureNotConverged(f"{kernel_name}: the strip bound meets the target "
                                      f"at no level up to {quad.levels} refinements")
+    if any(b > g for b, g in zip(bound(h), goal)):
+        raise QuadratureNotConverged(f"{kernel_name}: the strip bound misses the target at {h}")
 
     with workprec(wp):
-        I, nodes = [mpf(0)] * (K + 1), 0
-        for h, ts in _trapezoid_levels(quad.h0, mpf(T), level):
-            add = [fzero] * (K + 1)
-            for t in ts:            # add[n] += w t^(2n), w = f(t), halved at t = 0
-                w = kernel(_make_mpf(t))
-                w = (w / 2 if t == fzero else w)._mpf_
-                t2 = mpf_mul(t, t, wp, round_nearest)
-                add[0] = mpf_add(add[0], w, wp, round_nearest)
-                for n in range(1, K + 1):
-                    w = mpf_mul(w, t2, wp, round_nearest)
-                    add[n] = mpf_add(add[n], w, wp, round_nearest)
-            nodes += len(ts)
-            I_prev, I = I, [I[n] / 2 + 2 * h * _make_mpf(add[n]) for n in range(K + 1)]
+        hm, nodes = mpf(h)._mpf_, int(mpmath.floor(mpf(T) / h)) + 1
+        sums = ([fzero] * (K + 1), [fzero] * (K + 1))     # over even and odd i
+        for i in range(nodes):      # add[n] += w t^(2n), w = f(t), halved at t = 0
+            t, add = mpf_mul_int(hm, i, wp, round_nearest), sums[i & 1]
+            w = kernel(_make_mpf(t))
+            w = (w / 2 if i == 0 else w)._mpf_
+            t2 = mpf_mul(t, t, wp, round_nearest)
+            add[0] = mpf_add(add[0], w, wp, round_nearest)
+            for n in range(1, K + 1):
+                w = mpf_mul(w, t2, wp, round_nearest)
+                add[n] = mpf_add(add[n], w, wp, round_nearest)
+        I_prev = [4 * h * _make_mpf(e) for e in sums[0]]
+        I = [I_prev[n] / 2 + 2 * h * _make_mpf(o) for n, o in enumerate(sums[1])]
         values = tuple(BigFloat(v, precision) for v in I)
         # e^b = 2^(b // ln 2) e^(b % ln 2), also below the float range
         at_h, at_2h = ([mpmath.ldexp(math.exp(b % _LN2), int(b // _LN2)) for b in bound(g)]
-                       for g in (float(h), 2 * float(h)))
+                       for g in (h, 2 * h))
         errs = []
         for n in range(K + 1):
             allowance = abs(I[n]) * mpf(2) ** -(precision + 16)
@@ -503,7 +506,7 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
             err = (at_h[n] + allowance + abs(values[n].value - I[n]))._mpf_
             errs.append(BigFloat(_make_mpf(mpf_pos(err, 53, round_ceiling)), precision))
     meta = {"kernel": kernel_name, "precision_bits": precision, "T": float(T),
-            "h_final": float(h), "levels_used": level, "nodes": nodes, "orders": K}
+            "h_final": h, "levels_used": 1, "nodes": nodes, "orders": K}
     return MomentResult(values=values, errors=tuple(errs), metadata=meta)
 
 

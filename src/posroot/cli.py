@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=None, help="bits")
         p.add_argument("--quad-T", type=float, default=None)
         p.add_argument("--quad-levels", type=int, default=12,
-                       help="highest h-halving level the error bound may choose")
+                       help="the finest step the error bound may choose is h0/2^levels")
         p.add_argument("--quad-ns-max", type=int, default=200000)
         p.add_argument("--output", default=None, help="report path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv", "both"])

@@ -682,11 +682,16 @@ class BigFloat:
                 v = +value.value
             elif isinstance(value, Fraction):
                 v = _to_mp(value, self.prec)
-            elif isinstance(value, str):
-                v = mpf(value)
             else:
                 v = +mpf(value)
         self.value = v
+
+    @classmethod
+    def _exact(cls, value: mpf, prec: int) -> "BigFloat":
+        """Wrap ``value`` as is: only for an ``mpf`` already rounded to ``prec`` bits."""
+        b = object.__new__(cls)
+        b.value, b.prec = value, prec
+        return b
 
     @staticmethod
     def pi(prec: int = DEFAULT_PRECISION_BITS) -> "BigFloat":

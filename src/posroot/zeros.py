@@ -17,12 +17,14 @@ their asymptotic predictions, see the guard shift for larger ``nu``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath
 from mpmath import mpf, workprec
+from mpmath.libmp import mpf_sign, normalize, round_nearest
 
 from .scalars import BigFloat, DEFAULT_PRECISION_BITS, ScalarError
 
@@ -71,25 +73,45 @@ class ZeroTable:
         return self.ordinates[0]
 
 
+_DECIMAL = re.compile(r"([+-]?)(\d*)\.?(\d*)(?:[eE]([+-]?\d{1,3}))?")
+
+
+def _decimal(text: str, prec: int) -> tuple:
+    """``mpf(text)._mpf_`` at ``prec`` bits for a decimal ``[+-]d[.d][e[+-]ddd]``, rounded
+    once to nearest: ``man / 10^k`` by ``divmod``, the remainder as a sticky bit."""
+    m = _DECIMAL.fullmatch(text)
+    if not m or not (m[2] or m[3]):
+        raise ValueError(f"not a decimal: {text!r}")
+    num, e = int(m[2] + m[3] or "0"), int(m[4] or 0) - len(m[3])
+    num, den = (num * 10 ** e, 1) if e >= 0 else (num, 10 ** -e)
+    shift = max(0, prec + 2 + den.bit_length() - num.bit_length())
+    q, r = divmod(num << shift, den)
+    q = q << 1 | (r != 0)
+    return normalize(int(m[1] == "-"), q, -shift - 1, q.bit_length(), prec, round_nearest)
+
+
 def _parse_ordinates(lines, origin: str, limit: Optional[int], precision: int):
+    BigFloat(0, precision)      # a precision below the minimum raises here
     ordinates = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            v = BigFloat(line, precision)
-        except Exception as exc:
+            v = _decimal(line, precision)
+        except ValueError as exc:
             raise ParseError(f"{origin}:{lineno}: cannot parse {line!r}") from exc
-        if not v > 0:
+        if mpf_sign(v) < 1:
             raise ParseError(f"{origin}:{lineno}: ordinate {line} not positive")
         ordinates.append(v)
         if limit is not None and len(ordinates) >= limit:
             break
     if not ordinates:
         raise ParseError(f"{origin}: no ordinates found")
+    ordinates = [BigFloat._exact(mpmath.mp.make_mpf(v), precision) for v in ordinates]
     for a, b in zip(ordinates, ordinates[1:]):
-        if not b > a:
+        (_, ma, ea, ca), (_, mb, eb, cb) = a.value._mpf_, b.value._mpf_
+        if (eb + cb, mb << ca) <= (ea + ca, ma << cb):      # b <= a: top bits, then mantissas
             raise NotMonotone(f"{origin}: ordinates not strictly increasing near {b}")
     return tuple(ordinates)
 

@@ -547,8 +547,8 @@ class TestFunctionSpec:
 
 
 class TestNodeSplit:
-    """The node list split into levels: the strip bound picks the last level
-    before any kernel value is computed, and a kernel error surfaces at its node."""
+    """The node grid: the strip bound picks its spacing before any kernel value
+    is computed, and a kernel error surfaces at its node."""
 
     def test_scan_first_minimum_wins(self, monkeypatch):
         # ties at grid points 11, 12 and 21
@@ -573,19 +573,38 @@ class TestNodeSplit:
             catalog._even_line_moments(kernel, 2, 64, QuadConfig(levels=levels),
                                        "never", catalog._BesselKMajorant(1.0))
 
-    @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # nodes of level 0
+    @pytest.mark.parametrize("levels", [3, 2000])
+    def test_levels_only_cap_the_spacing(self, levels):
+        mr = riemann_moments(2, 128, QuadConfig(levels=levels))
+        assert mr.metadata["h_final"] >= DEFAULT_QUAD.h0 / 2 ** 3
+        assert mr.values == riemann_moments(2, 128).values
+
+    @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # fails at the first node from bad_t on
     def test_kernel_error_raised_here(self, bad_t):
         class KernelFailed(Exception):
             pass
 
+        grid = []
+
+        def recording(t):
+            grid.append(t)
+            return mpmath.exp(-mpmath.cosh(t))
+
+        def run(kernel):
+            return catalog._even_line_moments(kernel, 2, 64, QuadConfig(), "failing",
+                                              catalog._BesselKMajorant(1.0))
+
+        assert run(recording).metadata["nodes"] == len(grid)
+        node = min(t for t in grid if t >= bad_t)
+        assert node < grid[-1]
+
         def kernel(t):
-            if t == bad_t:
+            if t == node:
                 raise KernelFailed(t)
             return mpmath.exp(-mpmath.cosh(t))
 
-        with pytest.raises(KernelFailed):
-            catalog._even_line_moments(kernel, 2, 64, QuadConfig(), "failing",
-                                       catalog._BesselKMajorant(1.0))
+        with pytest.raises(KernelFailed, match=str(node)):
+            run(kernel)
 
 
 def _with_strip_bounds(monkeypatch, change):
@@ -599,8 +618,15 @@ def _with_strip_bounds(monkeypatch, change):
     monkeypatch.setattr(catalog, "_strip_bounds", changed)
 
 
+def _strip_error(s, log_M, log_tail, h):
+    """Logs of the strip bound ``2M/(e^y - 1)``, ``y = 2 pi s/h``, plus the tail."""
+    E = mpmath.exp
+    return [float(mpmath.log(2 * E(m) / mpmath.expm1(2 * mpmath.pi * s / h) + E(t)))
+            for m, t in zip(log_M, log_tail)]
+
+
 class TestStripBound:
-    """The a priori trapezoid bound: level choice, recorded errors and the guard."""
+    """The a priori trapezoid bound: the spacing, recorded errors and the guard."""
 
     def test_understated_M_trips_the_guard(self, monkeypatch):
         cut = 200 * math.log(2)
@@ -635,36 +661,49 @@ class TestStripBound:
     ], ids=["riemann", "dirichlet-4", "dirichlet5", "besselk"])
     def test_error_covers_finer_reference(self, monkeypatch, run, precision):
         mr = run(precision)
-        level = run(precision + 64).metadata["levels_used"]
-        # inflating M by e^(2 pi s/h) at that level makes the bound pick one more
+        h = run(precision + 64).metadata["h_final"]
+        # inflating M by e^(y + 1), y = 2 pi s/h, raises every moment's y by more
+        # than y: the spacing at least halves
         majorant = catalog._BesselKMajorant if "bessel" in mr.metadata["kernel"] \
             else catalog._ThetaMajorant
-        boost = 2 * math.pi * majorant.s * 2 ** level / DEFAULT_QUAD.h0
+        boost = 2 * math.pi * majorant.s / h + 1
         _with_strip_bounds(monkeypatch, lambda M, tail, goal: ([m + boost for m in M], tail, goal))
         ref = run(precision + 64)
-        assert ref.metadata["levels_used"] == level + 1
-        assert level >= mr.metadata["levels_used"]
+        assert ref.metadata["h_final"] <= h / 2
+        assert h <= mr.metadata["h_final"]
         with mpmath.workprec(precision + 128):
             for n in range(5):
                 assert abs(mr[n].value - ref[n].value) <= mr.errors[n].value + ref.errors[n].value
                 assert ref.errors[n].value < mr.errors[n].value * mpmath.mpf(2) ** -48
 
-    # levels one below the stop of the refine-until-two-levels-agree rule (K=41
-    # keeps its level 5); the node counts are ceilings, so a longer cut-off shows
-    @pytest.mark.parametrize("run, level, nodes", [
-        (lambda: riemann_moments(25, 1024), 6, 734),
-        (lambda: riemann_moments(16, 1024), 6, 731),
-        (lambda: dirichlet_moments(kronecker_character(-4), 25, 1024), 6, 913),
-        (lambda: dirichlet_moments(kronecker_character(8), 17, 640), 5, 473),
-        (lambda: besselk_moments(2, 16, 1024), 5, 870),
-        (lambda: riemann_moments(41, 320), 5, 310),
+    # the spacing is the widest the strip bound allows: 2^-10 wider misses a goal;
+    # the node counts are ceilings, so a longer cut-off or a narrower spacing shows
+    @pytest.mark.parametrize("run, nodes", [
+        (lambda: riemann_moments(25, 1024), 462),
+        (lambda: riemann_moments(16, 1024), 453),
+        (lambda: dirichlet_moments(kronecker_character(-4), 25, 1024), 561),
+        (lambda: dirichlet_moments(kronecker_character(8), 17, 640), 365),
+        (lambda: besselk_moments(2, 16, 1024), 561),
+        (lambda: riemann_moments(41, 320), 155),
     ], ids=["riemann-K25-1024", "riemann-K16-1024", "dirichlet-4-K25-1024",
             "dirichlet8-K17-640", "besselk2-K16-1024", "riemann-K41-320"])
-    def test_levels_of_the_xi_quadrature_jobs(self, run, level, nodes):
+    def test_levels_of_the_xi_quadrature_jobs(self, monkeypatch, run, nodes):
+        seen = []
+        strip_bounds = catalog._strip_bounds
+
+        def recording(majorant, *args):
+            seen.append((majorant, strip_bounds(majorant, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(catalog, "_strip_bounds", recording)
         mr = run()
-        assert mr.metadata["levels_used"] == level
-        assert mr.metadata["h_final"] == DEFAULT_QUAD.h0 / 2 ** level
-        assert mr.metadata["nodes"] <= nodes
+        [(majorant, (T, M, tail, goal))] = seen
+        h = mr.metadata["h_final"]
+        assert mr.metadata["levels_used"] == 1
+        assert mr.metadata["nodes"] == math.floor(T / h) + 1 <= nodes
+        assert all(b <= g for b, g in zip(_strip_error(majorant.s, M, tail, h), goal))
+        wider = _strip_error(majorant.s, M, tail, h * (1 + 2 ** -10))
+        assert any(b > g for b, g in zip(wider, goal))
 
     @pytest.mark.parametrize("T", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
     def test_bad_override_T_fails_first(self, T, monkeypatch, capsys):
@@ -703,7 +742,7 @@ class TestStripBound:
         assert mr.metadata["T"] == 2.5
         assert mr.values == riemann_moments(4, 256, QuadConfig(T=2.5)).values
 
-    @pytest.mark.parametrize("a, T", [(50, 1.875), (1000, 0.5)])
+    @pytest.mark.parametrize("a, T", [(50, 1.875), (1000, 0.5), (50000, 0.125)])
     def test_besselk_converges_at_large_a(self, a, T):
         mr = besselk_moments(a, 2, 128)
         assert mr.metadata["T"] == T

@@ -18,7 +18,10 @@ when the quadrature began to stop at an a priori strip bound, which moved
 only their ``errors``/``moment_errors``, ``nodes``, ``levels_used`` and
 ``h_final`` fields, and re-recorded again when the strip bound's tail began to
 choose the truncation point ``T``, which moved only their ``T``, ``nodes`` and
-``errors``/``moment_errors`` fields; a change that alters any byte of any of
+``errors``/``moment_errors`` fields, and re-recorded again when the trapezoid
+step became the largest the strip bound allows rather than a power-of-two
+level, which moved only their ``errors``/``moment_errors``, ``nodes``,
+``h_final`` and ``levels_used`` fields; a change that alters any byte of any of
 these reports fails here.  Criterion 11 only checks that two runs of one
 tree agree.  A certificate runs with ``--format both`` unless its arguments
 name a format.
@@ -69,7 +72,7 @@ GOLDEN = {
     "besselk-shifted-even-B3": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "3", "--precision", "192"],
-        "8092946e456b1ea3163bebfe198c5270c072ec09f7507bdd69f89b9aed39aa0d",
+        "ea697c817c5491c63dc957cb9c2b4e0577c69fec227939945209c30c7a920fe1",
         "2dc478dd48655b65facabbc45a5a3d5645c35297a6c30eb93177958872bc224a"),
     # Shifts of order 64 and 48 (C(n, j) exceeds 53 bits at order 64).  The
     # powers of the dyadic shift 1/2 are exact, so the 7/3 shift also pins
@@ -82,7 +85,7 @@ GOLDEN = {
     "besselk-shifted-even-B8": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "8", "--precision", "256"],
-        "b562256d5399eadb13d1450c7450679c2e73fd3cffde1c5d5df41866bbd6fc5d",
+        "5ecfa5e92ecaab8be2cf9abd5c157d828d5b3e3fccd8d24e7f54c93effa58520",
         "3d57c00e9938a8fe22669b3543b26ea96f3ef3a09d95d0a888743ec3875207e4"),
     "sinc-shifted-even-B8-shift7/3": (
         ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "7/3",
@@ -92,17 +95,17 @@ GOLDEN = {
     "riemann-moment-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "4",
          "--precision", "256"],
-        "25b2ee987cd42fa626f52503414ab5c1cc9fa6224e91a28bc693fd383ec04a34",
+        "ee34d56ab43e38c6cf443d31fffe505610e56ca125dccc9149710489a166876d",
         "b7340bc0b9f19638b672a82eb60970e9e2336f52c00a4e5fb6a0ad3aacd23299"),
     "riemann-derivative-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "derivative", "--grid", "4",
          "--precision", "256"],
-        "a2e56b1f0278c0cfe22cdc30269840336a2e166f2ed926a893886dd28d9b922c",
+        "f9a5114ba60d6325da2ba75af489d9222b1f9a94cc34b6ec38469903a483a7a7",
         "07fdaec399de829e2d51ff99efff5836b81dfb5d3502cc313920c9869ad28624"),
     "dirichlet-m4-moment-B4": (
         ["certify", "--function", "dirichlet-xi", "--discriminant", "-4",
          "--mode", "moment", "--grid", "4", "--precision", "192"],
-        "4e36d227b9e69ed4e9f001b8ac09055300e94ecd494423e9987f5a2b5b79d9f4",
+        "bf7ab430294a51c33b8683f245d1e4d1d34a5bf73a4d377e692f1fdd33b0f8ff",
         "31a3d994dc0b2911b59f6e6121423aa8dff7a91cafb8b2c0c8de7d254d921be3"),
     "adversarial-seed42": (
         ["adversarial", "--seed", "42", "--draws", "3", "--grid", "16",
@@ -111,16 +114,16 @@ GOLDEN = {
     "moments-besselk": (
         ["moments", "--function", "bessel-k", "--a", "1", "--orders", "4",
          "--precision", "192"],
-        "ff54a4eaa40fd9e0255bb611c91aef297b7b0adc1ba21f99dbdb070942916567", None),
+        "0a88ec0f6d4fc5cd84dd7517919ded25550a71420542717cd679b1d1cff76bc3", None),
     # D = 8 is an even character (a = 0); Riemann at the 1024 bits of the
     # xi-quadrature benchmark workload.
     "moments-dirichlet-D8-640": (
         ["moments", "--function", "dirichlet-xi", "--discriminant", "8", "--orders", "6",
          "--precision", "640"],
-        "b13d3737d0b900b60672362fff8561b9b61ab667af3a9ee470a2ccade6095e16", None),
+        "c4c0765c24ef3e58b2420985cb6d64c84a9b79f91be7a9d17234be306802fefb", None),
     "moments-riemann-1024": (
         ["moments", "--function", "riemann-xi", "--orders", "6", "--precision", "1024"],
-        "e41adeaa589094784e124c8de091636900e4cea469a84166575a619e4b86bffc", None),
+        "abf4af97b4fedafdbba9bebd39688a94b20bea49f92e6e24647f813cd91e568e", None),
     # At ν = 1/2 the binding t_nu = q^ν is a BigFloat, so each multivariate
     # cell is summed term by term in float: the bytes pin the term order.
     "qbessel-symbolic-nu1/2-moment-B2": (

@@ -2,12 +2,14 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posroot.scalars import BigFloat
 from posroot.zeros import (
     NotMonotone,
     ParseError,
     _bessel_series,
+    _decimal,
     bessel_series_value,
     bessel_zeros,
     load_zero_table,
@@ -54,6 +56,46 @@ class TestLoadZeroTable:
         p.write_text("-3.0\n")
         with pytest.raises(ParseError):
             load_zero_table(p)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("14.1\n# c\nnot-a-number\n", ParseError, ":3: cannot parse 'not-a-number'"),
+        ("14.1\n1.2.3\n", ParseError, ":2: cannot parse '1.2.3'"),
+        ("14.1\n\n-3.0  # x\n", ParseError, ":3: ordinate -3.0 not positive"),
+        ("0\n", ParseError, ":1: ordinate 0 not positive"),
+        ("1e3\n2E+3\n-0.0\n", ParseError, ":3: ordinate -0.0 not positive"),
+        ("# only\n", ParseError, ": no ordinates found"),
+        ("14.1\n21.02\n21.02\n", NotMonotone, ": ordinates not strictly increasing near 21.02"),
+        ("+.5\n1.\n0.25\n", NotMonotone, ": ordinates not strictly increasing near 0.25"),
+        ("5\n4.999999999999999999999999999999999999999999\n", NotMonotone,
+         ": ordinates not strictly increasing near 5.0"),
+        ("14.134725141735\n14.1347251417350000000000000000000000000000000001\n", NotMonotone,
+         ": ordinates not strictly increasing near 14.134725141735"),
+    ])
+    def test_messages_name_the_line(self, tmp_path, text, error, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(error) as exc:
+            load_zero_table(p, precision=128)
+        assert str(exc.value) == str(p) + message
+
+
+_digits = st.text("0123456789", max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "+", "-"]), _digits, st.one_of(st.none(), _digits),
+       st.one_of(st.none(), st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+"]),
+                                      st.integers(-60, 60))),
+       st.sampled_from([53, 320, 1024]))
+def test_decimal_rounds_like_mpf(sign, whole, frac, exponent, prec):
+    if not (whole or frac):
+        whole = "0"
+    text = sign + whole + ("" if frac is None else "." + frac)
+    if exponent is not None:
+        e, plus, k = exponent
+        text += e + (plus if k >= 0 else "") + str(k)
+    with mpmath.workprec(prec):
+        assert _decimal(text, prec) == mpmath.mpf(text)._mpf_
 
 
 class TestBesselZeros:
