@@ -37,12 +37,19 @@ modulus ``m``) gives the Gaussian factors ``q^(n^2)`` by the recurrence
 two multiplications per term in place of one exponential each; the
 rounding argument is in ``_theta_weights``.
 
-The per-node accumulation of the quadrature, the theta-term loops and the
-``q^(n^2)`` recurrence run on libmp tuples (``mpf._mpf_``).  They call the
-libmp functions the ``mpf`` operators call (``mpf_mul``, ``mpf_mul_int``,
-``mpf_add``, ``mpf_sub``, ``mpf_abs`` and the comparisons) at the ambient
-working precision with round-to-nearest, so every rounding and every stop
-decision is the operators', without a wrapper object per operation.
+The quadrature's node sums are exact integers.  The nodes are ``t_i = i h``
+with ``h`` a double, so ``t_i^(2n) = h^(2n) i^(2n)``: each kernel value becomes
+one fixed-point integer ``W_i = round(w_i 2^F)``, the sums ``S_n = sum W_i
+i^(2n)`` run in Python ints, and one scaling by ``h^(2n+1) 2^-F`` per moment
+gives the trapezoid sum.  Three roundings are left: the kernel values, their
+conversion to ``W_i`` and that final scaling (``_even_line_moments``).
+
+The theta-term loops and the ``q^(n^2)`` recurrence run on libmp tuples
+(``mpf._mpf_``).  They call the libmp functions the ``mpf`` operators call
+(``mpf_mul``, ``mpf_mul_int``, ``mpf_add``, ``mpf_sub``, ``mpf_abs`` and the
+comparisons) at the ambient working precision with round-to-nearest, so every
+rounding and every stop decision is the operators', without a wrapper object
+per operation.
 
 For the Dirichlet kernel with an odd character the widely printed exponent
 ``-(1+a)t/2`` fails that evenness check; the exponent ``-(2a+1)t/2`` that
@@ -64,6 +71,7 @@ import mpmath
 from mpmath import mpf, workprec
 from mpmath.libmp import (
     fzero,
+    from_man_exp,
     mpf_abs,
     mpf_add,
     mpf_gt,
@@ -72,9 +80,11 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_pos,
+    mpf_shift,
     mpf_sub,
     round_ceiling,
     round_nearest,
+    to_int,
 )
 
 from .characters import DirichletCharacter, kronecker_character
@@ -365,11 +375,24 @@ class _ThetaMajorant:
 
 @dataclass(frozen=True)
 class _BesselKMajorant:
-    """Log bounds on ``e^(-a cosh x)``: ``|e^(-a cosh(x + ib))| = e^(-a cos(b) cosh x)``."""
+    """Log bounds on ``e^(-a cosh x)``: ``|e^(-a cosh(x + ib))| = e^(-a cos(b) cosh x)``.
+
+    The strip half-width ``s`` is 1.4 (below pi/2) or, at large ``a``, the width
+    where ``M`` outgrows the moments by ``e^(a (1 - cos s)) ~ e^(a s^2/2) =
+    2^(precision+8)``, the factor the goals ask for: a wider strip costs more in
+    ``M`` than it gains in ``2 pi s/h``.
+    """
 
     a: float
-    s = 1.4                                 # strip half-width, below pi/2
-    c = math.cos(s)
+    precision: int
+
+    @property
+    def s(self):
+        return min(1.4, math.sqrt(2 * (self.precision + 8) * _LN2 / self.a))
+
+    @property
+    def c(self):
+        return math.cos(self.s)
 
     @property
     def cell(self):
@@ -437,6 +460,26 @@ def _strip_bounds(maj, K: int, precision: int, h0: float, T: Optional[float] = N
     return float(T), M, tail(T), goal
 
 
+def _fixed_point(x, F: int) -> int:
+    """``x 2^F`` rounded to the nearest integer, ties to even, for a finite libmp tuple."""
+    return to_int(mpf_shift(x, F), round_nearest)
+
+
+def _node_sums(kernel, hm, nodes: int, K: int, F: int):
+    """``S_n = sum c_i W_i i^(2n)``, n = 0..K, over the even and over the odd i <
+    nodes, as lists of ints: ``W_i = round(kernel(i h) 2^F)`` (``_fixed_point``) and
+    ``c_i`` is 1 at i = 0 and 2 beyond.  ``hm`` is h as a libmp tuple; the node
+    ``i h`` is exact, and the kernel runs at the ambient precision."""
+    sums = ([0] * (K + 1), [0] * (K + 1))
+    for i in range(nodes):
+        w = kernel(_make_mpf(mpf_mul_int(hm, i, mpmath.mp.prec, round_nearest)))
+        v, add, i2 = (2 if i else 1) * _fixed_point(w._mpf_, F), sums[i & 1], i * i
+        for n in range(K + 1):
+            add[n] += v
+            v *= i2
+    return sums
+
+
 def _even_line_moments(kernel: Callable[[object], object], K: int, precision: int,
                        quad: QuadConfig, kernel_name: str, majorant) -> MomentResult:
     """integral t^{2n} f(t) dt over the whole line, n = 0..K, f even.
@@ -453,14 +496,21 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
     finer than ``h0 / 2^quad.levels``, or if ``|T_h - T_2h|`` exceeds the two
     spacings' bounds plus rounding, this raises ``QuadratureNotConverged``.
 
-    The error, rounded up to 53 bits, bounds ``|values[n] - b_2n|``: the
-    strip bound at h, the rounding to ``precision`` bits and
-    ``2^-(precision+16) |T_h|`` for the node sums.  That allowance takes
-    each kernel value of one sign and within ``2^-(precision+22)`` of its
-    size: the theta series stop at ``2^-(precision+24)`` of their largest
-    term plus partial sum (the first term dominates on the tame side), 64
-    bits above the target.  The node sums are the ``mpf`` operators' calls,
-    precision and rounding on tuples.
+    The node sums are exact integers (``_node_sums``): ``T_h = h^(2n+1) 2^-F
+    S_n`` with ``S_n = sum c_i W_i i^(2n)``, ``W_i = round(f(i h) 2^F)``.  The
+    error, rounded up to 53 bits, bounds ``|values[n] - b_2n|``: the strip
+    bound at h, the rounding to ``precision`` bits and ``2^-(precision+16)
+    |T_h|`` for the three roundings left in ``T_h``:
+
+    - the kernel values, each of one sign and within ``2^-(precision+22)`` of
+      its size: the theta series stop at ``2^-(precision+24)`` of their
+      largest term plus partial sum (the first term dominates on the tame
+      side), 64 bits above the target;
+    - the conversion to ``W_i``, ``2^-(F+1)`` per node: F puts ``nodes 2h
+      T^(2n) 2^-(F+1)`` at least ``2^-(precision+40)`` under every moment's
+      lower bound (``2^(precision+8) e^goal``);
+    - the final scaling, one rounding to the working precision, 64 bits
+      above the target.
     """
     wp = precision + _QUAD_GUARD_BITS
     T, log_M, log_tail, goal = _strip_bounds(majorant, K, precision, quad.h0, quad.T)
@@ -481,18 +531,18 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
 
     with workprec(wp):
         hm, nodes = mpf(h)._mpf_, int(mpmath.floor(mpf(T) / h)) + 1
-        sums = ([fzero] * (K + 1), [fzero] * (K + 1))     # over even and odd i
-        for i in range(nodes):      # add[n] += w t^(2n), w = f(t), halved at t = 0
-            t, add = mpf_mul_int(hm, i, wp, round_nearest), sums[i & 1]
-            w = kernel(_make_mpf(t))
-            w = (w / 2 if i == 0 else w)._mpf_
-            t2 = mpf_mul(t, t, wp, round_nearest)
-            add[0] = mpf_add(add[0], w, wp, round_nearest)
-            for n in range(1, K + 1):
-                w = mpf_mul(w, t2, wp, round_nearest)
-                add[n] = mpf_add(add[n], w, wp, round_nearest)
-        I_prev = [4 * h * _make_mpf(e) for e in sums[0]]
-        I = [I_prev[n] / 2 + 2 * h * _make_mpf(o) for n, o in enumerate(sums[1])]
+        # the W_i's roundings, nodes 2h T^(2n) 2^-(F+1) at most, stay 2^-(precision+40)
+        # under b_2n's lower bound e^(goal+SLACK) 2^(precision+8); one spare bit
+        # covers the logs' double rounding
+        F = 32 + math.ceil(max(math.log(2 * nodes * h) + 2 * n * math.log(T) - g - _SLACK
+                               for n, g in enumerate(goal)) / _LN2)
+        # T_2h = 2 h^(2n+1) 2^-F S_even and T_h = h^(2n+1) 2^-F S_all, h = m 2^e exactly
+        _, m, e, _ = hm
+        I_prev, I = [], []
+        for n, (even, odd) in enumerate(zip(*_node_sums(kernel, hm, nodes, K, F))):
+            scale, exp = m ** (2 * n + 1), e * (2 * n + 1) - F
+            I_prev.append(_make_mpf(from_man_exp(2 * even * scale, exp, wp, round_nearest)))
+            I.append(_make_mpf(from_man_exp((even + odd) * scale, exp, wp, round_nearest)))
         values = tuple(BigFloat(v, precision) for v in I)
         # e^b = 2^(b // ln 2) e^(b % ln 2), also below the float range
         at_h, at_2h = ([mpmath.ldexp(math.exp(b % _LN2), int(b // _LN2)) for b in bound(g)]
@@ -799,7 +849,7 @@ def besselk_moments(
         return mpmath.exp(neg_a * mpmath.cosh(u))
 
     mr = _even_line_moments(kernel, K, precision, quad, f"bessel_k[a={af}]",
-                            _BesselKMajorant(af))
+                            _BesselKMajorant(af, precision))
     # kernel integral was over the whole line; these moments are half-line
     with workprec(precision + 8):
         values = tuple(BigFloat(v.value / 2, precision) for v in mr.values)

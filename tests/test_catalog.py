@@ -5,6 +5,8 @@ from math import factorial
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 from posroot.catalog import (
     DEFAULT_QUAD,
@@ -571,7 +573,7 @@ class TestNodeSplit:
         with pytest.raises(catalog.QuadratureNotConverged,
                            match=f"no level up to {levels} refinements"):
             catalog._even_line_moments(kernel, 2, 64, QuadConfig(levels=levels),
-                                       "never", catalog._BesselKMajorant(1.0))
+                                       "never", catalog._BesselKMajorant(1.0, 64))
 
     @pytest.mark.parametrize("levels", [3, 2000])
     def test_levels_only_cap_the_spacing(self, levels):
@@ -592,7 +594,7 @@ class TestNodeSplit:
 
         def run(kernel):
             return catalog._even_line_moments(kernel, 2, 64, QuadConfig(), "failing",
-                                              catalog._BesselKMajorant(1.0))
+                                              catalog._BesselKMajorant(1.0, 64))
 
         assert run(recording).metadata["nodes"] == len(grid)
         node = min(t for t in grid if t >= bad_t)
@@ -661,12 +663,13 @@ class TestStripBound:
     ], ids=["riemann", "dirichlet-4", "dirichlet5", "besselk"])
     def test_error_covers_finer_reference(self, monkeypatch, run, precision):
         mr = run(precision)
+        majorants, strip_bounds = [], catalog._strip_bounds
+        monkeypatch.setattr(catalog, "_strip_bounds",
+                            lambda maj, *args: majorants.append(maj) or strip_bounds(maj, *args))
         h = run(precision + 64).metadata["h_final"]
         # inflating M by e^(y + 1), y = 2 pi s/h, raises every moment's y by more
         # than y: the spacing at least halves
-        majorant = catalog._BesselKMajorant if "bessel" in mr.metadata["kernel"] \
-            else catalog._ThetaMajorant
-        boost = 2 * math.pi * majorant.s / h + 1
+        boost = 2 * math.pi * majorants[-1].s / h + 1
         _with_strip_bounds(monkeypatch, lambda M, tail, goal: ([m + boost for m in M], tail, goal))
         ref = run(precision + 64)
         assert ref.metadata["h_final"] <= h / 2
@@ -742,19 +745,27 @@ class TestStripBound:
         assert mr.metadata["T"] == 2.5
         assert mr.values == riemann_moments(4, 256, QuadConfig(T=2.5)).values
 
-    @pytest.mark.parametrize("a, T", [(50, 1.875), (1000, 0.5), (50000, 0.125)])
+    # node ceilings: the strip narrows as a grows (at s = 1.4 a = 1000, 50000 and
+    # 100000 took 54, 592 and 591 nodes)
+    @pytest.mark.parametrize("a, T", [(50, 1.875), (1000, 0.5), (50000, 0.125),
+                                      (100000, 0.0625)])
     def test_besselk_converges_at_large_a(self, a, T):
         mr = besselk_moments(a, 2, 128)
         assert mr.metadata["T"] == T
+        assert mr.metadata["nodes"] <= {50: 32, 1000: 37, 50000: 65, 100000: 46}[a]
         with mpmath.workprec(256):
             assert abs(mr[0].value - mpmath.besselk(0, a)) <= mr.errors[0].value
+
+    @pytest.mark.parametrize("a, precision", [(1, 1024), (2, 1024), (64, 128), (50, 64)])
+    def test_besselk_strip_is_wide_at_small_a(self, a, precision):
+        assert catalog._BesselKMajorant(a, precision).s == 1.4
 
     @pytest.mark.parametrize("majorant, K, precision", [
         (catalog._RIEMANN_MAJORANT, 4, 256),
         (catalog._RIEMANN_MAJORANT, 41, 320),
-        (catalog._BesselKMajorant(2.0), 16, 1024),
-        (catalog._BesselKMajorant(50.0), 2, 128),
-        (catalog._BesselKMajorant(1000.0), 2, 128),
+        (catalog._BesselKMajorant(2.0, 1024), 16, 1024),
+        (catalog._BesselKMajorant(50.0, 128), 2, 128),
+        (catalog._BesselKMajorant(1000.0, 128), 2, 128),
     ], ids=["riemann-K4", "riemann-K41", "besselk2", "besselk50", "besselk1000"])
     def test_T_is_the_first_grid_point_whose_tail_meets_the_goal(self, majorant, K, precision):
         spare = catalog._T_SPARE * math.log(2)
@@ -768,6 +779,68 @@ class TestStripBound:
         except catalog.QuadratureNotConverged:
             return      # the tail misses the goal itself
         assert any(t > g - spare for t, g in zip(tail, goal))
+
+
+def _fraction(x):
+    """A finite mpf as its exact Fraction."""
+    man, exp = x.man_exp
+    return F(man) * F(2) ** exp
+
+
+class TestIntegerNodeSums:
+    """The node sums are exact integers; the kernel values, their fixed-point
+    conversion and the final scaling are the roundings left."""
+
+    @settings(max_examples=300)
+    @given(st.integers(-2 ** 80, 2 ** 80), st.integers(-120, 60), st.integers(-40, 200))
+    @example(0, 0, 7)           # zero
+    @example(5, -1, 0)          # 5/2 ties to 2
+    @example(-7, -1, 0)         # -7/2 ties to -4
+    @example(3, -2, 1)          # 3/2 ties to 2
+    @example(-1, -2, 0)         # -1/4 rounds to 0
+    def test_fixed_point_rounds_to_nearest(self, man, exp, shift):
+        """round(x 2^F), ties to even, for both signs, zero, left and right shifts."""
+        x = from_man_exp(man, exp)
+        assert catalog._fixed_point(x, shift) == round(F(man) * F(2) ** (exp + shift))
+
+    @pytest.mark.parametrize("h", [0.375, 0.1])
+    def test_dyadic_kernel_sums_exactly(self, h):
+        values = [F((-1) ** i * (2 * i + 1), 2 ** i) for i in range(9)]
+        seen = []
+
+        def kernel(t):
+            seen.append(_fraction(t))
+            v = values[len(seen) - 1]
+            return mpmath.mpf(v.numerator) / v.denominator    # exact: dyadic
+
+        K, shift = 5, 12
+        with mpmath.workprec(128):
+            even, odd = catalog._node_sums(kernel, mpmath.mpf(h)._mpf_, len(values), K, shift)
+        assert seen == [F(h) * i for i in range(len(values))]
+        for parity, sums in enumerate((even, odd)):
+            assert sums == [sum((1 if i == 0 else 2) * v * 2 ** shift * i ** (2 * n)
+                                for i, v in enumerate(values) if i % 2 == parity)
+                            for n in range(K + 1)]
+
+    @pytest.mark.parametrize("unit", [1, -1])
+    @pytest.mark.parametrize("run", [
+        lambda: riemann_moments(8, 256),
+        lambda: dirichlet_moments(kronecker_character(-4), 6, 192),
+        lambda: besselk_moments(1, 6, 192),
+    ], ids=["riemann", "dirichlet-4", "besselk"])
+    def test_every_unit_off_stays_within_the_errors(self, monkeypatch, run, unit):
+        base, fixed, calls = run(), catalog._fixed_point, []
+
+        def off(x, shift):
+            calls.append(shift)
+            return fixed(x, shift) + unit
+
+        monkeypatch.setattr(catalog, "_fixed_point", off)
+        moved = run()
+        assert len(calls) == base.metadata["nodes"]
+        with mpmath.workprec(base.precision + 64):
+            for n in range(len(base)):
+                assert abs(moved[n].value - base[n].value) <= base.errors[n].value
 
 
 class TestHoistedConstants:

@@ -21,13 +21,20 @@ choose the truncation point ``T``, which moved only their ``T``, ``nodes`` and
 ``errors``/``moment_errors`` fields, and re-recorded again when the trapezoid
 step became the largest the strip bound allows rather than a power-of-two
 level, which moved only their ``errors``/``moment_errors``, ``nodes``,
-``h_final`` and ``levels_used`` fields; a change that alters any byte of any of
-these reports fails here.  Criterion 11 only checks that two runs of one
-tree agree.  A certificate runs with ``--format both`` unless its arguments
-name a format.
+``h_final`` and ``levels_used`` fields, and re-recorded again when the node
+sums became exact integers, which moved only their ``errors``/``moment_errors``
+fields; a change that alters any byte of any of these reports fails here.
+Those eight also carry a values-only pin, recorded before the integer node
+sums, that no change of the quadrature's bound or grid may move.  Criterion 11
+only checks that two runs of one tree agree.  A certificate runs with
+``--format both`` unless its arguments name a format.
 """
 
+import functools
 import hashlib
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -72,7 +79,7 @@ GOLDEN = {
     "besselk-shifted-even-B3": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "3", "--precision", "192"],
-        "ea697c817c5491c63dc957cb9c2b4e0577c69fec227939945209c30c7a920fe1",
+        "c8a1fe3ffa037aeedabefab19665d4b6b98d94d1eada34aaca3012ad891a0873",
         "2dc478dd48655b65facabbc45a5a3d5645c35297a6c30eb93177958872bc224a"),
     # Shifts of order 64 and 48 (C(n, j) exceeds 53 bits at order 64).  The
     # powers of the dyadic shift 1/2 are exact, so the 7/3 shift also pins
@@ -85,7 +92,7 @@ GOLDEN = {
     "besselk-shifted-even-B8": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "8", "--precision", "256"],
-        "5ecfa5e92ecaab8be2cf9abd5c157d828d5b3e3fccd8d24e7f54c93effa58520",
+        "730e41173781a9b0f4a35bd4c752f5f85ade5a953d0d84846a51d8472dcd601d",
         "3d57c00e9938a8fe22669b3543b26ea96f3ef3a09d95d0a888743ec3875207e4"),
     "sinc-shifted-even-B8-shift7/3": (
         ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "7/3",
@@ -95,17 +102,17 @@ GOLDEN = {
     "riemann-moment-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "4",
          "--precision", "256"],
-        "ee34d56ab43e38c6cf443d31fffe505610e56ca125dccc9149710489a166876d",
+        "6262c2ca380a2ffd8a135f0aaad4c68eb75e8c0eb5b69f4de44b46e8f54c9129",
         "b7340bc0b9f19638b672a82eb60970e9e2336f52c00a4e5fb6a0ad3aacd23299"),
     "riemann-derivative-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "derivative", "--grid", "4",
          "--precision", "256"],
-        "f9a5114ba60d6325da2ba75af489d9222b1f9a94cc34b6ec38469903a483a7a7",
+        "a3009957464947f53e44aae2679827fba00064cb4450c2f283b78ec3652d5884",
         "07fdaec399de829e2d51ff99efff5836b81dfb5d3502cc313920c9869ad28624"),
     "dirichlet-m4-moment-B4": (
         ["certify", "--function", "dirichlet-xi", "--discriminant", "-4",
          "--mode", "moment", "--grid", "4", "--precision", "192"],
-        "bf7ab430294a51c33b8683f245d1e4d1d34a5bf73a4d377e692f1fdd33b0f8ff",
+        "cf32fe888bae7d6426c03450c1f52eb158cb299a7f0a49191b618fbf13d217f5",
         "31a3d994dc0b2911b59f6e6121423aa8dff7a91cafb8b2c0c8de7d254d921be3"),
     "adversarial-seed42": (
         ["adversarial", "--seed", "42", "--draws", "3", "--grid", "16",
@@ -114,16 +121,16 @@ GOLDEN = {
     "moments-besselk": (
         ["moments", "--function", "bessel-k", "--a", "1", "--orders", "4",
          "--precision", "192"],
-        "0a88ec0f6d4fc5cd84dd7517919ded25550a71420542717cd679b1d1cff76bc3", None),
+        "ce968e23cd3ccd15d7d5f038b571972eb8cc4541f737632cd4c255b824ec7924", None),
     # D = 8 is an even character (a = 0); Riemann at the 1024 bits of the
     # xi-quadrature benchmark workload.
     "moments-dirichlet-D8-640": (
         ["moments", "--function", "dirichlet-xi", "--discriminant", "8", "--orders", "6",
          "--precision", "640"],
-        "c4c0765c24ef3e58b2420985cb6d64c84a9b79f91be7a9d17234be306802fefb", None),
+        "e37ee55b9de8efcd4250d5d223f930087d39534bedcb126ff4fe24159cba991e", None),
     "moments-riemann-1024": (
         ["moments", "--function", "riemann-xi", "--orders", "6", "--precision", "1024"],
-        "abf4af97b4fedafdbba9bebd39688a94b20bea49f92e6e24647f813cd91e568e", None),
+        "c550a36d718865bf6acc4753a4d3182dc1c76ea8414f3c089eb4100d4ebbe815", None),
     # At ν = 1/2 the binding t_nu = q^ν is a BigFloat, so each multivariate
     # cell is summed term by term in float: the bytes pin the term order.
     "qbessel-symbolic-nu1/2-moment-B2": (
@@ -170,26 +177,82 @@ ZERO_TABLE = ("# test table\n14.134725141734693790\n21.022039638771554993\n"
 ZERO_TABLE_SHA = "420b7e9d50a6aaf8eaf5dc4a658cacf4ca618126418740a55930f46b8fbbe29e"
 
 
-def _sha(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+# The quadrature-backed reports once more, as hashes of their canonical JSON
+# (sorted keys, no whitespace) with the quadrature's error and grid fields
+# deleted at any depth: a change that moves only the error bound, the cut-off
+# or the grid re-records the byte pins above and leaves these, and one that
+# moves any value or verdict fails here.
+GRID_AND_ERROR_KEYS = {"errors", "moment_errors", "nodes", "h_final", "levels_used", "T"}
+VALUES_ONLY = {
+    "besselk-shifted-even-B3":
+        "5b7cc3e272610fc6f94ee1664e2f4bc5985fb37f1342249584a72b629096b3c3",
+    "besselk-shifted-even-B8":
+        "75615811ed940376d589c4f668f15d56c64f9d8d7d8ac65e0d270464df1d4f03",
+    "dirichlet-m4-moment-B4":
+        "1980a6a040dca141d8528b8da6b051a0ae9b08132e6f29e4134d9edc01cc9641",
+    "moments-besselk":
+        "7b170b99e1d3aaa62d4346a1d9babc4f613ff2f42a1bf59cb3e5ebd8e8591205",
+    "moments-dirichlet-D8-640":
+        "d84bd1781de9a6467dec1e3188e22c9c70cd438d6d81db61ffd054575ddc5eaf",
+    "moments-riemann-1024":
+        "839a22c309e9ed484197494d32ce6337aa5f4c303a40f36b642232dbbf978d1c",
+    "riemann-derivative-B4":
+        "fd05f8d069904b856e53784c2813a8c66153bdbc1af936b09e0b9c87c4af7ce7",
+    "riemann-moment-B4":
+        "da0e9e74d32f3d411198298b4ccdbe13ed552d6fc21c0173838fd95de839d955",
+}
 
 
-def _run(args, tmp_path):
-    out = tmp_path / "report.json"
+def _sha(data):
+    return hashlib.sha256(data).hexdigest() if data is not None else None
+
+
+def _read(path):
+    return path.read_bytes() if path.exists() else None
+
+
+def _run(args, directory):
+    """The JSON report's and the CSV triangle's bytes (None where not written)."""
+    out = directory / "report.json"
     both = args[0] in ("certify", "moments", "powersums") and "--format" not in args
     fmt = ["--format", "both"] if both else []
     assert main(args + fmt + ["--output", str(out)]) in (0, 2, 3)
-    return _sha(out), _sha(tmp_path / "report.csv")
+    return _read(out), _read(directory / "report.csv")
+
+
+@functools.cache
+def _report(name):
+    with tempfile.TemporaryDirectory() as directory:
+        return _run(GOLDEN[name][0], Path(directory))
+
+
+def _values_only(obj):
+    if isinstance(obj, dict):
+        return {k: _values_only(v) for k, v in obj.items() if k not in GRID_AND_ERROR_KEYS}
+    if isinstance(obj, list):
+        return [_values_only(v) for v in obj]
+    return obj
+
+
+def _values_sha(report: bytes) -> str:
+    canonical = json.dumps(_values_only(json.loads(report)), sort_keys=True,
+                           separators=(",", ":"))
+    return _sha(canonical.encode())
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_bytes_unchanged(name, tmp_path):
-    args, json_sha, csv_sha = GOLDEN[name]
-    assert _run(args, tmp_path) == (json_sha, csv_sha)
+def test_report_bytes_unchanged(name):
+    _, json_sha, csv_sha = GOLDEN[name]
+    assert tuple(map(_sha, _report(name))) == (json_sha, csv_sha)
+
+
+@pytest.mark.parametrize("name", sorted(VALUES_ONLY))
+def test_report_values_unchanged(name):
+    assert _values_sha(_report(name)[0]) == VALUES_ONLY[name]
 
 
 def test_zero_table_report_bytes_unchanged(tmp_path, monkeypatch):
     (tmp_path / "zeros.txt").write_text(ZERO_TABLE)
     monkeypatch.chdir(tmp_path)
     args = ["zeros", "--table", "zeros.txt", "--limit", "3", "--precision", "128"]
-    assert _run(args, tmp_path) == (ZERO_TABLE_SHA, None)
+    assert tuple(map(_sha, _run(args, tmp_path))) == (ZERO_TABLE_SHA, None)
