@@ -53,7 +53,6 @@ from .catalog import (
     FunctionSpec,
     GridConfig,
     MomentResult,
-    QuadConfig,
     airy_coeffs,
     besselk_moments,
     bessel_coeffs,

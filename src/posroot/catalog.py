@@ -102,7 +102,6 @@ __all__ = [
     "FunctionKind",
     "FunctionSpec",
     "MomentResult",
-    "QuadConfig",
     "GridConfig",
     "ScanReport",
     "QuadratureNotConverged",
@@ -276,18 +275,10 @@ def airy_coeffs(K: int, precision: int = DEFAULT_PRECISION_BITS) -> ElementarySe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Knobs for the moment quadrature: truncation, refinement, series caps."""
-
-    T: Optional[float] = None      # half-line truncation point; None = the tail bound's
-    levels: int = 12               # the strip bound's step h may be as fine as h0 / 2^levels
-    N_s_max: int = 200000          # cap on kernel series terms per node
-    h0: float = 0.25               # coarsest node spacing
-
-
-DEFAULT_QUAD = QuadConfig()
 _QUAD_GUARD_BITS = 64              # working bits of the quadrature above the target precision
+_H0 = 0.25                         # the widest node spacing the tail bound covers
+_H_FLOOR = _H0 / 2 ** 12           # a spacing the strip bound asks below this is an error
+_THETA_TERMS = 200000              # cap on theta series terms per kernel value
 
 
 @dataclass(frozen=True)
@@ -409,20 +400,16 @@ class _BesselKMajorant:
         return -self.a * c * math.sinh(x)
 
 
-def _strip_bounds(maj, K: int, precision: int, h0: float, T: Optional[float] = None):
+def _strip_bounds(maj, K: int, precision: int):
     """``T`` and logs ``(M, tail, goal)`` per n = 0..K for ``g_n(z) = z^(2n) phi(z)``,
     phi even: ``M[n]`` bounds the integral of ``|g_n(x + ib)|`` over x for ``|b| <=
-    maj.s``, ``tail[n]`` bounds ``h sum |g_n(ih)|`` over ``|ih| > T`` for ``h <= h0``,
-    and ``goal[n]`` is ``2^-(precision+8)`` times a lower bound of the integral of
-    ``g_n``.  Sums over cells of width ``maj.cell`` take the majorant (with ``|z|^(2n)
-    <= (x^2 + s^2)^n``, rising at rate ``2n/x`` at most) at its worst and the
-    minorant at its least, up to the first edge X beyond which every log-integrand
-    falls at rate ``decay = _DECAY _CELL/maj.cell``, plus ``g_n(X)/decay``.  ``T``
-    is the first multiple of ``_T_STEP`` whose tail is ``_T_SPARE`` bits under every
-    goal; a given ``T`` only needs tails below the goals.  The tail needs a fall at rate 1.
-    Double precision."""
-    if T is not None and not 0 < T < math.inf:
-        raise ValueError(f"T = {T} must be positive and finite")
+    maj.s``, ``tail[n]`` is ``_tail`` at ``T``, and ``goal[n]`` is ``2^-(precision+8)``
+    times a lower bound of the integral of ``g_n``.  Sums over cells of width
+    ``maj.cell`` take the majorant (with ``|z|^(2n) <= (x^2 + s^2)^n``, rising at rate
+    ``2n/x`` at most) at its worst and the minorant at its least, up to the first
+    edge X beyond which every log-integrand falls at rate ``decay = _DECAY
+    _CELL/maj.cell``, plus ``g_n(X)/decay``.  ``T`` is the first multiple of
+    ``_T_STEP`` whose tail is ``_T_SPARE`` bits under every goal.  Double precision."""
     s, w = maj.s, maj.cell
     decay = _DECAY * _CELL / w
     strip, cells, X = [], [], 0.0
@@ -444,20 +431,19 @@ def _strip_bounds(maj, K: int, precision: int, h0: float, T: Optional[float] = N
         if N >= P:
             raise QuadratureNotConverged(f"no positive lower bound of b_{2 * n}")
         goal.append(P + math.log(-math.expm1(N - P)) + _LN2 - _SLACK - (precision + 8) * _LN2)
+    T = _T_STEP
+    while any(t > g - _T_SPARE * _LN2 for t, g in zip(_tail(maj, K, T), goal)):
+        T += _T_STEP
+    return T, M, _tail(maj, K, T), goal
 
-    def tail(T):        # +inf where the integrand may not fall at rate 1 beyond T
-        if maj.slope(T, 1.0) + 2 * K / T > -1:
-            return [math.inf] * (K + 1)
-        t0 = maj.upper(T, T, 1.0) + math.log(h0 / -math.expm1(-h0)) + _LN2 + _SLACK
-        return [t0 + 2 * n * math.log(T) for n in range(K + 1)]
 
-    if T is None:
-        T = _T_STEP
-        while any(t > g - _T_SPARE * _LN2 for t, g in zip(tail(T), goal)):
-            T += _T_STEP
-    elif any(t >= g for t, g in zip(tail(T), goal)):
-        raise QuadratureNotConverged(f"T = {T} is too small: its tail misses the target")
-    return float(T), M, tail(T), goal
+def _tail(maj, K: int, T: float):
+    """Logs of bounds on ``h sum |g_n(ih)|`` over ``|ih| > T`` for ``h <= _H0``, n =
+    0..K; ``+inf`` where the integrand may not fall at rate 1 beyond T."""
+    if maj.slope(T, 1.0) + 2 * K / T > -1:
+        return [math.inf] * (K + 1)
+    t0 = maj.upper(T, T, 1.0) + math.log(_H0 / -math.expm1(-_H0)) + _LN2 + _SLACK
+    return [t0 + 2 * n * math.log(T) for n in range(K + 1)]
 
 
 def _fixed_point(x, F: int) -> int:
@@ -481,20 +467,20 @@ def _node_sums(kernel, hm, nodes: int, K: int, F: int):
 
 
 def _even_line_moments(kernel: Callable[[object], object], K: int, precision: int,
-                       quad: QuadConfig, kernel_name: str, majorant) -> MomentResult:
+                       kernel_name: str, majorant) -> MomentResult:
     """integral t^{2n} f(t) dt over the whole line, n = 0..K, f even.
 
     ``kernel(t)`` is evaluated for t >= 0 only, at the ambient mpmath
-    precision; ``majorant`` bounds it and gives ``T`` unless ``quad.T`` does
-    (``_strip_bounds``).  The spacing h is the largest the strip bound allows,
-    tail included: with ``y = 2 pi s/h`` and ``D = log(e^goal - e^tail) - M <
-    0``, moment n needs ``2/(e^y - 1) <= e^D``, that is ``y >= -D + log(2 +
-    e^D)``.  Shrunk by ``2^-20`` for double rounding and checked again before
-    any kernel value, h is at most ``h0/2``, so that the check spacing 2h
-    stays within the tail bound's ``h <= h0``.  One grid ``i h``, i =
-    0..floor(T/h), gives ``T_h`` and, from its even i, ``T_2h``.  If h is
-    finer than ``h0 / 2^quad.levels``, or if ``|T_h - T_2h|`` exceeds the two
-    spacings' bounds plus rounding, this raises ``QuadratureNotConverged``.
+    precision; ``majorant`` bounds it and gives ``T`` (``_strip_bounds``).  The
+    spacing h is the largest the strip bound allows, tail included: with ``y =
+    2 pi s/h`` and ``D = log(e^goal - e^tail) - M < 0``, moment n needs
+    ``2/(e^y - 1) <= e^D``, that is ``y >= -D + log(2 + e^D)``.  Shrunk by
+    ``2^-20`` for double rounding and checked again before any kernel value, h
+    is at most ``_H0/2``, so that the check spacing 2h stays within the tail
+    bound's ``h <= _H0``.  One grid ``i h``, i = 0..floor(T/h), gives ``T_h``
+    and, from its even i, ``T_2h``.  If h is finer than ``_H_FLOOR``, or if
+    ``|T_h - T_2h|`` exceeds the two spacings' bounds plus rounding, this
+    raises ``QuadratureNotConverged``.
 
     The node sums are exact integers (``_node_sums``): ``T_h = h^(2n+1) 2^-F
     S_n`` with ``S_n = sum c_i W_i i^(2n)``, ``W_i = round(f(i h) 2^F)``.  The
@@ -513,7 +499,7 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
       above the target.
     """
     wp = precision + _QUAD_GUARD_BITS
-    T, log_M, log_tail, goal = _strip_bounds(majorant, K, precision, quad.h0, quad.T)
+    T, log_M, log_tail, goal = _strip_bounds(majorant, K, precision)
 
     def bound(h):           # logs of the strip bound plus the tail at spacing h
         y = 2 * math.pi * majorant.s / h
@@ -522,10 +508,10 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
 
     D = [g + math.log(-math.expm1(t - g)) - m for m, t, g in zip(log_M, log_tail, goal)]
     y = max(-d + math.log(2 + math.exp(d)) for d in D)
-    h = min(quad.h0 / 2, 2 * math.pi * majorant.s / y * (1 - 2 ** -20))
-    if h < math.ldexp(quad.h0, -quad.levels):
-        raise QuadratureNotConverged(f"{kernel_name}: the strip bound meets the target "
-                                     f"at no level up to {quad.levels} refinements")
+    h = min(_H0 / 2, 2 * math.pi * majorant.s / y * (1 - 2 ** -20))
+    if h < _H_FLOOR:
+        raise QuadratureNotConverged(f"{kernel_name}: the strip bound asks for a spacing "
+                                     f"{h} below the floor {_H_FLOOR}")
     if any(b > g for b, g in zip(bound(h), goal)):
         raise QuadratureNotConverged(f"{kernel_name}: the strip bound misses the target at {h}")
 
@@ -592,7 +578,7 @@ def _theta_weights(q, prec: int):
 
 
 def _kernel_value(terms, t, precision: int, use_evenness: bool, modulus: int = 1) -> BigFloat:
-    """A theta kernel at real ``t`` from ``terms(t, N_s_max, eps_bits) -> (value, n)``.
+    """A theta kernel at real ``t`` from ``terms(t, eps_bits) -> (value, n)``.
 
     With ``use_evenness`` the series is summed at ``-|t|``, where all terms
     are tame; the literal signed evaluation raises the working precision by
@@ -607,15 +593,14 @@ def _kernel_value(terms, t, precision: int, use_evenness: bool, modulus: int = 1
     wp = precision + 48 + boost
     with workprec(wp):
         tv = _to_mp(t, wp)
-        v, _ = terms(-abs(tv) if use_evenness else tv, DEFAULT_QUAD.N_s_max,
-                     precision + 16 + boost)
+        v, _ = terms(-abs(tv) if use_evenness else tv, precision + 16 + boost)
         return BigFloat(v, precision)
 
 
-def _theta_moments(terms, majorant, K, precision, quad, name) -> MomentResult:
+def _theta_moments(terms, majorant, K, precision, name) -> MomentResult:
     """Moments of the theta kernel of ``terms``, its series summed at ``-t`` (tame terms)."""
-    mr = _even_line_moments(lambda t: terms(-t, quad.N_s_max, precision + 24)[0], K,
-                            precision, quad, name, majorant)
+    mr = _even_line_moments(lambda t: terms(-t, precision + 24)[0], K, precision, name,
+                            majorant)
     mr.metadata["variant"] = "theta-even"
     return mr
 
@@ -642,7 +627,7 @@ def _eps(eps_bits: int, prec: int):
         return (mpf(2) ** (-eps_bits))._mpf_
 
 
-def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
+def _riemann_kernel_terms(t, eps_bits: int):
     """Literal theta-series kernel value at real t (terms may cancel).
 
     phi(t) = 2 pi * sum_n (2 pi n^4 e^{-9t/2} - 3 n^2 e^{-5t/2}) e^{-n^2 pi e^{-2t}}
@@ -660,7 +645,7 @@ def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
     eps = _eps(eps_bits, prec)
     acc = maxab = fzero
     prev = None
-    for n, w in zip(range(1, N_s_max + 1), _theta_weights(q._mpf_, prec)):
+    for n, w in zip(range(1, _THETA_TERMS + 1), _theta_weights(q._mpf_, prec)):
         # twopi * (twopi * n^4 * E9 - 3 n^2 * E5) * w
         a = mpf_mul(mpf_mul_int(twopi, n ** 4, prec, rnd), E9, prec, rnd)
         b = mpf_mul_int(E5, 3 * (n * n), prec, rnd)
@@ -673,7 +658,7 @@ def _riemann_kernel_terms(t, N_s_max: int, eps_bits: int):
                 at, mpf_mul(eps, mpf_add(maxab, mpf_abs(acc, prec, rnd), prec, rnd), prec, rnd)):
             return _make_mpf(acc), n
         prev = at
-    raise QuadratureNotConverged(f"theta series did not converge in {N_s_max} terms")
+    raise QuadratureNotConverged(f"theta series did not converge in {_THETA_TERMS} terms")
 
 
 def riemann_phi(
@@ -706,13 +691,11 @@ _RIEMANN_MAJORANT = _ThetaMajorant(math.log(2 * math.pi * (2 * math.pi + 3)),
 def riemann_moments(
     K: int,
     precision: int = DEFAULT_PRECISION_BITS,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> MomentResult:
     """Even moments b_{2n} of the xi kernel, n = 0..K."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    return _theta_moments(_riemann_kernel_terms, _RIEMANN_MAJORANT, K, precision, quad,
-                          "riemann_xi")
+    return _theta_moments(_riemann_kernel_terms, _RIEMANN_MAJORANT, K, precision, "riemann_xi")
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +703,7 @@ def riemann_moments(
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, N_s_max: int, eps_bits: int):
+def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, eps_bits: int):
     """Literal character theta kernel at real t.
 
     phi(t, chi) = sum_{n != 0} n^a chi(n) exp(-n^2 pi e^{-2t}/m - c t)
@@ -738,7 +721,7 @@ def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, N_s_max: int
     eps = _eps(eps_bits, prec)
     acc = maxab = fzero
     prev = None
-    for n, w in zip(range(1, N_s_max + 1), _theta_weights(q._mpf_, prec)):
+    for n, w in zip(range(1, _THETA_TERMS + 1), _theta_weights(q._mpf_, prec)):
         c = chi(n)
         if c == 0:
             continue
@@ -751,12 +734,13 @@ def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, N_s_max: int
                 at, mpf_mul(eps, mpf_add(maxab, mpf_abs(acc, prec, rnd), prec, rnd), prec, rnd)):
             return 2 * damp * _make_mpf(acc), n
         prev = at
-    raise QuadratureNotConverged(f"character theta series did not converge in {N_s_max} terms")
+    raise QuadratureNotConverged(
+        f"character theta series did not converge in {_THETA_TERMS} terms")
 
 
 def _character_terms(chi: DirichletCharacter, two_c: int):
-    """``_dirichlet_kernel_terms`` at one character and damping, as ``terms(t, N_s, eps_bits)``."""
-    return lambda t, N_s_max, eps_bits: _dirichlet_kernel_terms(t, chi, two_c, N_s_max, eps_bits)
+    """``_dirichlet_kernel_terms`` at one character and damping, as ``terms(t, eps_bits)``."""
+    return lambda t, eps_bits: _dirichlet_kernel_terms(t, chi, two_c, eps_bits)
 
 
 def dirichlet_phi(
@@ -793,7 +777,6 @@ def dirichlet_moments(
     chi: DirichletCharacter,
     K: int,
     precision: int = DEFAULT_PRECISION_BITS,
-    quad: QuadConfig = DEFAULT_QUAD,
     scan: Optional["ScanReport"] = None,
 ) -> MomentResult:
     """Even moments b_{2n}(chi) of the character kernel, n = 0..K.
@@ -806,7 +789,7 @@ def dirichlet_moments(
     majorant = _ThetaMajorant(math.log(2), math.log(2), chi.parity + 0.5, chi.parity,
                               math.pi / chi.modulus, chi)
     mr = _theta_moments(_character_terms(chi, 2 * chi.parity + 1), majorant, K, precision,
-                        quad, f"dirichlet_xi[{chi.label}]")
+                        f"dirichlet_xi[{chi.label}]")
     mr.metadata["modulus"] = chi.modulus
     mr.metadata["parity"] = chi.parity
     if scan is not None:
@@ -825,7 +808,6 @@ def besselk_moments(
     a,
     K: int,
     precision: int = DEFAULT_PRECISION_BITS,
-    quad: QuadConfig = DEFAULT_QUAD,
 ) -> MomentResult:
     """c_{2n} = integral_0^inf u^{2n} e^{-a cosh u} du, n = 0..K (a > 0).
 
@@ -848,7 +830,7 @@ def besselk_moments(
     def kernel(u):
         return mpmath.exp(neg_a * mpmath.cosh(u))
 
-    mr = _even_line_moments(kernel, K, precision, quad, f"bessel_k[a={af}]",
+    mr = _even_line_moments(kernel, K, precision, f"bessel_k[a={af}]",
                             _BesselKMajorant(af, precision))
     # kernel integral was over the whole line; these moments are half-line
     with workprec(precision + 8):
@@ -899,6 +881,10 @@ def phi_nonneg_scan(
     Evenness covers negative t.  A PASS (no negative value) is grid evidence
     for the kernel-nonnegativity assumption, never a proof.
     """
+    if grid.points < 2:
+        raise ValueError(f"a scan needs at least 2 points, not {grid.points}")
+    if not 0 < grid.t_max < math.inf:
+        raise ValueError(f"t_max = {grid.t_max} must be positive and finite")
     step = grid.t_max / (grid.points - 1)
     # min keeps the first of equal values
     best, best_t = min(((dirichlet_phi(i * step, chi, precision), i * step)
@@ -992,7 +978,6 @@ class FunctionSpec:
     params: dict = field(default_factory=dict)
     mode: str = "exact"
     precision: int = DEFAULT_PRECISION_BITS
-    quad: QuadConfig = DEFAULT_QUAD
     _moments: Optional[MomentResult] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -1032,11 +1017,10 @@ class FunctionSpec:
         quadrature that produced them.
         """
         producers = {
-            FunctionKind.RIEMANN_XI: lambda: riemann_moments(K, self.precision, self.quad),
+            FunctionKind.RIEMANN_XI: lambda: riemann_moments(K, self.precision),
             FunctionKind.DIRICHLET_XI: lambda: dirichlet_moments(
-                self.params["chi"], K, self.precision, self.quad),
-            FunctionKind.BESSEL_K: lambda: besselk_moments(
-                self.params["a"], K, self.precision, self.quad),
+                self.params["chi"], K, self.precision),
+            FunctionKind.BESSEL_K: lambda: besselk_moments(self.params["a"], K, self.precision),
         }
         if self.kind not in producers:
             raise ScalarError(f"{self.kind.value} has closed-form coefficients, not moments")

@@ -33,7 +33,6 @@ from .catalog import (
     FunctionKind,
     FunctionSpec,
     GridConfig,
-    QuadConfig,
     besselk_moments,
     dirichlet_moments,
     phi_nonneg_scan,
@@ -99,10 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--symbolic", action="store_true",
                        help="keep parameters symbolic (rational-function mode)")
         p.add_argument("--precision", type=int, default=None, help="bits")
-        p.add_argument("--quad-T", type=float, default=None)
-        p.add_argument("--quad-levels", type=int, default=12,
-                       help="the finest step the error bound may choose is h0/2^levels")
-        p.add_argument("--quad-ns-max", type=int, default=200000)
         p.add_argument("--output", default=None, help="report path (default stdout)")
         p.add_argument("--format", default="json", choices=["json", "csv", "both"])
         p.add_argument("--timestamp", default=None,
@@ -176,9 +171,6 @@ def _parse_fraction(text, name):
 def _build_spec(args) -> FunctionSpec:
     kind = FunctionKind(args.function)
     precision = _precision(args)
-    if args.quad_T is not None and not 0 < args.quad_T < float("inf"):
-        raise ConfigError(f"--quad-T {args.quad_T} must be positive and finite")
-    quad = QuadConfig(T=args.quad_T, levels=args.quad_levels, N_s_max=args.quad_ns_max)
     params = {}
     if args.nu is not None:
         params["nu"] = _parse_fraction(args.nu, "nu")
@@ -205,7 +197,7 @@ def _build_spec(args) -> FunctionSpec:
         mode = "ratfunc" if kind is FunctionKind.SINC else "exact"
     else:
         mode = "float"
-    return FunctionSpec(kind, params=params, mode=mode, precision=precision, quad=quad)
+    return FunctionSpec(kind, params=params, mode=mode, precision=precision)
 
 
 def _stamp(args) -> dict:
@@ -336,6 +328,10 @@ def _cmd_powersums(args) -> int:
 
 
 def _cmd_scan_phi(args) -> int:
+    if args.points < 2:
+        raise ConfigError(f"--points {args.points} must be at least 2")
+    if not 0 < args.t_max < float("inf"):
+        raise ConfigError(f"--t-max {args.t_max} must be positive and finite")
     chi = kronecker_character(args.discriminant)
     precision = _precision(args)
     report = phi_nonneg_scan(chi, GridConfig(t_max=args.t_max, points=args.points),
@@ -364,6 +360,9 @@ def _cmd_zeros(args) -> int:
 def _cmd_adversarial(args) -> int:
     import random
 
+    for flag, value in (("--draws", args.draws), ("--grid", args.grid)):
+        if value < 0:
+            raise ConfigError(f"{flag} {value} must be nonnegative")
     rng = random.Random(args.seed)
     runs = []
     detected = 0

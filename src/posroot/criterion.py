@@ -80,6 +80,7 @@ from .scalars import (
     ScalarError,
     Verdict,
     _common_denominator,
+    _mpf_to_fraction,
     _to_mp,
     bigfloat_str,
     parse_bigfloat,
@@ -159,12 +160,6 @@ class NotEvenAfterShift(ScalarError):
 
 SAFETY_UP = Fraction(1025, 1024)    # multiplies an upper bound for lambda
 SAFETY_DOWN = Fraction(1023, 1024)  # multiplies a lower bound for rho
-
-
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    f = Fraction(man) * (Fraction(2) ** exp)
-    return -f if sign else f
 
 
 def _bound_in_domain(x, exact: bool, precision: int, prov: str) -> tuple[object, str]:
@@ -274,13 +269,13 @@ def _first_root_bound(f: TruncatedSeries, precision: int, safety: Fraction) -> B
     coefficients of at most ``precision + 16`` bits.
     """
     e1 = f[1]
+    if e1 == 0:
+        raise RhoUnavailable("vanishing linear coefficient; no scale for root scan")
     with workprec(precision + 16):
         if isinstance(e1, BigFloat):
             scale = abs(1 / e1.value)
         else:
             e1f = Fraction(e1)
-            if e1f == 0:
-                raise RhoUnavailable("vanishing linear coefficient; no scale for root scan")
             scale = abs(mpf(e1f.denominator) / e1f.numerator)
         coeffs = [_to_mp(c, precision + 16) for c in reversed(f.coefficients)]
         fb = lambda z: _horner(coeffs, z)
@@ -861,6 +856,8 @@ def adversarial_run(
     Returns the certificate and the detection depth: the smallest ``j+k``
     with a NEGATIVE cell, or None when the bounded triangle sees nothing.
     """
+    if B < 0:
+        raise ValueError("grid bound must be nonnegative")
     p = adversarial_power_sums(spec, B + 1, include_defects)
     metadata = {
         "base_size": len(spec.base),

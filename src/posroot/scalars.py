@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import lshift
+from operator import eq, ge, gt, le, lshift, lt
 from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
@@ -665,6 +665,13 @@ def _to_mp(v, prec: int):
     raise DomainMismatch(f"cannot convert {type(v).__name__} to a float scalar")
 
 
+def _mpf_to_fraction(x) -> Fraction:
+    """The exact dyadic value of a finite ``mpf``."""
+    sign, man, exp, _ = x._mpf_
+    f = Fraction(man) * (Fraction(2) ** exp)
+    return -f if sign else f
+
+
 class BigFloat:
     """Arbitrary-precision real float carrying its working precision in bits.
 
@@ -751,34 +758,34 @@ class BigFloat:
         with workprec(self.prec):
             return BigFloat(abs(self.value), self.prec)
 
-    def _cmp_value(self, other):
+    def _compare(self, other, op):
+        """``op`` on exact values: a ``Fraction`` meets the mpf's dyadic value, so
+        equality agrees with the hash; an infinity or NaN compares as with any
+        finite number."""
         if isinstance(other, BigFloat):
-            return other.value
+            return op(self.value, other.value)
         if isinstance(other, (int, float)):
-            return other
+            return op(self.value, other)
         if isinstance(other, Fraction):
-            return _to_mp(other, self.prec + 8)
-        return None
+            if mpmath.isfinite(self.value):
+                return op(_mpf_to_fraction(self.value), other)
+            return op(self.value, 0)
+        return NotImplemented
 
     def __eq__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is None else self.value == o
+        return self._compare(other, eq)
 
     def __lt__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is None else self.value < o
+        return self._compare(other, lt)
 
     def __le__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is None else self.value <= o
+        return self._compare(other, le)
 
     def __gt__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is None else self.value > o
+        return self._compare(other, gt)
 
     def __ge__(self, other):
-        o = self._cmp_value(other)
-        return NotImplemented if o is None else self.value >= o
+        return self._compare(other, ge)
 
     def __hash__(self):
         return hash(self.value)

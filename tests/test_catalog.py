@@ -9,11 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath.libmp import from_man_exp
 
 from posroot.catalog import (
-    DEFAULT_QUAD,
     FunctionKind,
     FunctionSpec,
     GridConfig,
-    QuadConfig,
     airy_coeffs,
     airy_raw_coefficient,
     besselk_moments,
@@ -31,7 +29,6 @@ from posroot.catalog import (
     sinc_coeffs,
 )
 from posroot import catalog
-from posroot.cli import main
 from posroot.characters import kronecker_character
 from posroot.scalars import BigFloat, RationalFunction, ScalarError
 from posroot.symfun import power_sums_from_elementary
@@ -202,8 +199,10 @@ class TestAiry:
 class TestBesselK:
     def test_c0_value(self):
         mr = besselk_moments(1, 4, 256)
-        # doubled-node independent oracle
-        mr2 = besselk_moments(1, 4, 256, QuadConfig(h0=0.125, T=mr.metadata["T"] + 0.4))
+        # independent oracle on a finer, longer grid: the strip bound asks more at 320 bits
+        mr2 = besselk_moments(1, 4, 320)
+        assert mr2.metadata["h_final"] < mr.metadata["h_final"]
+        assert mr2.metadata["T"] > mr.metadata["T"]
         with mpmath.workprec(300):
             assert abs(mr[0].value - mr2[0].value) < mpmath.mpf(2) ** -230
             assert abs(float(mr[0].value) - 0.4210244382) < 1e-9
@@ -248,7 +247,10 @@ class TestRiemannKernel:
 
     def test_error_estimates_cover_refinement(self):
         mr1 = riemann_moments(4, 160)
-        mr2 = riemann_moments(4, 160, QuadConfig(h0=0.2, T=mr1.metadata["T"] + 0.3))
+        # a finer, longer grid: the strip bound asks more at 224 bits
+        mr2 = riemann_moments(4, 224)
+        assert mr2.metadata["h_final"] < mr1.metadata["h_final"]
+        assert mr2.metadata["T"] > mr1.metadata["T"]
         for n in range(5):
             diff = abs(mr1[n].value - mr2[n].value)
             allowance = (mr1.errors[n].value + mr2.errors[n].value
@@ -305,7 +307,7 @@ class TestDirichletKernel:
         assert abs(float(p[1] - expected)) < 1e-40
 
 
-def reference_riemann_terms(t, N_s_max, eps_bits):
+def reference_riemann_terms(t, eps_bits):
     """The Riemann theta kernel with one exponential per term (no recurrence)."""
     X = mpmath.exp(-2 * t)
     E9, E5 = mpmath.exp(-9 * t / 2), mpmath.exp(-5 * t / 2)
@@ -313,7 +315,7 @@ def reference_riemann_terms(t, N_s_max, eps_bits):
     eps = mpmath.mpf(2) ** -eps_bits
     acc = maxab = mpmath.mpf(0)
     prev = None
-    for n in range(1, N_s_max + 1):
+    for n in range(1, catalog._THETA_TERMS + 1):
         term = twopi * (twopi * n ** 4 * E9 - 3 * n * n * E5) * mpmath.exp(-n * n * mpmath.pi * X)
         acc += term
         maxab = max(maxab, abs(term))
@@ -323,14 +325,14 @@ def reference_riemann_terms(t, N_s_max, eps_bits):
     raise AssertionError("reference theta series did not converge")
 
 
-def reference_dirichlet_terms(t, chi, two_c, N_s_max, eps_bits):
+def reference_dirichlet_terms(t, chi, two_c, eps_bits):
     """The character theta kernel with one exponential per term and exp(-c t) damping."""
     X = mpmath.exp(-2 * t)
     damp = mpmath.exp(-mpmath.mpf(two_c) / 2 * t)
     eps = mpmath.mpf(2) ** -eps_bits
     acc = maxab = mpmath.mpf(0)
     prev = None
-    for n in range(1, N_s_max + 1):
+    for n in range(1, catalog._THETA_TERMS + 1):
         if chi(n) == 0:
             continue
         term = n ** chi.parity * chi(n) * mpmath.exp(-n * n * mpmath.pi * X / chi.modulus)
@@ -352,7 +354,7 @@ def operator_theta_weights(q):
         w *= r
 
 
-def operator_riemann_terms(t, N_s_max, eps_bits):
+def operator_riemann_terms(t, eps_bits):
     """``_riemann_kernel_terms`` written with ``mpf`` operators."""
     E = mpmath.exp(-t / 2)
     E9 = E ** 9
@@ -364,7 +366,7 @@ def operator_riemann_terms(t, N_s_max, eps_bits):
     acc = mpmath.mpf(0)
     maxab = mpmath.mpf(0)
     prev = None
-    for n, w in zip(range(1, N_s_max + 1), operator_theta_weights(q)):
+    for n, w in zip(range(1, catalog._THETA_TERMS + 1), operator_theta_weights(q)):
         term = twopi * (twopi * (n ** 4) * E9 - 3 * (n * n) * E5) * w
         acc += term
         at = abs(term)
@@ -376,7 +378,7 @@ def operator_riemann_terms(t, N_s_max, eps_bits):
     raise AssertionError("operator theta series did not converge")
 
 
-def operator_dirichlet_terms(t, chi, two_c, N_s_max, eps_bits):
+def operator_dirichlet_terms(t, chi, two_c, eps_bits):
     """``_dirichlet_kernel_terms`` written with ``mpf`` operators."""
     m = chi.modulus
     a = chi.parity
@@ -387,7 +389,7 @@ def operator_dirichlet_terms(t, chi, two_c, N_s_max, eps_bits):
     acc = mpmath.mpf(0)
     maxab = mpmath.mpf(0)
     prev = None
-    for n, w in zip(range(1, N_s_max + 1), operator_theta_weights(q)):
+    for n, w in zip(range(1, catalog._THETA_TERMS + 1), operator_theta_weights(q)):
         c = chi(n)
         if c == 0:
             continue
@@ -561,25 +563,20 @@ class TestNodeSplit:
         rep = phi_nonneg_scan(kronecker_character(-4), GridConfig(t_max=3.0, points=31))
         assert rep.argmin == 11 * 0.1
 
-    def test_not_converged(self):
-        with pytest.raises(catalog.QuadratureNotConverged, match="no level up to 1 "):
-            besselk_moments(1, 4, 256, QuadConfig(levels=1))
+    def test_not_converged(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_H_FLOOR", catalog._H0 / 2)
+        with pytest.raises(catalog.QuadratureNotConverged, match="below the floor 0.125$"):
+            besselk_moments(1, 4, 256)
 
-    @pytest.mark.parametrize("levels", [0, -1])
-    def test_no_refinement_is_not_converged(self, levels):
+    @pytest.mark.parametrize("halvings", [0, -1])
+    def test_no_refinement_is_not_converged(self, monkeypatch, halvings):
         def kernel(t):
             raise AssertionError("a kernel value was computed")
 
-        with pytest.raises(catalog.QuadratureNotConverged,
-                           match=f"no level up to {levels} refinements"):
-            catalog._even_line_moments(kernel, 2, 64, QuadConfig(levels=levels),
-                                       "never", catalog._BesselKMajorant(1.0, 64))
-
-    @pytest.mark.parametrize("levels", [3, 2000])
-    def test_levels_only_cap_the_spacing(self, levels):
-        mr = riemann_moments(2, 128, QuadConfig(levels=levels))
-        assert mr.metadata["h_final"] >= DEFAULT_QUAD.h0 / 2 ** 3
-        assert mr.values == riemann_moments(2, 128).values
+        floor = catalog._H0 / 2 ** halvings     # at or above the widest spacing
+        monkeypatch.setattr(catalog, "_H_FLOOR", floor)
+        with pytest.raises(catalog.QuadratureNotConverged, match=f"below the floor {floor}$"):
+            catalog._even_line_moments(kernel, 2, 64, "never", catalog._BesselKMajorant(1.0, 64))
 
     @pytest.mark.parametrize("bad_t", [0.75, 1.0])  # fails at the first node from bad_t on
     def test_kernel_error_raised_here(self, bad_t):
@@ -593,7 +590,7 @@ class TestNodeSplit:
             return mpmath.exp(-mpmath.cosh(t))
 
         def run(kernel):
-            return catalog._even_line_moments(kernel, 2, 64, QuadConfig(), "failing",
+            return catalog._even_line_moments(kernel, 2, 64, "failing",
                                               catalog._BesselKMajorant(1.0, 64))
 
         assert run(recording).metadata["nodes"] == len(grid)
@@ -708,43 +705,6 @@ class TestStripBound:
         wider = _strip_error(majorant.s, M, tail, h * (1 + 2 ** -10))
         assert any(b > g for b, g in zip(wider, goal))
 
-    @pytest.mark.parametrize("T", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
-    def test_bad_override_T_fails_first(self, T, monkeypatch, capsys):
-        class Untouchable:
-            def __getattr__(self, name):
-                raise AssertionError(f"a bound was computed ({name})")
-
-        def never(*args):
-            raise AssertionError("a kernel value or a bound was computed")
-
-        with pytest.raises(ValueError, match=f"T = {T} must be positive and finite"):
-            catalog._even_line_moments(never, 2, 64, QuadConfig(T=T), "never", Untouchable())
-        monkeypatch.setattr(catalog, "_strip_bounds", never)
-        monkeypatch.setattr(catalog, "_riemann_kernel_terms", never)
-        assert main(["moments", "--function", "riemann-xi", "--orders", "2",
-                     "--quad-T", str(T)]) == 1
-        assert capsys.readouterr().err == \
-            f"error: --quad-T {float(T)} must be positive and finite\n"
-
-    @pytest.mark.parametrize("run", [
-        lambda quad: riemann_moments(4, 256, quad),
-        lambda quad: besselk_moments(50, 2, 128, quad),
-    ], ids=["riemann", "besselk50"])
-    def test_short_override_T_names_the_tail(self, run, monkeypatch):
-        def never(*args):
-            raise AssertionError("a kernel value was computed")
-
-        monkeypatch.setattr(catalog, "_riemann_kernel_terms", never)
-        monkeypatch.setattr(mpmath, "cosh", never)
-        with pytest.raises(catalog.QuadratureNotConverged,
-                           match="T = 1.5 is too small: its tail misses the target"):
-            run(QuadConfig(T=1.5))
-
-    def test_override_T_may_be_a_fraction(self):
-        mr = riemann_moments(4, 256, QuadConfig(T=F(5, 2)))
-        assert mr.metadata["T"] == 2.5
-        assert mr.values == riemann_moments(4, 256, QuadConfig(T=2.5)).values
-
     # node ceilings: the strip narrows as a grows (at s = 1.4 a = 1000, 50000 and
     # 100000 took 54, 592 and 591 nodes)
     @pytest.mark.parametrize("a, T", [(50, 1.875), (1000, 0.5), (50000, 0.125),
@@ -769,16 +729,12 @@ class TestStripBound:
     ], ids=["riemann-K4", "riemann-K41", "besselk2", "besselk50", "besselk1000"])
     def test_T_is_the_first_grid_point_whose_tail_meets_the_goal(self, majorant, K, precision):
         spare = catalog._T_SPARE * math.log(2)
-        T, _, tail, goal = catalog._strip_bounds(majorant, K, precision, DEFAULT_QUAD.h0)
+        T, _, tail, goal = catalog._strip_bounds(majorant, K, precision)
         assert T > catalog._T_STEP and T % catalog._T_STEP == 0
+        assert tail == catalog._tail(majorant, K, T)
         assert all(t <= g - spare for t, g in zip(tail, goal))
-        shorter = T - catalog._T_STEP
-        try:
-            _, _, tail, _ = catalog._strip_bounds(majorant, K, precision, DEFAULT_QUAD.h0,
-                                                  shorter)
-        except catalog.QuadratureNotConverged:
-            return      # the tail misses the goal itself
-        assert any(t > g - spare for t, g in zip(tail, goal))
+        shorter = catalog._tail(majorant, K, T - catalog._T_STEP)
+        assert any(t > g - spare for t, g in zip(shorter, goal))
 
 
 def _fraction(x):

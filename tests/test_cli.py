@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,7 +120,8 @@ class TestCertifyCommand:
 
     def test_exact_first_root_rho_is_rational(self, tmp_path):
         from posroot.catalog import FunctionKind, FunctionSpec
-        from posroot.criterion import SAFETY_DOWN, _first_root_bound, _mpf_to_fraction
+        from posroot.criterion import SAFETY_DOWN, _first_root_bound
+        from posroot.scalars import _mpf_to_fraction
 
         out = tmp_path / "r.json"
         assert main(["certify", "--function", "bessel", "--nu", "0", "--mode", "derivative",
@@ -206,10 +208,13 @@ class TestMomentsCommand:
         code = main(["moments", "--function", "sinc", "--orders", "2"])
         assert code == 1
 
-    def test_no_refinement_is_an_error(self, tmp_path, capsys):
+    def test_no_refinement_is_an_error(self, tmp_path, capsys, monkeypatch):
+        from posroot import catalog
+
+        monkeypatch.setattr(catalog, "_H_FLOOR", catalog._H0)
         out = tmp_path / "m.json"
         code = main(["moments", "--function", "bessel-k", "--a", "1", "--orders", "2",
-                     "--quad-levels", "0", "--output", str(out)])
+                     "--output", str(out)])
         assert code == 1
         assert "QuadratureNotConverged" in capsys.readouterr().err
         assert not out.exists()
@@ -248,6 +253,27 @@ class TestScanCommand:
         code = main(["scan-phi", "--discriminant", "9"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--points", "1", "--points 1 must be at least 2"),
+        ("--points", "0", "--points 0 must be at least 2"),
+        ("--t-max", "-1", "--t-max -1.0 must be positive and finite"),
+        ("--t-max", "0", "--t-max 0.0 must be positive and finite"),
+        ("--t-max", "inf", "--t-max inf must be positive and finite"),
+        ("--t-max", "nan", "--t-max nan must be positive and finite"),
+    ])
+    def test_bad_grid_names_the_flag(self, monkeypatch, capsys, flag, value, message):
+        from posroot import catalog
+
+        def never(*args):
+            raise AssertionError("a kernel value was computed")
+
+        monkeypatch.setattr(catalog, "dirichlet_phi", never)
+        assert main(["scan-phi", "--discriminant", "-4", flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        grid = {"points": int(value)} if flag == "--points" else {"t_max": float(value)}
+        with pytest.raises(ValueError):
+            catalog.phi_nonneg_scan(catalog.kronecker_character(-4), catalog.GridConfig(**grid))
+
 
 class TestZerosCommand:
     def test_compute_bessel(self, tmp_path):
@@ -282,6 +308,20 @@ class TestAdversarialCommand:
         data = json.loads(out.read_text())
         assert data["detected"] == 5
         assert len(data["runs"]) == 5
+
+    @pytest.mark.parametrize("flag", ["--grid", "--draws"])
+    def test_negative_count_names_the_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "adv.json"
+        assert main(["adversarial", "--draws", "2", flag, "-1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} -1 must be nonnegative\n"
+        assert not out.exists()
+
+    def test_negative_grid_is_refused_by_the_library(self):
+        from posroot.criterion import adversarial_run, draw_adversarial_spec
+
+        spec = draw_adversarial_spec(random.Random(0), base_count=8)
+        with pytest.raises(ValueError, match="grid bound must be nonnegative"):
+            adversarial_run(spec, -1)
 
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.json"

@@ -34,7 +34,7 @@ from posroot.criterion import (
     route_equality_defect,
     shifted_reduced_series,
 )
-from posroot.scalars import BigFloat, RationalFunction, serialize_scalar
+from posroot.scalars import BigFloat, RationalFunction, _mpf_to_fraction, serialize_scalar
 from posroot.series import TruncatedSeries, power_sums_from_log_derivative
 from posroot.zeros import bessel_zeros
 
@@ -200,7 +200,7 @@ def one_ulp_up(x: BigFloat) -> BigFloat:
     shift = x.prec - bc
     mag = (man << shift) + 1
     y = BigFloat(mpmath.mp.make_mpf(from_man_exp(-mag if sign else mag, exp - shift)), x.prec)
-    assert y != x and criterion._mpf_to_fraction(y.value - x.value) != 0
+    assert y != x and _mpf_to_fraction(y.value - x.value) != 0
     return y
 
 
@@ -239,9 +239,9 @@ class TestResolveBound:
         x = mpmath.mpf(1) / 3
         bf = BigFloat(x, 64)
         got, prov = criterion._bound_in_domain(x, True, 64, "p")
-        assert got == criterion._mpf_to_fraction(x) and prov == "p [exact dyadic]"
+        assert got == _mpf_to_fraction(x) and prov == "p [exact dyadic]"
         got, prov = criterion._bound_in_domain(bf, True, 64, "p")
-        assert got == criterion._mpf_to_fraction(bf.value) and prov == "p [exact dyadic]"
+        assert got == _mpf_to_fraction(bf.value) and prov == "p [exact dyadic]"
         assert criterion._bound_in_domain(bf, False, 128, "p") == (bf, "p")
         got, prov = criterion._bound_in_domain(x, False, 64, "p")
         assert got.prec == 64 and got.value == bf.value and prov == "p"
@@ -255,9 +255,16 @@ class TestResolveBound:
         rho, prov = criterion.resolve_bound(BoundPolicy(kind="first-root"), "rho",
                                             spec.elementary(10), f, True, 128, bindings)
         bound = TruncatedSeries([hausdorff.bind_cell(c, bindings, 128) for c in f.coefficients])
-        assert rho == criterion._mpf_to_fraction(_first_root_bound(bound, 128, SAFETY_DOWN).value)
+        assert rho == _mpf_to_fraction(_first_root_bound(bound, 128, SAFETY_DOWN).value)
         assert prov.endswith(" [exact dyadic]")
         assert 0.99 < float(rho) < 1  # the smallest root of the reduced sinc product is 1
+
+    @pytest.mark.parametrize("zero", [F(0), BigFloat(0, 128)], ids=["fraction", "bigfloat"])
+    def test_first_root_without_linear_term_is_unavailable(self, zero):
+        one = F(1) if isinstance(zero, F) else BigFloat(1, 128)
+        f = TruncatedSeries([one, zero, -one])
+        with pytest.raises(criterion.RhoUnavailable, match="vanishing linear coefficient"):
+            _first_root_bound(f, 128, SAFETY_DOWN)
 
 
 class TestDerivScale:
@@ -273,8 +280,8 @@ class TestDerivScale:
             assert scale == max(1.0, abs(float(x)), float(factorial(n)))
         else:
             assert n >= 171 or v == "6e329"
-            exact = criterion._mpf_to_fraction(scale)
-            assert exact >= abs(criterion._mpf_to_fraction(x.value))
+            exact = _mpf_to_fraction(scale)
+            assert exact >= abs(_mpf_to_fraction(x.value))
             assert exact >= factorial(n)
 
 

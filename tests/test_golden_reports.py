@@ -23,10 +23,15 @@ step became the largest the strip bound allows rather than a power-of-two
 level, which moved only their ``errors``/``moment_errors``, ``nodes``,
 ``h_final`` and ``levels_used`` fields, and re-recorded again when the node
 sums became exact integers, which moved only their ``errors``/``moment_errors``
-fields; a change that alters any byte of any of these reports fails here.
-Those eight also carry a values-only pin, recorded before the integer node
-sums, that no change of the quadrature's bound or grid may move.  Criterion 11
-only checks that two runs of one tree agree.  A certificate runs with
+fields.  Every ``certify``, ``moments`` and ``powersums`` pin (23 of them) was
+re-recorded when the quadrature's settings left the command line, which deleted
+only the ``quad_T``, ``quad_levels`` and ``quad_ns_max`` keys of
+``metadata.config_echo``; each new pin is the hash of the earlier report with
+those keys deleted, and no CSV moved.  A change that alters any byte of any of
+these reports fails here.  Those eight also carry a values-only pin, recorded
+before the integer node sums and re-recorded with the echo keys deleted, that
+no change of the quadrature's bound or grid may move.  Criterion 11 only checks
+that two runs of one tree agree.  A certificate runs with
 ``--format both`` unless its arguments name a format.
 """
 
@@ -44,42 +49,42 @@ GOLDEN = {
     "qbessel-moment-B8": (
         ["certify", "--function", "qbessel", "--q", "1/2", "--nu", "0",
          "--mode", "moment", "--grid", "8", "--precision", "192"],
-        "cc3cff005b5c34e3386f3f34afc376c4eb0200a74112348c4ed32dc216a49e69",
+        "b7435e3c69977f091130cbccec7f3a8066b5ea2af75e69801a076e2095f28fbf",
         "f4a8736f2380aa744054d9e0a2f4af31ba0d692074a0d749cd6c461b7a5f47a5"),
     "ramanujan-symbolic-moment-B6": (
         ["certify", "--function", "ramanujan-aq", "--symbolic", "--q", "1/2",
          "--mode", "moment", "--grid", "6"],
-        "ca9424a029adc30b5f91a8d3c02e3046319f47d0b6292c6b1c1da1dd0d3e183f",
+        "f7e7ea36178a5e3554dd967b8947215388abc3b3e931fb722cee742049c55ea4",
         "a54085963ff19a0b8793641c2b5534ee4dff5163374d13739a6462b3add3b509"),
     "ramanujan-symbolic-derivative-B4": (
         ["certify", "--function", "ramanujan-aq", "--symbolic", "--q", "1/2",
          "--mode", "derivative", "--grid", "4"],
-        "8f4848ea609a0bad45260b392c116d0381f39bb542242c5d5badb5a11e66a9c3",
+        "1c73b852bf63de068eb60b866eec0aa52cdfaea9c4b965771aa589b1bdef0531",
         "eb832affebddfda7a2b38e031c398eabfb5b1d5a7352b7217957937186559a91"),
     "bessel-nu1-derivative-B8": (
         ["certify", "--function", "bessel", "--nu", "1", "--mode", "derivative",
          "--grid", "8", "--precision", "192"],
-        "de2c4e923ae429d917e6a8ce293c04c5134a000e01ade28375584afb65262c34",
+        "1bd040c5355b126a38635400b04802ca7276df5ad147cf6155b22465dbcf4d5f",
         "591da848b6e9d420f0153a31d8dc6c79924a77040825f760be2bd2b26f5ed406"),
     "airy-derivative-B8": (
         ["certify", "--function", "airy", "--mode", "derivative", "--grid", "8",
          "--precision", "192"],
-        "2782e307393c8790699a31933b0e5e8cce8ababe7379231808d27c70a57c2066",
+        "4bd989b508c3c5a28ca038a36f700b037d7c36fea804805eea219dd96e759d37",
         "c2928d045d080510dac436462c343c0a9a01212957beb1a44b3807cd58ff08cd"),
     "airy-moment-B12": (
         ["certify", "--function", "airy", "--mode", "moment", "--grid", "12",
          "--precision", "192"],
-        "50ab0be220cf7d463230c4f00c28e8e91b80ec0adc5b5012962e596b8d05d79e",
+        "47bcafbafa47a43880963347f2497659f7db1266c73de8383050db239adb9a77",
         "5a1aea76f43a3c7923491c8aca9f0b0447eb34beb8e4d159e9006af858eab34f"),
     "sinc-shifted-even-B4": (
         ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "1/2",
          "--grid", "4", "--precision", "192"],
-        "90117a928d1be28c5680cc51248aa8f1b75b45ca0c208854fc67eaa86ed3bb4e",
+        "54e53e07b882967de646ba35c6d1cb7f3de440197bad3923bd3594579bd40271",
         "f19967f6470c18eed4d353299b4c1604a4e1c18513ce281eafbf7756bebf1441"),
     "besselk-shifted-even-B3": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "3", "--precision", "192"],
-        "c8a1fe3ffa037aeedabefab19665d4b6b98d94d1eada34aaca3012ad891a0873",
+        "e27e1468747e36445f104107d61beeb68f735366c1d39276562f7f5b3dda7dd2",
         "2dc478dd48655b65facabbc45a5a3d5645c35297a6c30eb93177958872bc224a"),
     # Shifts of order 64 and 48 (C(n, j) exceeds 53 bits at order 64).  The
     # powers of the dyadic shift 1/2 are exact, so the 7/3 shift also pins
@@ -87,32 +92,32 @@ GOLDEN = {
     "sinc-shifted-even-B12": (
         ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "1/2",
          "--grid", "12", "--precision", "256"],
-        "c085137ce830149b935f38c6a5157d9f46f81fc8747bbdae3f9265b5a903542e",
+        "2ccdb5a50ef0c27eb37f626378de4dc70a71ce54214e9afd17f90ccf943455cc",
         "8ea115b81c8125b371066e6c34f51cbe198ccfeb0d60807c1a2ac5fcc3b7c1fd"),
     "besselk-shifted-even-B8": (
         ["certify", "--function", "bessel-k", "--a", "1", "--mode", "shifted-even",
          "--shift", "1/2", "--grid", "8", "--precision", "256"],
-        "730e41173781a9b0f4a35bd4c752f5f85ade5a953d0d84846a51d8472dcd601d",
+        "139fcea0d40044d4237f8fb1d4cfec89b587d7fad8a4bc08fa7b58d809c5a1c9",
         "3d57c00e9938a8fe22669b3543b26ea96f3ef3a09d95d0a888743ec3875207e4"),
     "sinc-shifted-even-B8-shift7/3": (
         ["certify", "--function", "sinc", "--mode", "shifted-even", "--shift", "7/3",
          "--grid", "8", "--precision", "256"],
-        "c49b3bed245ce8bcbbaa78501957c8fe80318e82c1047fab9a6c0bc0d655f87b",
+        "bdf45044d74c6dccba40611da170df30f95f0033c00134517a305d805d099a88",
         "b4f0f97843f4f36a977ecab178a631529862eeef18ac6e805a5864d2ca66de1f"),
     "riemann-moment-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "4",
          "--precision", "256"],
-        "6262c2ca380a2ffd8a135f0aaad4c68eb75e8c0eb5b69f4de44b46e8f54c9129",
+        "28368693eb0e4b940b8a19fad6e6b22da02bcdac956f535214041a79a2807246",
         "b7340bc0b9f19638b672a82eb60970e9e2336f52c00a4e5fb6a0ad3aacd23299"),
     "riemann-derivative-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "derivative", "--grid", "4",
          "--precision", "256"],
-        "a3009957464947f53e44aae2679827fba00064cb4450c2f283b78ec3652d5884",
+        "5aaed6aef110508f75c7e19eb05ea40c7f73b2aa2ebda9f151a56bedafb06cea",
         "07fdaec399de829e2d51ff99efff5836b81dfb5d3502cc313920c9869ad28624"),
     "dirichlet-m4-moment-B4": (
         ["certify", "--function", "dirichlet-xi", "--discriminant", "-4",
          "--mode", "moment", "--grid", "4", "--precision", "192"],
-        "cf32fe888bae7d6426c03450c1f52eb158cb299a7f0a49191b618fbf13d217f5",
+        "a3ca8cc619fa1b328d1fd0636945ff75b8c53e60e3ebeda008928158cd3e84de",
         "31a3d994dc0b2911b59f6e6121423aa8dff7a91cafb8b2c0c8de7d254d921be3"),
     "adversarial-seed42": (
         ["adversarial", "--seed", "42", "--draws", "3", "--grid", "16",
@@ -121,45 +126,45 @@ GOLDEN = {
     "moments-besselk": (
         ["moments", "--function", "bessel-k", "--a", "1", "--orders", "4",
          "--precision", "192"],
-        "ce968e23cd3ccd15d7d5f038b571972eb8cc4541f737632cd4c255b824ec7924", None),
+        "1aa85af1b50b0aa1e9cc13658ca1f5c8ae5385e2d60c788a625c1eda3f69d368", None),
     # D = 8 is an even character (a = 0); Riemann at the 1024 bits of the
     # xi-quadrature benchmark workload.
     "moments-dirichlet-D8-640": (
         ["moments", "--function", "dirichlet-xi", "--discriminant", "8", "--orders", "6",
          "--precision", "640"],
-        "e37ee55b9de8efcd4250d5d223f930087d39534bedcb126ff4fe24159cba991e", None),
+        "10cd067a02b6f2449b6f1310e6a94e3195cb3987bcc7a45dba877c5de766414d", None),
     "moments-riemann-1024": (
         ["moments", "--function", "riemann-xi", "--orders", "6", "--precision", "1024"],
-        "c550a36d718865bf6acc4753a4d3182dc1c76ea8414f3c089eb4100d4ebbe815", None),
+        "8375efe6a74a3a64bb58ec4cdcbe9bcff3586cea81060d9fc6b2c8b5323974ae", None),
     # At ν = 1/2 the binding t_nu = q^ν is a BigFloat, so each multivariate
     # cell is summed term by term in float: the bytes pin the term order.
     "qbessel-symbolic-nu1/2-moment-B2": (
         ["certify", "--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
          "--mode", "moment", "--grid", "2"],
-        "f2d1d80141ff2ca6862739d979e6d81ef0450c7f89fcce3c0495133914f3d18e",
+        "663c0de4f2909cc245bcff3bb5276aafdad2779d59abb7597f67ac82d8c582d0",
         "58bd0fae40f07545c8e20175af8962c6f0dcb0ff96a0db566e950bb1576a07f9"),
     "qbessel-symbolic-nu1/2-derivative-B2": (
         ["certify", "--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
          "--mode", "derivative", "--grid", "2"],
-        "1e87f325f565fcc03211f798b5dc366282105c3dd0938c122d386dc581bb1660",
+        "a5a7856769989a1db615556fe8c32c234b364254cf876d8cd083d255122f6c8f",
         "183ffc23bc8f96e1f08334b6266960124a8f3007b180fa59e71f4e607d8f67dc"),
     "powersums-qbessel-symbolic-K3": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "3"],
-        "5ebb487c5d41a03595f10ea08228aa8ce1270016bdc1ef8897646835cf0b5ccb", None),
+        "06c037ba882276ec29ddb4938bac5b7851ed74e637c234e22ae16696255800ff", None),
     # The symbolic benchmark workload's q-Bessel job.
     "powersums-qbessel-symbolic-K4": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "4"],
-        "758dedbb34897bdc9b7f9010588f451fd36c52328bf74fdfbc49028c5649ceb2", None),
+        "0536cb7b3eeaff92c5d5b802c19a2edba09ed9fa81d594dc3169002c3f07c5af", None),
     # Exact derivative cells summed over one integer scale; the B=24 run is
     # JSON-only, so no CSV is written.
     "bessel-nu0-derivative-B24-json": (
         ["certify", "--function", "bessel", "--nu", "0", "--mode", "derivative",
          "--grid", "24", "--format", "json"],
-        "465c708035051f6872a4c2812cf62276d67384a139244de4e1be7a07455931c3", None),
+        "932a990f68c362b89fa2a1f5878b21244d964386d4c532215f0a73563f915c31", None),
     "qbessel-q2/3-derivative-B16": (
         ["certify", "--function", "qbessel", "--q", "2/3", "--nu", "0",
          "--mode", "derivative", "--grid", "16", "--format", "both"],
-        "65a08b5655145161d7e3e84c4e3d0af8cdfd0a1e597352900477cf420a380f68",
+        "41f655dfc17a22ac7cd1046a3d5d2658915591053cf91ac35bf560cc71494d67",
         "d66a9127456e06fecc6054605baa48eba8a02e66fca15dcbecd49472f21effdb"),
     "zeros-nu0": (
         ["zeros", "--nu", "0", "--count", "5", "--precision", "128"],
@@ -185,21 +190,21 @@ ZERO_TABLE_SHA = "420b7e9d50a6aaf8eaf5dc4a658cacf4ca618126418740a55930f46b8fbbe2
 GRID_AND_ERROR_KEYS = {"errors", "moment_errors", "nodes", "h_final", "levels_used", "T"}
 VALUES_ONLY = {
     "besselk-shifted-even-B3":
-        "5b7cc3e272610fc6f94ee1664e2f4bc5985fb37f1342249584a72b629096b3c3",
+        "cdfab1940e865f4011f13bf4525e2048002cde52afadb32079b345205c3e5071",
     "besselk-shifted-even-B8":
-        "75615811ed940376d589c4f668f15d56c64f9d8d7d8ac65e0d270464df1d4f03",
+        "73bd27868cbd970e97222c5058bd012c8705e86caabe149f2194e80beed1d43a",
     "dirichlet-m4-moment-B4":
-        "1980a6a040dca141d8528b8da6b051a0ae9b08132e6f29e4134d9edc01cc9641",
+        "cea288b898830104a9ecea9f208c99058a80ee791efb9d3a62dba9299e172144",
     "moments-besselk":
-        "7b170b99e1d3aaa62d4346a1d9babc4f613ff2f42a1bf59cb3e5ebd8e8591205",
+        "9db5b9b75e37be4c5e4b703847fa490f54e33cc91a2469e8455d75e46ae74304",
     "moments-dirichlet-D8-640":
-        "d84bd1781de9a6467dec1e3188e22c9c70cd438d6d81db61ffd054575ddc5eaf",
+        "9b05bf6257e702a6aedca482bea951c690c4ed88920435b79d147dd6bbcd33f1",
     "moments-riemann-1024":
-        "839a22c309e9ed484197494d32ce6337aa5f4c303a40f36b642232dbbf978d1c",
+        "fd032e7b87feda5bf655d9654006e58e691eed108179a33569b04fee3f34409e",
     "riemann-derivative-B4":
-        "fd05f8d069904b856e53784c2813a8c66153bdbc1af936b09e0b9c87c4af7ce7",
+        "58337ee6b552b028c2a6dbc88e8bc1d8734cbdfde20ea248f7103beff8436766",
     "riemann-moment-B4":
-        "da0e9e74d32f3d411198298b4ccdbe13ed552d6fc21c0173838fd95de839d955",
+        "77dadd5eb599f0ac30068639844f0f04ad36f990ac48793c353f371d8808de5a",
 }
 
 

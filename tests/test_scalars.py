@@ -188,6 +188,29 @@ def test_hash_consistent_with_eq(num, den, common, k):
         assert hash(a) == hash(c)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6), st.sampled_from([64, 128, 256]),
+       st.integers(-1, 1), st.integers(0, 400))
+@example(F(1, 3), 64, 1, 200)
+@example(F(1, 3), 64, 0, 0)
+def test_bigfloat_hash_consistent_with_fraction_eq(x, prec, sign, bits):
+    """a == b implies hash(a) == hash(b) for Fractions b within 2^-bits of a's value,
+    and the order agrees with the exact values."""
+    a = BigFloat(x, prec)
+    exact = scalars._mpf_to_fraction(a.value)
+    b = exact + sign * F(1, 2 ** bits)
+    assert (a == b) == (sign == 0)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a < b, a <= b, a > b, a >= b) == (exact < b, exact <= b, exact > b, exact >= b)
+
+
+def test_bigfloat_nonfinite_compares_with_fraction():
+    inf, nan = BigFloat(mpmath.inf, 64), BigFloat(mpmath.nan, 64)
+    assert inf > F(10 ** 100) and -inf < F(-10 ** 100) and inf != F(1)
+    assert not (nan == F(0) or nan < F(0) or nan <= F(0) or nan > F(0) or nan >= F(0))
+
+
 def termwise_product(a, b):
     """Fraction product term by term, dropping a term when its sum is 0."""
     terms = {}
