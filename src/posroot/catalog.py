@@ -101,6 +101,7 @@ from .symfun import ElementarySequence
 __all__ = [
     "FunctionKind",
     "FunctionSpec",
+    "MOMENT_KINDS",
     "MomentResult",
     "GridConfig",
     "ScanReport",
@@ -277,7 +278,7 @@ def airy_coeffs(K: int, precision: int = DEFAULT_PRECISION_BITS) -> ElementarySe
 
 _QUAD_GUARD_BITS = 64              # working bits of the quadrature above the target precision
 _H0 = 0.25                         # the widest node spacing the tail bound covers
-_H_FLOOR = _H0 / 2 ** 12           # a spacing the strip bound asks below this is an error
+_H_FLOOR_SCALE = 2 ** -9           # the least spacing, as a share of the majorant's cell
 _THETA_TERMS = 200000              # cap on theta series terms per kernel value
 
 
@@ -478,7 +479,8 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
     ``2^-20`` for double rounding and checked again before any kernel value, h
     is at most ``_H0/2``, so that the check spacing 2h stays within the tail
     bound's ``h <= _H0``.  One grid ``i h``, i = 0..floor(T/h), gives ``T_h``
-    and, from its even i, ``T_2h``.  If h is finer than ``_H_FLOOR``, or if
+    and, from its even i, ``T_2h``.  If h is finer than ``_H_FLOOR_SCALE`` times
+    the majorant's cell (2^-14 for the theta kernels), or if
     ``|T_h - T_2h|`` exceeds the two spacings' bounds plus rounding, this
     raises ``QuadratureNotConverged``.
 
@@ -509,9 +511,10 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
     D = [g + math.log(-math.expm1(t - g)) - m for m, t, g in zip(log_M, log_tail, goal)]
     y = max(-d + math.log(2 + math.exp(d)) for d in D)
     h = min(_H0 / 2, 2 * math.pi * majorant.s / y * (1 - 2 ** -20))
-    if h < _H_FLOOR:
+    floor = majorant.cell * _H_FLOOR_SCALE
+    if h < floor:
         raise QuadratureNotConverged(f"{kernel_name}: the strip bound asks for a spacing "
-                                     f"{h} below the floor {_H_FLOOR}")
+                                     f"{h} below the floor {floor}")
     if any(b > g for b, g in zip(bound(h), goal)):
         raise QuadratureNotConverged(f"{kernel_name}: the strip bound misses the target at {h}")
 
@@ -961,6 +964,12 @@ class FunctionKind(enum.Enum):
 
 _EXACT_KINDS = {FunctionKind.SINC, FunctionKind.BESSEL, FunctionKind.QBESSEL,
                 FunctionKind.RAMANUJAN_AQ}
+MOMENT_KINDS = frozenset({FunctionKind.BESSEL_K, FunctionKind.RIEMANN_XI,
+                          FunctionKind.DIRICHLET_XI})
+# the numeric parameters each kind needs outside ratfunc mode
+_REQUIRED_PARAMS = {FunctionKind.BESSEL: ("nu",), FunctionKind.QBESSEL: ("q", "nu"),
+                    FunctionKind.RAMANUJAN_AQ: ("q",), FunctionKind.BESSEL_K: ("a",),
+                    FunctionKind.DIRICHLET_XI: ("chi",)}
 
 
 @dataclass
@@ -969,24 +978,33 @@ class FunctionSpec:
 
     ``mode`` is one of ``exact`` (plain rationals), ``ratfunc`` (symbolic
     parameters over a rational-function field) or ``float``.  Only the four
-    closed-form kinds admit the exact modes.  ``bindings`` carries the
-    numeric values of symbolic parameters for verdict evaluation (``t`` is
-    bound to pi^2 automatically for the sinc product).
+    closed-form kinds admit the exact modes; ``None`` means ``ratfunc`` for
+    sinc, ``exact`` for the other three and ``float`` otherwise.  Outside
+    ratfunc mode a missing ``_REQUIRED_PARAMS`` entry is a ``ScalarError``
+    naming it.  ``bindings`` carries the numeric values of symbolic parameters
+    for verdict evaluation (``t`` is bound to pi^2 for the sinc product).
     """
 
     kind: FunctionKind
     params: dict = field(default_factory=dict)
-    mode: str = "exact"
+    mode: Optional[str] = None
     precision: int = DEFAULT_PRECISION_BITS
     _moments: Optional[MomentResult] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.mode is None:
+            self.mode = ("ratfunc" if self.kind is FunctionKind.SINC
+                         else "exact" if self.kind in _EXACT_KINDS else "float")
         if self.mode in ("exact", "ratfunc") and self.kind not in _EXACT_KINDS:
             raise ScalarError(f"{self.kind.value} admits float mode only")
         if self.kind is FunctionKind.SINC and self.mode == "exact":
             raise ScalarError(
                 "sinc coefficients involve pi^2; use ratfunc (symbolic t) "
                 "or float mode")
+        missing = [n for n in _REQUIRED_PARAMS.get(self.kind, ()) if n not in self.params]
+        if missing and self.mode != "ratfunc":
+            raise ScalarError(f"{self.kind.value} in {self.mode} mode needs the parameter "
+                              f"{missing[0]}")
         nu = self.params.get("nu")
         if nu is not None and not isinstance(nu, str) and Fraction(nu) <= -1:
             raise ValueError("nu must exceed -1")
@@ -1008,28 +1026,22 @@ class FunctionSpec:
         return ",".join(bits)
 
     def moments(self, K: int) -> MomentResult:
-        """Moments b_0..b_{2K} for the quadrature-backed kinds.
+        """Moments b_0..b_{2K} for the kinds of ``MOMENT_KINDS``.
 
-        A cached longer vector is cut to ``K + 1`` moments and the cut one is
-        cached, so ``_moments``, which the report metadata reads, holds the
-        moments and errors the last caller used.  Its metadata records
-        ``orders = K``; the rest (``T``, ``nodes``, ..) describes the
-        quadrature that produced them.
+        The quadrature runs again unless the cached result holds exactly ``K +
+        1`` moments: its grid and errors depend on ``K``, so a report never
+        depends on an earlier call.  ``_moments``, which the report metadata
+        reads, holds the moments and errors the last caller used.
         """
-        producers = {
-            FunctionKind.RIEMANN_XI: lambda: riemann_moments(K, self.precision),
-            FunctionKind.DIRICHLET_XI: lambda: dirichlet_moments(
-                self.params["chi"], K, self.precision),
-            FunctionKind.BESSEL_K: lambda: besselk_moments(self.params["a"], K, self.precision),
-        }
-        if self.kind not in producers:
+        if self.kind not in MOMENT_KINDS:
             raise ScalarError(f"{self.kind.value} has closed-form coefficients, not moments")
-        mr = self._moments
-        if mr is None or len(mr) <= K:
-            self._moments = producers[self.kind]()
-        elif len(mr) > K + 1:
-            self._moments = MomentResult(mr.values[:K + 1], mr.errors[:K + 1],
-                                         {**mr.metadata, "orders": K})
+        if self._moments is None or len(self._moments) != K + 1:
+            if self.kind is FunctionKind.RIEMANN_XI:
+                self._moments = riemann_moments(K, self.precision)
+            elif self.kind is FunctionKind.DIRICHLET_XI:
+                self._moments = dirichlet_moments(self.params["chi"], K, self.precision)
+            else:
+                self._moments = besselk_moments(self.params["a"], K, self.precision)
         return self._moments
 
     def elementary(self, K: int) -> ElementarySequence:

@@ -29,7 +29,7 @@ from fractions import Fraction
 # but stay importable from this module: perfbench/tracing.py looks them up by
 # this path.
 from .catalog import (
-    _EXACT_KINDS,
+    MOMENT_KINDS,
     FunctionKind,
     FunctionSpec,
     GridConfig,
@@ -86,26 +86,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="power sums of zeros and bounded positivity certificates",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--output", default=None, help="report path (default stdout)")
+    report.add_argument("--timestamp", default=None,
+                        help="optional timestamp echoed into the report "
+                             "(omitted by default so reports stay byte-stable)")
 
-    def common(p, with_mode=True):
-        p.add_argument("--function", required=True,
-                       choices=[k.value for k in FunctionKind])
-        p.add_argument("--nu", default=None, help="Bessel order (rational)")
-        p.add_argument("--q", default=None, help="base q in (0,1) (rational)")
+    def verb(name, help):
+        return sub.add_parser(name, help=help, parents=[report])
+
+    def spec_flags(p, kinds=tuple(FunctionKind)):
+        """The flags ``_build_spec`` reads that can matter for one of ``kinds``."""
+        p.add_argument("--function", required=True, choices=[k.value for k in kinds])
+        if not set(kinds) <= MOMENT_KINDS:
+            p.add_argument("--nu", default=None, help="Bessel order (rational)")
+            p.add_argument("--q", default=None, help="base q in (0,1) (rational)")
+            p.add_argument("--symbolic", action="store_true",
+                           help="keep parameters symbolic (rational-function mode)")
         p.add_argument("--a", default=None, help="Bessel-K argument a > 0")
         p.add_argument("--discriminant", type=int, default=None,
                        help="fundamental discriminant for dirichlet-xi")
-        p.add_argument("--symbolic", action="store_true",
-                       help="keep parameters symbolic (rational-function mode)")
         p.add_argument("--precision", type=int, default=None, help="bits")
-        p.add_argument("--output", default=None, help="report path (default stdout)")
-        p.add_argument("--format", default="json", choices=["json", "csv", "both"])
-        p.add_argument("--timestamp", default=None,
-                       help="optional timestamp echoed into the report "
-                            "(omitted by default so reports stay byte-stable)")
 
-    pc = sub.add_parser("certify", help="run a bounded positivity certificate")
-    common(pc)
+    pc = verb("certify", help="run a bounded positivity certificate")
+    spec_flags(pc)
+    pc.add_argument("--format", default="json", choices=["json", "csv", "both"])
     pc.add_argument("--mode", default="moment",
                     choices=["moment", "derivative", "shifted-even"])
     pc.add_argument("--grid", type=int, default=16, help="triangle bound B (default 16)")
@@ -121,40 +126,34 @@ def build_parser() -> argparse.ArgumentParser:
                     help="explicit root bound (rational)")
     pc.add_argument("--zeros", default=None, help="zero-table file")
 
-    pm = sub.add_parser("moments", help="compute even kernel moments")
-    common(pm)
+    pm = verb("moments", help="compute even kernel moments")
+    spec_flags(pm, [k for k in FunctionKind if k in MOMENT_KINDS])
     pm.add_argument("--orders", type=int, required=True, help="highest n of b_{2n}")
 
-    pp = sub.add_parser("powersums", help="power sums of a catalog function")
-    common(pp)
+    pp = verb("powersums", help="power sums of a catalog function")
+    spec_flags(pp)
     pp.add_argument("--count", type=int, required=True)
 
-    ps = sub.add_parser("scan-phi", help="kernel nonnegativity grid scan")
+    ps = verb("scan-phi", help="kernel nonnegativity grid scan")
     ps.add_argument("--discriminant", type=int, required=True)
     ps.add_argument("--t-max", type=float, default=6.0)
     ps.add_argument("--points", type=int, default=10001)
     ps.add_argument("--precision", type=int, default=None)
-    ps.add_argument("--output", default=None)
-    ps.add_argument("--timestamp", default=None)
 
-    pz = sub.add_parser("zeros", help="compute Bessel zeros or validate a table")
+    pz = verb("zeros", help="compute Bessel zeros or validate a table")
     pz.add_argument("--nu", default=None)
     pz.add_argument("--count", type=int, default=None)
     pz.add_argument("--table", default=None, help="validate this file instead")
     pz.add_argument("--limit", type=int, default=None)
     pz.add_argument("--precision", type=int, default=None)
-    pz.add_argument("--output", default=None)
-    pz.add_argument("--timestamp", default=None)
 
-    pa = sub.add_parser("adversarial", help="seeded planted-defect experiments")
+    pa = verb("adversarial", help="seeded planted-defect experiments")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--draws", type=int, default=100)
     pa.add_argument("--grid", type=int, default=24)
     pa.add_argument("--base-count", type=int, default=48)
     pa.add_argument("--complex", action="store_true",
                     help="draw conjugate-pair defects instead of negative reals")
-    pa.add_argument("--output", default=None)
-    pa.add_argument("--timestamp", default=None)
 
     return ap
 
@@ -169,35 +168,16 @@ def _parse_fraction(text, name):
 
 
 def _build_spec(args) -> FunctionSpec:
-    kind = FunctionKind(args.function)
+    """The catalog entry the flags name; the catalog checks its parameters and
+    picks its mode unless ``--symbolic`` asks for ratfunc."""
     precision = _precision(args)
-    params = {}
-    if args.nu is not None:
-        params["nu"] = _parse_fraction(args.nu, "nu")
-    if args.q is not None:
-        params["q"] = _parse_fraction(args.q, "q")
-    if args.a is not None:
-        params["a"] = _parse_fraction(args.a, "a")
+    params = {name: _parse_fraction(text, name) for name in ("nu", "q", "a")
+              if (text := getattr(args, name, None)) is not None}
     if args.discriminant is not None:
         params["chi"] = kronecker_character(args.discriminant)
-    if kind is FunctionKind.DIRICHLET_XI and "chi" not in params:
-        raise ConfigError("dirichlet-xi needs --discriminant")
-    if kind is FunctionKind.BESSEL_K and "a" not in params:
-        raise ConfigError("bessel-k needs --a")
-    if kind is FunctionKind.BESSEL and "nu" not in params and not args.symbolic:
-        raise ConfigError("bessel needs --nu (or --symbolic)")
-    if kind in (FunctionKind.QBESSEL, FunctionKind.RAMANUJAN_AQ) \
-            and "q" not in params and not args.symbolic:
-        raise ConfigError(f"{kind.value} needs --q (or --symbolic)")
-    if kind is FunctionKind.QBESSEL and "nu" not in params and not args.symbolic:
-        raise ConfigError("qbessel needs --nu (or --symbolic)")
-    if args.symbolic:
-        mode = "ratfunc"
-    elif kind in _EXACT_KINDS:
-        mode = "ratfunc" if kind is FunctionKind.SINC else "exact"
-    else:
-        mode = "float"
-    return FunctionSpec(kind, params=params, mode=mode, precision=precision)
+    return FunctionSpec(FunctionKind(args.function), params=params,
+                        mode="ratfunc" if getattr(args, "symbolic", False) else None,
+                        precision=precision)
 
 
 def _stamp(args) -> dict:
@@ -250,25 +230,23 @@ def _write_json(payload: dict, stream) -> None:
 
 
 def emit_report(payload: dict, fmt: str, path, csv_text: str = "") -> list[str]:
-    """Write (or print) the report; returns the list of files written.
+    """Write (or print) the report, its ``csv_text`` too for ``fmt`` csv or both;
+    returns the list of files written.
 
     The JSON text is streamed to its destination, never held whole.
     """
-    if fmt == "csv" and not csv_text:
-        # commands without a cell triangle fall back to their JSON payload
-        fmt = "json"
     written = []
     if path is None:
         if fmt in ("json", "both"):
             _write_json(payload, sys.stdout)
-        if fmt in ("csv", "both") and csv_text:
+        if fmt in ("csv", "both"):
             sys.stdout.write(csv_text)
         return written
     if fmt in ("json", "both"):
         with open(path, "w", encoding="utf-8") as f:
             _write_json(payload, f)
         written.append(path)
-    if fmt in ("csv", "both") and csv_text:
+    if fmt in ("csv", "both"):
         csv_path = path + ".csv" if not path.endswith(".json") else path[:-5] + ".csv"
         with open(csv_path, "w", encoding="utf-8") as f:
             f.write(csv_text)
@@ -363,6 +341,8 @@ def _cmd_adversarial(args) -> int:
     for flag, value in (("--draws", args.draws), ("--grid", args.grid)):
         if value < 0:
             raise ConfigError(f"{flag} {value} must be nonnegative")
+    if args.base_count < 1:
+        raise ConfigError(f"--base-count {args.base_count} must be positive")
     rng = random.Random(args.seed)
     runs = []
     detected = 0

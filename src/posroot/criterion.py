@@ -54,6 +54,7 @@ from mpmath import mpf, workprec
 from mpmath.libmp import from_int
 
 from .catalog import (
+    MOMENT_KINDS,
     FunctionKind,
     FunctionSpec,
     even_series_from_moments,
@@ -660,8 +661,7 @@ def _even_source_series(spec: FunctionSpec, order2: int) -> TruncatedSeries:
     """The even series G(z) in the original variable, float coefficients."""
     if spec.kind is FunctionKind.SINC:
         return sinc_even_series(order2, spec.precision)
-    if spec.kind in (FunctionKind.BESSEL_K, FunctionKind.RIEMANN_XI,
-                     FunctionKind.DIRICHLET_XI):
+    if spec.kind in MOMENT_KINDS:
         return even_series_from_moments(spec.moments(order2 // 2))
     raise ScalarError(f"{spec.kind.value} has no even-series source here")
 
@@ -883,6 +883,8 @@ def draw_adversarial_spec(
     Real defects are negative; complex draws return a conjugate pair with the
     drawn magnitude and a random phase.  The spec's bound is ``lam = 1``.
     """
+    if base_count < 1:
+        raise ValueError(f"base_count {base_count} must be positive")
     base = tuple(Fraction(1, n * n) for n in range(1, base_count + 1))
     u = Fraction(rng.randrange(0, 10 ** 9), 10 ** 9)
     mag = Fraction(1, 4) + Fraction(3, 4) * u

@@ -535,19 +535,82 @@ class TestFunctionSpec:
                 direct = mpmath.pi ** (2 * k) / mpmath.factorial(2 * k + 1)
                 assert abs(bound.value - direct) < mpmath.mpf(2) ** -180
 
-    def test_cached_longer_moments_are_cut_to_the_request(self):
+    def test_cached_longer_moments_are_recomputed_at_the_request(self):
         from posroot.criterion import _spec_metadata
 
         spec = FunctionSpec(FunctionKind.BESSEL_K, params={"a": F(1)}, mode="float",
                             precision=128)
-        full = spec.moments(6)
-        e = spec.elementary(2)
-        assert e.order == 2
-        assert len(spec.series(2)) == 3
-        assert [v.value for v in spec.moments(2).values] == [v.value for v in full.values[:3]]
-        meta = _spec_metadata(spec)
-        assert len(meta["moment_errors"]) == 3
-        assert meta["quadrature"] == {**full.metadata, "orders": 2}
+        spec.moments(6)
+        assert spec.elementary(2).order == 2
+        fresh = FunctionSpec(FunctionKind.BESSEL_K, params={"a": F(1)}, mode="float",
+                             precision=128)
+        fresh.elementary(2)
+        assert _spec_metadata(spec) == _spec_metadata(fresh)
+        assert len(_spec_metadata(spec)["moment_errors"]) == 3
+        assert spec.moments(2) is spec.moments(2)
+
+    def test_report_does_not_depend_on_an_earlier_call(self):
+        # the B = 10 quadrature has its own T, grid and errors, and none of
+        # them may reach a later B = 3 report on the same spec
+        import io
+
+        from posroot.cli import _write_json
+        from posroot.criterion import LambdaPolicy, certify_moment
+
+        policy = LambdaPolicy(kind="explicit", value=F(1, 100))
+
+        def report_bytes(spec):
+            buf = io.StringIO()
+            _write_json(certify_moment(spec, 3, policy).as_dict(), buf)
+            return buf.getvalue()
+
+        def bessel_k():
+            return FunctionSpec(FunctionKind.BESSEL_K, params={"a": F(1)}, mode="float",
+                                precision=128)
+
+        used = bessel_k()
+        certify_moment(used, 10, policy)
+        assert report_bytes(used) == report_bytes(bessel_k())
+
+    @pytest.mark.parametrize("kind, params, missing", [
+        (FunctionKind.BESSEL, {}, "nu"),
+        (FunctionKind.QBESSEL, {"nu": F(0)}, "q"),
+        (FunctionKind.QBESSEL, {"q": F(1, 2)}, "nu"),
+        (FunctionKind.RAMANUJAN_AQ, {}, "q"),
+        (FunctionKind.BESSEL_K, {}, "a"),
+        (FunctionKind.DIRICHLET_XI, {}, "chi"),
+    ])
+    @pytest.mark.parametrize("mode", [None, "float"])
+    def test_missing_parameter_is_named(self, kind, params, missing, mode):
+        with pytest.raises(ScalarError, match=f"needs the parameter {missing}$"):
+            FunctionSpec(kind, params=params, mode=mode)
+
+    def test_ratfunc_mode_needs_no_parameter(self):
+        assert FunctionSpec(FunctionKind.QBESSEL, mode="ratfunc").elementary(1).order == 1
+
+    @pytest.mark.parametrize("kind, mode", [
+        (FunctionKind.SINC, "ratfunc"),
+        (FunctionKind.BESSEL, "exact"),
+        (FunctionKind.QBESSEL, "exact"),
+        (FunctionKind.RAMANUJAN_AQ, "exact"),
+        (FunctionKind.AIRY_PRODUCT, "float"),
+        (FunctionKind.BESSEL_K, "float"),
+        (FunctionKind.RIEMANN_XI, "float"),
+        (FunctionKind.DIRICHLET_XI, "float"),
+    ])
+    def test_default_mode(self, kind, mode):
+        params = {"nu": F(0), "q": F(1, 2), "a": F(1), "chi": kronecker_character(-4)}
+        assert FunctionSpec(kind, params=params).mode == mode
+
+    def test_moment_kinds_are_the_quadrature_kinds(self):
+        for kind in FunctionKind:
+            spec = FunctionSpec(kind, params={"nu": F(0), "q": F(1, 2), "a": F(1),
+                                              "chi": kronecker_character(8)}, precision=64)
+            if kind in catalog.MOMENT_KINDS:
+                assert len(spec.moments(0)) == 1
+            else:
+                with pytest.raises(ScalarError, match="not moments"):
+                    spec.moments(0)
 
 
 class TestNodeSplit:
@@ -564,7 +627,7 @@ class TestNodeSplit:
         assert rep.argmin == 11 * 0.1
 
     def test_not_converged(self, monkeypatch):
-        monkeypatch.setattr(catalog, "_H_FLOOR", catalog._H0 / 2)
+        monkeypatch.setattr(catalog, "_H_FLOOR_SCALE", catalog._H0 / 2 / catalog._CELL)
         with pytest.raises(catalog.QuadratureNotConverged, match="below the floor 0.125$"):
             besselk_moments(1, 4, 256)
 
@@ -574,7 +637,7 @@ class TestNodeSplit:
             raise AssertionError("a kernel value was computed")
 
         floor = catalog._H0 / 2 ** halvings     # at or above the widest spacing
-        monkeypatch.setattr(catalog, "_H_FLOOR", floor)
+        monkeypatch.setattr(catalog, "_H_FLOOR_SCALE", floor / catalog._CELL)
         with pytest.raises(catalog.QuadratureNotConverged, match=f"below the floor {floor}$"):
             catalog._even_line_moments(kernel, 2, 64, "never", catalog._BesselKMajorant(1.0, 64))
 
@@ -715,6 +778,21 @@ class TestStripBound:
         assert mr.metadata["nodes"] <= {50: 32, 1000: 37, 50000: 65, 100000: 46}[a]
         with mpmath.workprec(256):
             assert abs(mr[0].value - mpmath.besselk(0, a)) <= mr.errors[0].value
+
+    @pytest.mark.parametrize("majorant", [
+        catalog._RIEMANN_MAJORANT, catalog._BesselKMajorant(1.0, 64),
+        catalog._BesselKMajorant(64.0, 1024)], ids=["riemann", "besselk1", "besselk64"])
+    def test_spacing_floor_is_absolute_up_to_a_64(self, majorant):
+        assert majorant.cell * catalog._H_FLOOR_SCALE == 2 ** -14
+
+    def test_spacing_floor_follows_the_kernel_width(self):
+        # at a = 10^9 the kernel is about 1/sqrt(a) wide, and its spacing lies
+        # far below the theta kernels' floor 2^-14
+        mr = besselk_moments(10 ** 9, 2, 64)
+        assert mr.metadata["h_final"] < 2 ** -14
+        assert mr.metadata["nodes"] <= 3437
+        with mpmath.workprec(128):
+            assert abs(mr[0].value - mpmath.besselk(0, 10 ** 9)) <= mr.errors[0].value
 
     @pytest.mark.parametrize("a, precision", [(1, 1024), (2, 1024), (64, 128), (50, 64)])
     def test_besselk_strip_is_wide_at_small_a(self, a, precision):

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from posroot.cli import main
@@ -205,13 +206,34 @@ class TestMomentsCommand:
         assert len(data["errors"]) == 3
 
     def test_rejects_closed_form_kind(self, capsys):
-        code = main(["moments", "--function", "sinc", "--orders", "2"])
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--function", "sinc", "--orders", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sinc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--nu", "0"], ["--q", "1/2"], ["--symbolic"],
+                                       ["--format", "csv"]])
+    def test_refuses_flags_it_cannot_read(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--function", "riemann-xi", "--orders", "2", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_besselk_at_large_a(self, tmp_path):
+        # the spacing floor follows the kernel's width 1/sqrt(a)
+        out = tmp_path / "m.json"
+        assert main(["moments", "--function", "bessel-k", "--a", "1e9", "--orders", "2",
+                     "--precision", "64", "--output", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["metadata"]["nodes"] <= 3437
+        c0, err0 = (parse_bigfloat(data[key][0]).value for key in ("moments", "errors"))
+        with mpmath.workprec(128):
+            assert abs(c0 - mpmath.besselk(0, 10 ** 9)) <= err0
 
     def test_no_refinement_is_an_error(self, tmp_path, capsys, monkeypatch):
         from posroot import catalog
 
-        monkeypatch.setattr(catalog, "_H_FLOOR", catalog._H0)
+        monkeypatch.setattr(catalog, "_H_FLOOR_SCALE", catalog._H0 / catalog._CELL)
         out = tmp_path / "m.json"
         code = main(["moments", "--function", "bessel-k", "--a", "1", "--orders", "2",
                      "--output", str(out)])
@@ -229,6 +251,11 @@ class TestPowerSumsCommand:
         data = json.loads(out.read_text())
         assert data["power_sums"]["1"] == "(1/4)/(nu+1)"
         assert data["domain"] == "ratfunc"
+
+    def test_refuses_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["powersums", "--function", "sinc", "--count", "2", "--format", "json"])
+        assert exc.value.code == 2
 
     def test_ramanujan_numeric(self, tmp_path):
         out = tmp_path / "p.json"
@@ -316,6 +343,21 @@ class TestAdversarialCommand:
         assert capsys.readouterr().err == f"error: {flag} -1 must be nonnegative\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_base_count_below_one_names_the_flag(self, tmp_path, capsys, count):
+        out = tmp_path / "adv.json"
+        assert main(["adversarial", "--draws", "2", "--base-count", count,
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --base-count {count} must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("base_count", [0, -3])
+    def test_base_count_below_one_is_refused_by_the_library(self, base_count):
+        from posroot.criterion import draw_adversarial_spec
+
+        with pytest.raises(ValueError, match=f"base_count {base_count} must be positive"):
+            draw_adversarial_spec(random.Random(0), base_count=base_count)
+
     def test_negative_grid_is_refused_by_the_library(self):
         from posroot.criterion import adversarial_run, draw_adversarial_spec
 
@@ -355,6 +397,22 @@ def test_bad_parameter_is_one_error_line(argv, capsys):
     for name, message in flag.items():
         if name in argv.split():
             assert lines[0] == f"error: {message}"
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("certify --function bessel --grid 2", "nu"),
+    ("certify --function qbessel --q 1/2 --grid 2", "nu"),
+    ("powersums --function qbessel --nu 0 --count 2", "q"),
+    ("powersums --function ramanujan-aq --count 2", "q"),
+    ("moments --function bessel-k --orders 2", "a"),
+    ("moments --function dirichlet-xi --orders 2", "chi"),
+])
+def test_missing_parameter_is_one_named_error_line(argv, name, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"needs the parameter {name}\n")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 class TestEnvPrecision:

@@ -27,12 +27,17 @@ fields.  Every ``certify``, ``moments`` and ``powersums`` pin (23 of them) was
 re-recorded when the quadrature's settings left the command line, which deleted
 only the ``quad_T``, ``quad_levels`` and ``quad_ns_max`` keys of
 ``metadata.config_echo``; each new pin is the hash of the earlier report with
-those keys deleted, and no CSV moved.  A change that alters any byte of any of
+those keys deleted, and no CSV moved.  The five ``moments`` and ``powersums``
+pins were re-recorded when each verb began to take only the flags it reads:
+``moments`` lost ``--format``, ``--nu``, ``--q`` and ``--symbolic``, and
+``powersums`` lost ``--format``, which neither ever read (both only ever wrote
+JSON).  Each new pin is the hash of the earlier report with those keys of
+``metadata.config_echo`` deleted.  A change that alters any byte of any of
 these reports fails here.  Those eight also carry a values-only pin, recorded
-before the integer node sums and re-recorded with the echo keys deleted, that
-no change of the quadrature's bound or grid may move.  Criterion 11 only checks
-that two runs of one tree agree.  A certificate runs with
-``--format both`` unless its arguments name a format.
+before the integer node sums and re-recorded with the echo keys deleted (the
+three ``moments`` ones twice), that no change of the quadrature's bound or grid
+may move.  Criterion 11 only checks that two runs of one tree agree.  A
+certificate runs with ``--format both`` unless its arguments name a format.
 """
 
 import functools
@@ -126,16 +131,16 @@ GOLDEN = {
     "moments-besselk": (
         ["moments", "--function", "bessel-k", "--a", "1", "--orders", "4",
          "--precision", "192"],
-        "1aa85af1b50b0aa1e9cc13658ca1f5c8ae5385e2d60c788a625c1eda3f69d368", None),
+        "030277c7234e190316f23c7f24f8624cf795ff6b613ee44a8aaf207445ed7729", None),
     # D = 8 is an even character (a = 0); Riemann at the 1024 bits of the
     # xi-quadrature benchmark workload.
     "moments-dirichlet-D8-640": (
         ["moments", "--function", "dirichlet-xi", "--discriminant", "8", "--orders", "6",
          "--precision", "640"],
-        "10cd067a02b6f2449b6f1310e6a94e3195cb3987bcc7a45dba877c5de766414d", None),
+        "d28e4aaf1e89ee735f0f45732091820ce7cf4c1353161f13d1a5d5581b2aa371", None),
     "moments-riemann-1024": (
         ["moments", "--function", "riemann-xi", "--orders", "6", "--precision", "1024"],
-        "8375efe6a74a3a64bb58ec4cdcbe9bcff3586cea81060d9fc6b2c8b5323974ae", None),
+        "63572cbf208b7ad5a942cec535c26b5d2d810a6d12a1e44af8c7d51ce54bde69", None),
     # At ν = 1/2 the binding t_nu = q^ν is a BigFloat, so each multivariate
     # cell is summed term by term in float: the bytes pin the term order.
     "qbessel-symbolic-nu1/2-moment-B2": (
@@ -150,11 +155,11 @@ GOLDEN = {
         "183ffc23bc8f96e1f08334b6266960124a8f3007b180fa59e71f4e607d8f67dc"),
     "powersums-qbessel-symbolic-K3": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "3"],
-        "06c037ba882276ec29ddb4938bac5b7851ed74e637c234e22ae16696255800ff", None),
+        "817bcbcc16fc6142759ed47de7cb22391295a545fcc9adeb1c71492ee9e07d93", None),
     # The symbolic benchmark workload's q-Bessel job.
     "powersums-qbessel-symbolic-K4": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "4"],
-        "0536cb7b3eeaff92c5d5b802c19a2edba09ed9fa81d594dc3169002c3f07c5af", None),
+        "23a0dc697230264009350d93134a5b19675dc6fbddc556c868550cbc6eb8bc9f", None),
     # Exact derivative cells summed over one integer scale; the B=24 run is
     # JSON-only, so no CSV is written.
     "bessel-nu0-derivative-B24-json": (
@@ -196,11 +201,11 @@ VALUES_ONLY = {
     "dirichlet-m4-moment-B4":
         "cea288b898830104a9ecea9f208c99058a80ee791efb9d3a62dba9299e172144",
     "moments-besselk":
-        "9db5b9b75e37be4c5e4b703847fa490f54e33cc91a2469e8455d75e46ae74304",
+        "d9a2513ba68098c4a4d815f804e31dbd3e90372ca6888b8cc165da010f9a2601",
     "moments-dirichlet-D8-640":
-        "9b05bf6257e702a6aedca482bea951c690c4ed88920435b79d147dd6bbcd33f1",
+        "17ded0d0a22ccf99407fa862e4612c72d648520909db6044e75619f1e4e3c8bf",
     "moments-riemann-1024":
-        "fd032e7b87feda5bf655d9654006e58e691eed108179a33569b04fee3f34409e",
+        "066a6c0e52d1f594834ea30ea32ac959e84fda9ef34ec1d5ce04c52a7aaebc63",
     "riemann-derivative-B4":
         "58337ee6b552b028c2a6dbc88e8bc1d8734cbdfde20ea248f7103beff8436766",
     "riemann-moment-B4":
@@ -219,7 +224,7 @@ def _read(path):
 def _run(args, directory):
     """The JSON report's and the CSV triangle's bytes (None where not written)."""
     out = directory / "report.json"
-    both = args[0] in ("certify", "moments", "powersums") and "--format" not in args
+    both = args[0] == "certify" and "--format" not in args
     fmt = ["--format", "both"] if both else []
     assert main(args + fmt + ["--output", str(out)]) in (0, 2, 3)
     return _read(out), _read(directory / "report.csv")
