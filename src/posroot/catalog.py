@@ -34,8 +34,11 @@ modulus ``m``) gives the Gaussian factors ``q^(n^2)`` by the recurrence
 
     w_1 = r_1 = q,   r_n = r_(n-1) q^2,   w_n = w_(n-1) r_n,
 
-two multiplications per term in place of one exponential each; the
-rounding argument is in ``_theta_weights``.
+two multiplications per term in place of one exponential each.  The series
+run in fixed-point Python ints: q and the coefficients become integers once,
+the recurrence, the terms, their sum and the stopping test are integer
+operations, and the sum becomes an ``mpf`` once; the error bound is in
+``_theta_sum``.
 
 The quadrature's node sums are exact integers.  The nodes are ``t_i = i h``
 with ``h`` a double, so ``t_i^(2n) = h^(2n) i^(2n)``: each kernel value becomes
@@ -43,13 +46,6 @@ one fixed-point integer ``W_i = round(w_i 2^F)``, the sums ``S_n = sum W_i
 i^(2n)`` run in Python ints, and one scaling by ``h^(2n+1) 2^-F`` per moment
 gives the trapezoid sum.  Three roundings are left: the kernel values, their
 conversion to ``W_i`` and that final scaling (``_even_line_moments``).
-
-The theta-term loops and the ``q^(n^2)`` recurrence run on libmp tuples
-(``mpf._mpf_``).  They call the libmp functions the ``mpf`` operators call
-(``mpf_mul``, ``mpf_mul_int``, ``mpf_add``, ``mpf_sub``, ``mpf_abs`` and the
-comparisons) at the ambient working precision with round-to-nearest, so every
-rounding and every stop decision is the operators', without a wrapper object
-per operation.
 
 For the Dirichlet kernel with an odd character the widely printed exponent
 ``-(1+a)t/2`` fails that evenness check; the exponent ``-(2a+1)t/2`` that
@@ -60,7 +56,7 @@ uses.  The choice is recorded in the moment metadata.
 from __future__ import annotations
 
 import enum
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -70,18 +66,10 @@ from typing import Callable, Optional
 import mpmath
 from mpmath import mpf, workprec
 from mpmath.libmp import (
-    fzero,
     from_man_exp,
-    mpf_abs,
-    mpf_add,
-    mpf_gt,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
     mpf_mul_int,
     mpf_pos,
     mpf_shift,
-    mpf_sub,
     round_ceiling,
     round_nearest,
     to_int,
@@ -280,6 +268,7 @@ _QUAD_GUARD_BITS = 64              # working bits of the quadrature above the ta
 _H0 = 0.25                         # the widest node spacing the tail bound covers
 _H_FLOOR_SCALE = 2 ** -9           # the least spacing, as a share of the majorant's cell
 _THETA_TERMS = 200000              # cap on theta series terms per kernel value
+_THETA_GUARD = 32                  # fixed-point bits of the theta sums above the working precision
 
 
 @dataclass(frozen=True)
@@ -493,7 +482,10 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
     - the kernel values, each of one sign and within ``2^-(precision+22)`` of
       its size: the theta series stop at ``2^-(precision+24)`` of their
       largest term plus partial sum (the first term dominates on the tame
-      side), 64 bits above the target;
+      side), and their rounding at 64 bits above the target (``_theta_sum``,
+      X = ``e^(2t)``, terms' total size under 3 values) stays under
+      ``2^-(precision+40)`` while ``N^2 X < 2^16``: the stop keeps ``(N-1)^2 X``
+      under ``0.23 (precision + 24) + X + 1.3 ln N``;
     - the conversion to ``W_i``, ``2^-(F+1)`` per node: F puts ``nodes 2h
       T^(2n) 2^-(F+1)`` at least ``2^-(precision+40)`` under every moment's
       lower bound (``2^(precision+8) e^goal``);
@@ -554,30 +546,50 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
 # ---------------------------------------------------------------------------
 
 
-def _theta_weights(q, prec: int):
-    """Yield ``q^(n^2)`` for n = 1, 2, 3, ... at two multiplications per term.
+def _theta_sum(q, coeffs, eps_bits: int):
+    """``(acc, S, N)``: ``acc 2^-S`` sums ``c_n q^(n^2)``, n = 1..N, in Python ints.
 
-    ``q`` and the yielded weights are libmp tuples; each product is
-    ``mpf_mul`` at ``prec`` bits rounded to nearest, the call ``mpf``
-    multiplication makes at that working precision.
+    ``coeffs`` yields the integers ``c_n`` (a zero skips its term); the sum
+    stops at the first N whose term is below the one before it and at most
+    ``2^-eps_bits`` of the largest term plus the partial sum.  ``Q = q 2^S``
+    holds q (an ``mpf`` in (0, 1)) exactly with ``P = mp.prec + _THETA_GUARD``
+    bits, and ``w_1 = r_1 = Q``, ``r_n = r_(n-1) Q^2``, ``w_n = w_(n-1) r_n``
+    shift each product down by S.  A shift drops under one unit, so ``R_n``
+    and ``W_n`` lie at most ``2(n-1)`` and ``n^2 - 1`` units under ``r_n 2^S``
+    and ``q^(n^2) 2^S``, a unit being at most ``2q 2^-P``; terms, sum and stop
+    test are exact.  So ``|c_n| <= C n^d`` gives ``|acc 2^-S - sum c_n
+    q^(n^2)| <= 2 C q N^(d+3) 2^-P``.
 
-    ``w_n = w_(n-1) * r_n`` with ``r_n = r_(n-1) * q^2 = q^(2n-1)``.  Each
-    product rounds once, so ``r_n`` carries at most ``n`` ulps of rounding
-    and ``w_n`` at most ``n(n+3)/2 < n^2``, i.e. ``2 log2(n)`` bits.  At
-    1024 bits the even path needs at most 45 terms (modulus 8; the Riemann
-    kernel 16), under 12 bits; literal evaluation at t = 2.5 needs 243
-    (Riemann) to 559 (modulus 8) terms, under 19 bits.  Both stay inside the
-    48 guard bits of ``riemann_phi``/``dirichlet_phi`` and the 64 of the
-    quadrature, far below the ``eps`` of the stopping test.  Whatever error
-    ``q`` itself carries is the argument's: ``exp(-n^2 pi X)`` evaluated
-    directly has the same ``n^2``-fold sensitivity to a rounded ``X``.
+    With their inputs rounded at ``u = 2^-mp.prec`` (E and ``X = E^4`` within 2
+    and 10 ulps, q within ``13 pi X + 2`` and ``q^(n^2)`` within ``n^2`` times
+    that, the Riemann A and B within 26, the Dirichlet damping within 10, one
+    rounding back to ``mpf``) the kernels' values are, to first order in u,
+    within ``(N^2 (48 X + 32) + 2^(1 - _THETA_GUARD) N^7) u S`` of their N-term
+    partial sums at the exact t, with ``X = e^(-2t)`` and S the sum of the
+    terms' sizes, their parts taken positive: ``(A n^4 + B n^2) q^(n^2)``
+    (Riemann), ``2 e^(-ct) n^a q^(n^2)`` (Dirichlet).
     """
-    q2 = mpf_mul(q, q, prec, round_nearest)
-    r = w = q
-    while True:
-        yield w
-        r = mpf_mul(r, q2, prec, round_nearest)
-        w = mpf_mul(w, r, prec, round_nearest)
+    _, man, exp, bc = q._mpf_
+    P = mpmath.mp.prec + _THETA_GUARD
+    S = P - exp - bc
+    r = w = man << P - bc
+    q2 = r * r >> S
+    acc = top = 0
+    prev = None
+    for n, c in zip(range(1, _THETA_TERMS + 1), coeffs):
+        if c:
+            term = c * w
+            acc += term
+            at = abs(term)
+            if at > top:
+                top = at
+            # at <= (top + |acc|) 2^-eps_bits, exactly, for an integer at
+            if prev is not None and at < prev and at <= (top + abs(acc)) >> eps_bits:
+                return acc, S, n
+            prev = at
+        r = r * q2 >> S
+        w = w * r >> S
+    raise QuadratureNotConverged(f"theta series did not converge in {_THETA_TERMS} terms")
 
 
 def _kernel_value(terms, t, precision: int, use_evenness: bool, modulus: int = 1) -> BigFloat:
@@ -615,53 +627,24 @@ def _evenness_defect(phi, t, precision: int) -> BigFloat:
     return BigFloat(abs((a - b).value), precision)
 
 
-@functools.cache
-def _two_pi(prec: int):
-    """``(2 * mpmath.pi)._mpf_`` at ``prec`` bits, once per precision."""
-    with workprec(prec):
-        return (2 * mpmath.pi)._mpf_
-
-
-@functools.cache
-def _eps(eps_bits: int, prec: int):
-    """``(mpf(2) ** (-eps_bits))._mpf_`` at ``prec`` bits, once per pair: the
-    theta-series stopping tolerance."""
-    with workprec(prec):
-        return (mpf(2) ** (-eps_bits))._mpf_
-
-
 def _riemann_kernel_terms(t, eps_bits: int):
-    """Literal theta-series kernel value at real t (terms may cancel).
+    """Literal theta-series kernel value at real t (terms may cancel) and its term count.
 
-    phi(t) = 2 pi * sum_n (2 pi n^4 e^{-9t/2} - 3 n^2 e^{-5t/2}) e^{-n^2 pi e^{-2t}}
+    phi(t) = sum_n (A n^4 - B n^2) e^{-n^2 pi e^{-2t}},  A = 4 pi^2 e^{-9t/2},  B = 6 pi e^{-5t/2}
 
     Two exponentials: ``E = e^{-t/2}`` gives the powers of ``e^{-t}``, and
-    ``q = e^{-pi E^4}`` gives every ``e^{-n^2 pi e^{-2t}} = q^(n^2)``.
+    ``q = e^{-pi E^4}`` gives every ``e^{-n^2 pi e^{-2t}} = q^(n^2)``.  A and B
+    become exact integers at their common binary exponent, and ``_theta_sum``
+    (which states the error) sums the series.
     """
-    prec, rnd = mpmath.mp.prec, round_nearest
     E = mpmath.exp(-t / 2)
-    E9 = (E ** 9)._mpf_
-    E5 = (E ** 5)._mpf_
-    X = E ** 4  # e^{-2t}
-    q = mpmath.exp(-mpmath.pi * X)
-    twopi = _two_pi(prec)
-    eps = _eps(eps_bits, prec)
-    acc = maxab = fzero
-    prev = None
-    for n, w in zip(range(1, _THETA_TERMS + 1), _theta_weights(q._mpf_, prec)):
-        # twopi * (twopi * n^4 * E9 - 3 n^2 * E5) * w
-        a = mpf_mul(mpf_mul_int(twopi, n ** 4, prec, rnd), E9, prec, rnd)
-        b = mpf_mul_int(E5, 3 * (n * n), prec, rnd)
-        term = mpf_mul(mpf_mul(twopi, mpf_sub(a, b, prec, rnd), prec, rnd), w, prec, rnd)
-        acc = mpf_add(acc, term, prec, rnd)
-        at = mpf_abs(term, prec, rnd)
-        if mpf_gt(at, maxab):
-            maxab = at
-        if prev is not None and mpf_lt(at, prev) and mpf_le(
-                at, mpf_mul(eps, mpf_add(maxab, mpf_abs(acc, prec, rnd), prec, rnd), prec, rnd)):
-            return _make_mpf(acc), n
-        prev = at
-    raise QuadratureNotConverged(f"theta series did not converge in {_THETA_TERMS} terms")
+    q = mpmath.exp(-mpmath.pi * E ** 4)
+    twopi = 2 * mpmath.pi
+    (_, a, ea, _), (_, b, eb, _) = (twopi * twopi * E ** 9)._mpf_, (3 * twopi * E ** 5)._mpf_
+    e = min(ea, eb)
+    a, b = a << ea - e, b << eb - e
+    acc, S, n = _theta_sum(q, (k * k * (a * k * k - b) for k in itertools.count(1)), eps_bits)
+    return _make_mpf(from_man_exp(acc, e - S, mpmath.mp.prec, round_nearest)), n
 
 
 def riemann_phi(
@@ -707,38 +690,20 @@ def riemann_moments(
 
 
 def _dirichlet_kernel_terms(t, chi: DirichletCharacter, two_c: int, eps_bits: int):
-    """Literal character theta kernel at real t.
+    """Literal character theta kernel at real t and its term count.
 
     phi(t, chi) = sum_{n != 0} n^a chi(n) exp(-n^2 pi e^{-2t}/m - c t)
     with c = two_c / 2; the two halves n and -n coincide, giving factor 2.
     As in the Riemann kernel, ``E = e^{-t/2}`` gives ``e^{-2t} = E^4`` and the
     damping ``e^{-ct} = E^(2c)``, and ``q = e^{-pi E^4/m}`` gives every
-    Gaussian factor ``q^(n^2)`` (advanced also where chi(n) = 0).
+    Gaussian factor ``q^(n^2)`` (advanced also where chi(n) = 0); the integer
+    coefficients ``n^a chi(n)`` go to ``_theta_sum``.
     """
-    prec, rnd = mpmath.mp.prec, round_nearest
-    m = chi.modulus
-    a = chi.parity
     E = mpmath.exp(-t / 2)
-    q = mpmath.exp(-mpmath.pi * E ** 4 / m)
-    damp = E ** two_c
-    eps = _eps(eps_bits, prec)
-    acc = maxab = fzero
-    prev = None
-    for n, w in zip(range(1, _THETA_TERMS + 1), _theta_weights(q._mpf_, prec)):
-        c = chi(n)
-        if c == 0:
-            continue
-        term = mpf_mul_int(w, (n ** a) * c, prec, rnd)
-        acc = mpf_add(acc, term, prec, rnd)
-        at = mpf_abs(term, prec, rnd)
-        if mpf_gt(at, maxab):
-            maxab = at
-        if prev is not None and mpf_lt(at, prev) and mpf_le(
-                at, mpf_mul(eps, mpf_add(maxab, mpf_abs(acc, prec, rnd), prec, rnd), prec, rnd)):
-            return 2 * damp * _make_mpf(acc), n
-        prev = at
-    raise QuadratureNotConverged(
-        f"character theta series did not converge in {_THETA_TERMS} terms")
+    q = mpmath.exp(-mpmath.pi * E ** 4 / chi.modulus)
+    acc, S, n = _theta_sum(q, (k ** chi.parity * chi(k) for k in itertools.count(1)),
+                           eps_bits)
+    return 2 * E ** two_c * _make_mpf(from_man_exp(acc, -S, mpmath.mp.prec, round_nearest)), n
 
 
 def _character_terms(chi: DirichletCharacter, two_c: int):
@@ -966,10 +931,11 @@ _EXACT_KINDS = {FunctionKind.SINC, FunctionKind.BESSEL, FunctionKind.QBESSEL,
                 FunctionKind.RAMANUJAN_AQ}
 MOMENT_KINDS = frozenset({FunctionKind.BESSEL_K, FunctionKind.RIEMANN_XI,
                           FunctionKind.DIRICHLET_XI})
-# the numeric parameters each kind needs outside ratfunc mode
-_REQUIRED_PARAMS = {FunctionKind.BESSEL: ("nu",), FunctionKind.QBESSEL: ("q", "nu"),
-                    FunctionKind.RAMANUJAN_AQ: ("q",), FunctionKind.BESSEL_K: ("a",),
-                    FunctionKind.DIRICHLET_XI: ("chi",)}
+# the parameters each kind reads, all of them needed outside ratfunc mode
+_REQUIRED_PARAMS = {FunctionKind.SINC: (), FunctionKind.BESSEL: ("nu",),
+                    FunctionKind.QBESSEL: ("q", "nu"), FunctionKind.RAMANUJAN_AQ: ("q",),
+                    FunctionKind.AIRY_PRODUCT: (), FunctionKind.BESSEL_K: ("a",),
+                    FunctionKind.RIEMANN_XI: (), FunctionKind.DIRICHLET_XI: ("chi",)}
 
 
 @dataclass
@@ -979,10 +945,11 @@ class FunctionSpec:
     ``mode`` is one of ``exact`` (plain rationals), ``ratfunc`` (symbolic
     parameters over a rational-function field) or ``float``.  Only the four
     closed-form kinds admit the exact modes; ``None`` means ``ratfunc`` for
-    sinc, ``exact`` for the other three and ``float`` otherwise.  Outside
-    ratfunc mode a missing ``_REQUIRED_PARAMS`` entry is a ``ScalarError``
-    naming it.  ``bindings`` carries the numeric values of symbolic parameters
-    for verdict evaluation (``t`` is bound to pi^2 for the sinc product).
+    sinc, ``exact`` for the other three and ``float`` otherwise.  A parameter
+    that ``_REQUIRED_PARAMS`` does not list for the kind, and outside ratfunc
+    mode a missing one, is a ``ScalarError`` naming it.  ``bindings`` carries
+    the numeric values of symbolic parameters for verdict evaluation (``t`` is
+    bound to pi^2 for the sinc product).
     """
 
     kind: FunctionKind
@@ -1001,7 +968,10 @@ class FunctionSpec:
             raise ScalarError(
                 "sinc coefficients involve pi^2; use ratfunc (symbolic t) "
                 "or float mode")
-        missing = [n for n in _REQUIRED_PARAMS.get(self.kind, ()) if n not in self.params]
+        unread = sorted(set(self.params) - set(_REQUIRED_PARAMS[self.kind]))
+        if unread:
+            raise ScalarError(f"{self.kind.value} takes no parameter {unread[0]}")
+        missing = [n for n in _REQUIRED_PARAMS[self.kind] if n not in self.params]
         if missing and self.mode != "ratfunc":
             raise ScalarError(f"{self.kind.value} in {self.mode} mode needs the parameter "
                               f"{missing[0]}")

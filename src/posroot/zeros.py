@@ -18,13 +18,14 @@ their asymptotic predictions, see the guard shift for larger ``nu``).
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import mpf_sign, normalize, round_nearest
+from mpmath.libmp import from_man_exp
 
 from .scalars import BigFloat, DEFAULT_PRECISION_BITS, ScalarError
 
@@ -55,73 +56,98 @@ class NoConvergence(ScalarError):
 
 
 @dataclass(frozen=True)
-class ZeroTable:
-    """Sorted positive ordinates of a function's zeros."""
+class ZeroTable(Sequence):
+    """Sorted positive ordinates of a function's zeros.
 
-    ordinates: tuple
+    Ordinate i is exactly ``mantissas[i] 2^exponent``: one Python int per
+    ordinate at one binary exponent that holds them all.  A ``BigFloat`` at
+    ``precision`` bits is built only on access (``table[i]``, ``first``,
+    iteration, ``reversed``); ``ordinates`` is the table itself.
+    """
+
+    mantissas: tuple
+    exponent: int
+    precision: int
     source: str          # "FILE" or "COMPUTED"
     params: dict
 
     def __len__(self) -> int:
-        return len(self.ordinates)
+        return len(self.mantissas)
 
     def __getitem__(self, i: int) -> BigFloat:
-        return self.ordinates[i]
+        value = mpmath.mp.make_mpf(from_man_exp(self.mantissas[i], self.exponent))
+        return BigFloat._exact(value, self.precision)
+
+    @property
+    def ordinates(self) -> "ZeroTable":
+        return self
 
     @property
     def first(self) -> BigFloat:
-        return self.ordinates[0]
+        return self[0]
 
 
 _DECIMAL = re.compile(r"([+-]?)(\d*)\.?(\d*)(?:[eE]([+-]?\d{1,3}))?")
 
 
 def _decimal(text: str, prec: int) -> tuple:
-    """``mpf(text)._mpf_`` at ``prec`` bits for a decimal ``[+-]d[.d][e[+-]ddd]``, rounded
-    once to nearest: ``man / 10^k`` by ``divmod``, the remainder as a sticky bit."""
+    """``(negative, man, exp)``: a decimal ``[+-]d[.d][e[+-]ddd]`` rounded once to
+    nearest, ties to even, at ``prec`` bits as ``man 2^exp``, ``man <= 2^prec``:
+    ``num / den`` by ``divmod`` to one or two bits beyond ``prec``, the remainder
+    breaking ties."""
     m = _DECIMAL.fullmatch(text)
     if not m or not (m[2] or m[3]):
         raise ValueError(f"not a decimal: {text!r}")
     num, e = int(m[2] + m[3] or "0"), int(m[4] or 0) - len(m[3])
     num, den = (num * 10 ** e, 1) if e >= 0 else (num, 10 ** -e)
-    shift = max(0, prec + 2 + den.bit_length() - num.bit_length())
-    q, r = divmod(num << shift, den)
-    q = q << 1 | (r != 0)
-    return normalize(int(m[1] == "-"), q, -shift - 1, q.bit_length(), prec, round_nearest)
+    if not num:
+        return m[1] == "-", 0, 0
+    shift = prec + 1 + den.bit_length() - num.bit_length()      # q gets prec+1 or prec+2 bits
+    q, r = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    extra = q.bit_length() - prec
+    half = 1 << extra - 1
+    low, q = q & 2 * half - 1, q >> extra
+    if low > half or low == half and (r or q & 1):
+        q += 1
+    return m[1] == "-", q, extra - shift
 
 
 def _parse_ordinates(lines, origin: str, limit: Optional[int], precision: int):
+    """``(mantissas, exponent)`` of the ordinates of ``lines``, each rounded by
+    ``_decimal``; ``exponent`` is the first ordinate's last bit at ``precision``
+    bits, which holds every larger ordinate exactly."""
     BigFloat(0, precision)      # a precision below the minimum raises here
-    ordinates = []
+    mantissas, exponent = [], None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            v = _decimal(line, precision)
+            negative, man, exp = _decimal(line, precision)
         except ValueError as exc:
             raise ParseError(f"{origin}:{lineno}: cannot parse {line!r}") from exc
-        if mpf_sign(v) < 1:
+        if negative or not man:
             raise ParseError(f"{origin}:{lineno}: ordinate {line} not positive")
-        ordinates.append(v)
-        if limit is not None and len(ordinates) >= limit:
-            break
-    if not ordinates:
-        raise ParseError(f"{origin}: no ordinates found")
-    ordinates = [BigFloat._exact(mpmath.mp.make_mpf(v), precision) for v in ordinates]
-    for a, b in zip(ordinates, ordinates[1:]):
-        (_, ma, ea, ca), (_, mb, eb, cb) = a.value._mpf_, b.value._mpf_
-        if (eb + cb, mb << ca) <= (ea + ca, ma << cb):      # b <= a: top bits, then mantissas
+        if exponent is None:
+            exponent = exp
+        # below the first ordinate's last bit means below the first ordinate
+        m = man << exp - exponent if exp >= exponent else 0
+        if mantissas and m <= mantissas[-1]:
+            b = BigFloat._exact(mpmath.mp.make_mpf(from_man_exp(man, exp)), precision)
             raise NotMonotone(f"{origin}: ordinates not strictly increasing near {b}")
-    return tuple(ordinates)
+        mantissas.append(m)
+        if limit is not None and len(mantissas) >= limit:
+            break
+    if not mantissas:
+        raise ParseError(f"{origin}: no ordinates found")
+    return tuple(mantissas), exponent
 
 
 def load_zero_table(path, limit: Optional[int] = None,
                     precision: int = DEFAULT_PRECISION_BITS) -> ZeroTable:
     """Parse a text file of ascending positive ordinates."""
     with open(path, "r", encoding="utf-8") as f:
-        ordinates = _parse_ordinates(f, str(path), limit, precision)
-    return ZeroTable(ordinates, "FILE", {})
+        return ZeroTable(*_parse_ordinates(f, str(path), limit, precision), precision, "FILE", {})
 
 
 def packaged_riemann_table(limit: Optional[int] = None,
@@ -131,8 +157,8 @@ def packaged_riemann_table(limit: Optional[int] = None,
 
     res = files("posroot").joinpath("data/riemann_zeros_10000.txt")
     with res.open("r", encoding="utf-8") as f:
-        ordinates = _parse_ordinates(f, "packaged riemann table", limit, precision)
-    return ZeroTable(ordinates, "FILE", {})
+        return ZeroTable(*_parse_ordinates(f, "packaged riemann table", limit, precision),
+                         precision, "FILE", {})
 
 
 def bessel_series_value(nu: Fraction, x):
@@ -229,7 +255,9 @@ def bessel_zeros(nu, count: int, precision: int = DEFAULT_PRECISION_BITS) -> Zer
     for a, b in zip(zeros, zeros[1:]):
         if not b > a:
             raise NoConvergence("computed Bessel zeros are out of order")
-    return ZeroTable(tuple(zeros), "COMPUTED", {"nu": nu})
+    exponent = min(z.value._mpf_[2] for z in zeros)
+    mantissas = tuple(man << exp - exponent for _, man, exp, _ in (z.value._mpf_ for z in zeros))
+    return ZeroTable(mantissas, exponent, precision, "COMPUTED", {"nu": nu})
 
 
 def partial_power_sum_with_tail(
@@ -251,12 +279,12 @@ def partial_power_sum_with_tail(
     wp = precision + 16
     with workprec(wp):
         acc = mpf(0)
-        for z in reversed(table.ordinates):  # ascending magnitude of terms
+        for z in reversed(table):  # ascending magnitude of terms
             acc += 1 / (z.value ** (2 * n))
         if tail_model == "none":
             tail = mpf(0)
         elif tail_model == "riemann":
-            g = table.ordinates[-1].value
+            g = table[-1].value
             logg = mpmath.log(g / (2 * mpmath.pi))
             tail = g ** (1 - 2 * n) * (logg / (2 * n - 1) + mpf(1) / (2 * n - 1) ** 2)
             tail = tail / (2 * mpmath.pi)

@@ -404,14 +404,66 @@ def operator_dirichlet_terms(t, chi, two_c, eps_bits):
     raise AssertionError("operator character series did not converge")
 
 
+def theta_error_bound(n, prec, t, *character):
+    """The bound ``catalog._theta_sum`` states on a kernel's n-term sum at ``prec`` bits:
+    ``(n^2 (48 X + 32) + 2^(1 - guard) n^7) 2^-prec S``; ``character`` is
+    ``(chi, two_c)`` for the Dirichlet kernel and empty for the Riemann one."""
+    with mpmath.workprec(prec + 64):
+        X, pi = mpmath.exp(-2 * t), mpmath.pi
+        if character:
+            chi, two_c = character
+            S = 2 * mpmath.exp(-mpmath.mpf(two_c) / 2 * t) * sum(
+                k ** chi.parity * mpmath.exp(-k * k * pi * X / chi.modulus)
+                for k in range(1, n + 1) if chi(k))
+        else:
+            A, B = 4 * pi ** 2 * mpmath.exp(-9 * t / 2), 6 * pi * mpmath.exp(-5 * t / 2)
+            S = sum((A * k ** 4 + B * k * k) * mpmath.exp(-k * k * pi * X)
+                    for k in range(1, n + 1))
+        factor = n * n * (48 * X + 32) + mpmath.mpf(2) ** (1 - catalog._THETA_GUARD) * n ** 7
+        return factor * mpmath.mpf(2) ** -prec * S
+
+
+def _assert_within_bound(got, want, n, prec, args):
+    """``got``, a kernel's n-term sum at ``prec`` bits from ``args`` (t, chi and two_c
+    for the Dirichlet kernel, eps_bits), within the stated bound of ``want``, which
+    carries the same bound 64 bits lower."""
+    bound = theta_error_bound(n, prec, *args[:-1])
+    with mpmath.workprec(prec + 64):
+        assert abs(got - want) <= bound * (1 + mpmath.mpf(2) ** -64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.fractions(-3, 3, max_denominator=64), st.integers(64, 1024),
+       st.sampled_from([None, -4, 5, 8]))
+@example(F(5, 2), 1024, 8)          # literal, the most terms
+@example(F(-3), 64, None)           # tame, the weights vanish after the first
+def test_kernels_within_the_stated_bound(t, precision, D):
+    """Either kernel at a rational t, directly at ``precision + 48`` bits, against its
+    one-exponential-per-term reference 64 bits higher: same term count, within the bound."""
+    prec = precision + 48
+    with mpmath.workprec(prec):
+        tv = mpmath.mpf(t.numerator) / t.denominator
+        if D is None:
+            args, kernel, reference = (tv,), catalog._riemann_kernel_terms, reference_riemann_terms
+        else:
+            chi = kronecker_character(D)
+            args = (tv, chi, 2 * chi.parity + 1)
+            kernel, reference = catalog._dirichlet_kernel_terms, reference_dirichlet_terms
+        got, n = kernel(*args, precision + 16)
+        with mpmath.workprec(prec + 64):
+            want, n_ref = reference(*args, precision + 16)
+    assert n == n_ref
+    _assert_within_bound(got, want, n, prec, (*args, precision + 16))
+
+
 class TestThetaRecurrence:
     """The kernels' q^(n^2) recurrence against one exponential per term.
 
     Each kernel call is paired with the reference at the same working
     precision; the public value must agree to 2^-precision relative and
-    the series must stop after the same number of terms.  The libmp-tuple
-    loops must also equal the same loops written with ``mpf`` operators,
-    bit for bit.
+    the series must stop after the same number of terms.  The integer loops
+    must also stay within the error bound ``catalog._theta_sum`` states of
+    the same loops written with ``mpf`` operators 64 bits higher.
     """
 
     T_VALUES = (0, F(3, 10), 1, F(5, 2))
@@ -424,6 +476,22 @@ class TestThetaRecurrence:
         def both(*args):
             got = real(*args)
             calls.append((got, reference(*args)))
+            return got
+
+        monkeypatch.setattr(catalog, name, both)
+        return calls
+
+    @staticmethod
+    def _paired_higher(monkeypatch, name, reference):
+        """``_paired`` with ``reference`` run 64 bits higher; each entry is ``(args,
+        prec, result, reference result)``."""
+        real = getattr(catalog, name)
+        calls = []
+
+        def both(*args):
+            got, prec = real(*args), mpmath.mp.prec
+            with mpmath.workprec(prec + 64):
+                calls.append((args, prec, got, reference(*args)))
             return got
 
         monkeypatch.setattr(catalog, name, both)
@@ -457,10 +525,11 @@ class TestThetaRecurrence:
                         self._check(v, calls, precision)
 
     @pytest.mark.parametrize("precision", [96, 320, 1024])
-    def test_bit_identical_to_operator_loops(self, monkeypatch, precision):
-        riemann = self._paired(monkeypatch, "_riemann_kernel_terms", operator_riemann_terms)
-        dirichlet = self._paired(monkeypatch, "_dirichlet_kernel_terms",
-                                 operator_dirichlet_terms)
+    def test_within_the_stated_bound_of_the_operator_loops(self, monkeypatch, precision):
+        riemann = self._paired_higher(monkeypatch, "_riemann_kernel_terms",
+                                      operator_riemann_terms)
+        dirichlet = self._paired_higher(monkeypatch, "_dirichlet_kernel_terms",
+                                        operator_dirichlet_terms)
         for t in self.T_VALUES:
             for even in (True, False):
                 riemann_phi(t, precision, use_evenness=even)
@@ -468,9 +537,10 @@ class TestThetaRecurrence:
                     dirichlet_phi(t, kronecker_character(D), precision, use_evenness=even)
         assert len(riemann) == 2 * len(self.T_VALUES)
         assert len(dirichlet) == 4 * len(self.T_VALUES)
-        for (got, n), (want, n_ref) in riemann + dirichlet:
+        for args, prec, (got, n), (want, n_ref) in riemann + dirichlet:
             assert isinstance(got, mpmath.mpf)
-            assert (got._mpf_, n) == (want._mpf_, n_ref)
+            assert n == n_ref
+            _assert_within_bound(got, want, n, prec, args)
 
     def test_two_exponentials_per_node(self, monkeypatch):
         calls = []
@@ -502,6 +572,11 @@ class TestScan:
         from posroot.characters import NotFundamental
         with pytest.raises(NotFundamental):
             kronecker_character(1)
+
+
+def _read_by(kind, params):
+    """The entries of ``params`` that ``kind`` reads."""
+    return {k: v for k, v in params.items() if k in catalog._REQUIRED_PARAMS[kind]}
 
 
 class TestFunctionSpec:
@@ -585,6 +660,19 @@ class TestFunctionSpec:
         with pytest.raises(ScalarError, match=f"needs the parameter {missing}$"):
             FunctionSpec(kind, params=params, mode=mode)
 
+    @pytest.mark.parametrize("kind, mode, params, unread", [
+        (FunctionKind.SINC, None, {"nu": F(3), "q": F(1, 2), "a": F(5)}, "a"),
+        (FunctionKind.SINC, "float", {"q": F(1, 2)}, "q"),
+        (FunctionKind.BESSEL, "ratfunc", {"chi": kronecker_character(-4)}, "chi"),
+        (FunctionKind.RIEMANN_XI, None, {"nu": F(3)}, "nu"),
+        (FunctionKind.AIRY_PRODUCT, None, {"q": F(1, 2)}, "q"),
+        (FunctionKind.BESSEL_K, None, {"a": F(1), "q": F(1, 2)}, "q"),
+        (FunctionKind.DIRICHLET_XI, None, {"chi": kronecker_character(5), "a": F(1)}, "a"),
+    ])
+    def test_unread_parameter_is_named(self, kind, mode, params, unread):
+        with pytest.raises(ScalarError, match=f"^{kind.value} takes no parameter {unread}$"):
+            FunctionSpec(kind, params=params, mode=mode)
+
     def test_ratfunc_mode_needs_no_parameter(self):
         assert FunctionSpec(FunctionKind.QBESSEL, mode="ratfunc").elementary(1).order == 1
 
@@ -600,12 +688,12 @@ class TestFunctionSpec:
     ])
     def test_default_mode(self, kind, mode):
         params = {"nu": F(0), "q": F(1, 2), "a": F(1), "chi": kronecker_character(-4)}
-        assert FunctionSpec(kind, params=params).mode == mode
+        assert FunctionSpec(kind, params=_read_by(kind, params)).mode == mode
 
     def test_moment_kinds_are_the_quadrature_kinds(self):
+        params = {"nu": F(0), "q": F(1, 2), "a": F(1), "chi": kronecker_character(8)}
         for kind in FunctionKind:
-            spec = FunctionSpec(kind, params={"nu": F(0), "q": F(1, 2), "a": F(1),
-                                              "chi": kronecker_character(8)}, precision=64)
+            spec = FunctionSpec(kind, params=_read_by(kind, params), precision=64)
             if kind in catalog.MOMENT_KINDS:
                 assert len(spec.moments(0)) == 1
             else:
@@ -875,12 +963,3 @@ class TestIntegerNodeSums:
         with mpmath.workprec(base.precision + 64):
             for n in range(len(base)):
                 assert abs(moved[n].value - base[n].value) <= base.errors[n].value
-
-
-class TestHoistedConstants:
-    @pytest.mark.parametrize("prec", [53, 160, 704, 1088])
-    def test_equal_to_the_per_node_formula(self, prec):
-        for eps_bits in (prec - 40, prec + 24, 2 * prec):
-            with mpmath.workprec(prec):
-                assert catalog._two_pi(prec) == (2 * mpmath.pi)._mpf_
-                assert catalog._eps(eps_bits, prec) == (mpmath.mpf(2) ** (-eps_bits))._mpf_

@@ -415,6 +415,19 @@ def test_missing_parameter_is_one_named_error_line(argv, name, capsys):
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("powersums --function sinc --nu 3 --q 1/2 --a 5 --count 1", "a"),
+    ("certify --function riemann-xi --nu 3 --grid 2", "nu"),
+    ("moments --function dirichlet-xi --discriminant -4 --a 1 --orders 2", "a"),
+])
+def test_unread_parameter_is_one_named_error_line(argv, name, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"takes no parameter {name}\n")
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 class TestEnvPrecision:
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSROOT_PRECISION_BITS", "128")

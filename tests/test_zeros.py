@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 from posroot.scalars import BigFloat
 from posroot.zeros import (
@@ -94,8 +95,10 @@ def test_decimal_rounds_like_mpf(sign, whole, frac, exponent, prec):
     if exponent is not None:
         e, plus, k = exponent
         text += e + (plus if k >= 0 else "") + str(k)
+    negative, man, exp = _decimal(text, prec)
+    assert man <= 2 ** prec
     with mpmath.workprec(prec):
-        assert _decimal(text, prec) == mpmath.mpf(text)._mpf_
+        assert from_man_exp(-man if negative else man, exp) == mpmath.mpf(text)._mpf_
 
 
 class TestBesselZeros:
@@ -125,6 +128,20 @@ class TestBesselZeros:
         t1 = bessel_zeros(1, 6, 128)
         for k in range(5):
             assert t0[k] < t1[k] < t0[k + 1]
+
+    def test_computed_table_holds_the_zeros_exactly(self, monkeypatch):
+        import posroot.zeros as zeros
+
+        made = []
+
+        class Recording(BigFloat):
+            def __init__(self, value, precision):
+                super().__init__(value, precision)
+                made.append((self.value._mpf_, self.prec))
+
+        monkeypatch.setattr(zeros, "BigFloat", Recording)
+        table = bessel_zeros(F(1, 3), 5, 160)
+        assert [(z.value._mpf_, z.prec) for z in table] == made
 
     def test_sign_change_verification(self):
         table = bessel_zeros(0, 3, 128)
@@ -235,6 +252,36 @@ class TestPackagedRiemannTable:
         assert len(table) == 50
         assert abs(float(table.first) - 14.134725141) < 1e-9
         assert abs(float(table[1]) - 21.022039639) < 1e-8
+
+    def test_held_in_under_1_2_mb(self):
+        import tracemalloc
+
+        from posroot.zeros import packaged_riemann_table
+        packaged_riemann_table(limit=1, precision=320)      # imports and caches
+        tracemalloc.start()
+        try:
+            table = packaged_riemann_table(precision=320)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 10000
+        assert held < 1.2e6
+
+    def test_ordinates_are_the_decimals_rounded_once(self):
+        from posroot.zeros import packaged_riemann_table
+        from importlib.resources import files
+
+        table = packaged_riemann_table(precision=128)
+        lines = [l for l in files("posroot").joinpath("data/riemann_zeros_10000.txt")
+                 .read_text().splitlines() if l and not l.startswith("#")]
+        assert len(table) == len(lines)
+        for i in (0, 1, 999, 1000, len(lines) - 1, -1):
+            _, man, exp = _decimal(lines[i], 128)
+            assert table[i].value._mpf_ == from_man_exp(man, exp)
+            assert table[i].prec == 128
+        assert table.ordinates[-1] == table[len(table) - 1]
+        assert [z.value for z in reversed(table)][:3] == [table[-k].value for k in (1, 2, 3)]
+        assert table.first.value == next(iter(table)).value
 
     def test_first_ordinates_bracket_series_sign_changes(self):
         # the loaded ordinates are validated against the function itself:
