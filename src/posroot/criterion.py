@@ -245,7 +245,7 @@ def resolve_bound(policy: BoundPolicy, form: str, e: ElementarySequence,
             else:
                 x = SAFETY_DOWN / x
     elif policy.kind == "first-root" and form == "rho":
-        bound_f = TruncatedSeries([bind_cell(c, bindings, precision) for c in f.coefficients])
+        bound_f = TruncatedSeries([bind_cell(c, bindings) for c in f.coefficients])
         x = _first_root_bound(bound_f, precision, SAFETY_DOWN)
         prov = "rho = safety * first bracketed root of the truncated series"
     else:
@@ -438,12 +438,12 @@ def _meta_safe(v):
 def _moment_certificate(label, B, precision, metadata, p, lam, lam_prov,
                         bindings=None) -> CertificateReport:
     """Report on the cells ``(-D)^j m_k``, ``m_k = p_(k+1)/lam^(k+1)``, decided ``>= 0``."""
-    table = moment_criterion(p, lam, J=B, bindings=bindings, verdict_precision=precision)
+    table = moment_criterion(p, lam, J=B, bindings=bindings)
     return CertificateReport(label, "MOMENT", B, precision, table.cells, lam=lam,
                              lam_provenance=lam_prov, metadata=metadata)
 
 
-def _two_route_cells(f, p, rho, B, bindings, precision, g=None):
+def _two_route_cells(f, p, rho, B, bindings, g=None):
     """Series-route cells for ``j+k <= B`` and the worst |series - difference|.
 
     The series route sums ``g`` (the coefficients of ``f'/f``; ``-p``
@@ -467,7 +467,7 @@ def _two_route_cells(f, p, rho, B, bindings, precision, g=None):
         d = v - diff_route[jk]
         if isinstance(d, RationalFunction) and d.is_zero():
             d = Fraction(0)  # exact, also when unreduced like 0/(q-1)
-        d = abs(bind_cell(d, bindings, precision))
+        d = abs(bind_cell(d, bindings))
         if worst is None or worst < d:
             worst = d
     return series_route, worst
@@ -628,9 +628,9 @@ def _derivative_once(spec, B, rho_policy, shift=None) -> CertificateReport:
     bindings = spec.bindings()
     rho, rho_prov = resolve_bound(rho_policy, "rho", e, f, _is_exact(p), spec.precision,
                                   bindings)
-    series_route, worst = _two_route_cells(f, p, rho, B, bindings, spec.precision)
+    series_route, worst = _two_route_cells(f, p, rho, B, bindings)
     cells = decide_cells(((j, k, v) for (j, k), v in series_route.items()), _deriv_scale,
-                         bindings, spec.precision, nonpositive=True)
+                         bindings, nonpositive=True)
     metadata = _spec_metadata(spec)
     metadata["route_equality_max_defect"] = serialize_scalar(worst)
     label, mode = spec.label, "DERIVATIVE"

@@ -29,9 +29,11 @@ numerators over one common scale.
 Cells of either form are decided by one function, :func:`decide_cells`,
 into :class:`CellRecord` entries; :class:`CellVerdicts` counts them.
 
-Float-mode tables are computed with extra working bits (one per triangle
-row+column) because iterated differencing of near-equal moments cancels
-roughly one bit per row.
+A float table is exact: its moments are put on their least binary exponent
+as Python ints, the triangle is built by integer subtraction, and each cell
+becomes a BigFloat once, without rounding.  Every cell is therefore the exact
+triangle of the printed row 0.  Its verdicts take their noise band from the
+moments' precision, not from the wider tag the exact cells carry.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from fractions import Fraction
 from math import comb, factorial, inf
 from typing import Mapping, Optional, Sequence
 
-from mpmath import mpf, workprec
+from mpmath import mp, workprec
+from mpmath.libmp import from_man_exp
 
 from .scalars import (
     BigFloat,
@@ -52,7 +55,6 @@ from .scalars import (
     _to_mp,
     serialize_scalar,
     sign_decide,
-    DEFAULT_PRECISION_BITS,
 )
 from .symfun import InsufficientCoefficients, PowerSumSequence, _domain_tag
 from .series import TruncatedSeries, log_derivative_series
@@ -139,15 +141,17 @@ class DifferenceTable(CellVerdicts):
     """Triangle ``rows[j][k] = (-D)^j m_k``; ``cells`` holds the decided cells.
 
     Row 0 holds the moments themselves, and ``domain`` their domain tag
-    (``rational``, ``ratfunc`` or ``float``); each later row is the elementwise
-    difference ``rows[j-1][k] - rows[j-1][k+1]``.  Row ``j`` holds columns
-    ``k = 0 .. len(m) - 1 - j`` (rows capped by ``J``).
+    (``rational``, ``ratfunc`` or ``float``; ``precision`` is the float
+    moments', which sets their verdicts' band); each later row is the
+    elementwise difference ``rows[j-1][k] - rows[j-1][k+1]``.  Row ``j`` holds
+    columns ``k = 0 .. len(m) - 1 - j`` (rows capped by ``J``).
     ``cells`` stays empty until :func:`decide_table_verdicts` runs.
     """
 
     domain: str
     rows: list = field(default_factory=list)
     cells: list = field(default_factory=list)
+    precision: Optional[int] = None
 
     def cell(self, j: int, k: int):
         return self.rows[j][k]
@@ -164,26 +168,29 @@ class DifferenceTable(CellVerdicts):
 def difference_table(m: Sequence, J: int) -> DifferenceTable:
     """Build the triangle of iterated differences of the moments ``m`` up to row ``J``.
 
-    Computed by recursive subtraction; a sample of cells is recomputed with
-    the alternating binomial formula and compared (exactly in exact domains,
-    to the elevated working precision in float mode).
+    Computed exactly by recursive subtraction, float moments of ``P`` bits as
+    ints on their least binary exponent; a float cell is then tagged ``P +
+    len(m) + J`` bits, or more if the widest cell needs more.  A sample of
+    cells is recomputed with the alternating binomial formula.
     """
     if len(m) < J + 1:
         raise InsufficientMoments(f"need at least {J + 1} moments, have {len(m)}")
     values = list(m)
     domain = _domain_tag(values)
+    precision = None
     if domain == "float":
-        # one extra guard bit per triangle dimension absorbs difference loss
-        boost = len(values) + J
-        values = [BigFloat(v.value, v.prec + boost) if isinstance(v, BigFloat) else v
-                  for v in values]
+        precision = max(v.prec for v in values if isinstance(v, BigFloat))
+        scale, values = _common_denominator(BigFloat(v, precision) for v in values)
     rows = [values]
-    for j in range(1, J + 1):
+    for _ in range(J):
         prev = rows[-1]
-        if len(prev) < 2:
-            break
         rows.append([prev[k] - prev[k + 1] for k in range(len(prev) - 1)])
-    table = DifferenceTable(domain=domain, rows=rows)
+    if precision:
+        exp = 1 - scale.bit_length()
+        raw = [[from_man_exp(n, exp) for n in row] for row in rows]
+        tag = max(precision + len(m) + J, max(x[3] for row in raw for x in row))
+        rows = [[BigFloat._exact(mp.make_mpf(x), tag) for x in row] for row in raw]
+    table = DifferenceTable(domain=domain, rows=rows, precision=precision)
     _cross_check(table)
     return table
 
@@ -191,31 +198,25 @@ def difference_table(m: Sequence, J: int) -> DifferenceTable:
 def _cross_check(table: DifferenceTable) -> None:
     """Recompute every third cell of every third row by the alternating binomial sum.
 
-    Exact cells must agree exactly; a float cell may differ by
-    ``(1 + S_j[k]) 2^-(prec-8)``, with ``S`` the magnitudes of :func:`_magnitudes`.
-    Rational moments are put over one denominator ``D`` first, so the sums
-    run on integer numerators; a cell ``a/b`` agrees with their sum ``N``
-    when ``a D = b N``.
+    Every cell must agree exactly.  Rational and float moments are put over
+    one denominator ``D`` first (a power of two for floats), so the sums run
+    on integer numerators; a cell ``a/b`` agrees with their sum ``N`` when
+    ``a D = b N``.
     """
     values = table.rows[0]
-    mags = None
     scale = None
-    if table.domain == "rational":
+    if table.domain != "ratfunc":
         scale, values = _common_denominator(values)
     for j in range(1, len(table.rows), 3):
         row = table.rows[j]
         for k in range(0, len(row), 3):
             direct = _binomial_cell(values, j, k)
             got = row[k]
-            if isinstance(got, BigFloat):
-                mags = mags or _magnitudes(values, len(table.rows))
-                with workprec(got.prec):
-                    tol = (1 + mags[j][k]) * mpf(2) ** (8 - got.prec)
-                    agree = abs((got - direct).value) <= tol
-            elif scale is not None:
-                agree = got.numerator * scale == direct * got.denominator
-            else:
+            if scale is None:
                 agree = got == direct
+            else:
+                a, b = got.as_integer_ratio()
+                agree = a * scale == direct * b
             if not agree:
                 raise ScalarError(f"difference-table cross-check failed at ({j},{k})")
 
@@ -223,8 +224,8 @@ def _cross_check(table: DifferenceTable) -> None:
 def binomial_scale(values, j: int, k: int, prec: int) -> BigFloat:
     """Magnitude of the cell before cancellation; the honest noise scale.
 
-    The per-cell definition, ``sum_i C(j,i) |m_(k+i)|``; the cross-check and
-    the verdicts read the same magnitudes from :func:`_magnitudes`.
+    The per-cell definition, ``sum_i C(j,i) |m_(k+i)|``; the verdicts read
+    the same magnitudes from :func:`_magnitudes`.
     """
     acc = BigFloat(0, prec)
     for i in range(j + 1):
@@ -269,7 +270,6 @@ def moment_criterion(
     lam,
     J: int,
     bindings: Optional[Mapping[str, object]] = None,
-    verdict_precision: int = DEFAULT_PRECISION_BITS,
 ) -> DifferenceTable:
     """Scaled-moment difference table with per-cell sign verdicts.
 
@@ -278,10 +278,10 @@ def moment_criterion(
     equality counts as a pass since the criterion is a non-strict inequality.
 
     Exact-domain cells are decided exactly.  Rational-function cells need
-    ``bindings`` mapping each symbol to a number; cells are then evaluated at
-    ``verdict_precision`` bits for the verdict while staying exact in the
-    table.  Float cells are decided with a per-cell noise scale equal to the
-    pre-cancellation binomial magnitude.
+    ``bindings`` mapping each symbol to a number; cells are then evaluated
+    there for the verdict (exactly at rational bindings) while staying exact
+    in the table.  Float cells are decided with a per-cell noise scale equal
+    to the pre-cancellation binomial magnitude, at the moments' precision.
     """
     if not isinstance(lam, (int, Fraction, BigFloat)):
         raise NonPositiveLambda(f"lambda must be rational or BigFloat, got {type(lam)}")
@@ -297,34 +297,33 @@ def moment_criterion(
         moments.append(p[k + 1] * scale)
         scale = scale * inv
     table = difference_table(moments, J)
-    decide_table_verdicts(table, bindings=bindings, verdict_precision=verdict_precision)
+    decide_table_verdicts(table, bindings=bindings)
     return table
 
 
 def decide_table_verdicts(
     table: DifferenceTable,
     bindings: Optional[Mapping[str, object]] = None,
-    verdict_precision: int = DEFAULT_PRECISION_BITS,
 ) -> None:
     """Decide every cell ``>= 0``; float cells against their Pascal noise scale."""
     scales = []
 
     def pascal_scale(j, k, _value):
         if not scales:
-            row0 = [bind_cell(x, bindings, verdict_precision) for x in table.rows[0]]
+            row0 = [bind_cell(x, bindings) for x in table.rows[0]]
             scales.extend(_noise_scales(row0, len(table.rows)))
         return scales[j][k]
 
-    table.cells = decide_cells(table.iter_cells(), pascal_scale, bindings, verdict_precision)
+    table.cells = decide_cells(table.iter_cells(), pascal_scale, bindings, table.precision)
 
 
-def bind_cell(v, bindings: Optional[Mapping[str, object]], precision: int):
+def bind_cell(v, bindings: Optional[Mapping[str, object]]):
     """A cell as a number whose sign can be decided.
 
     A non-constant rational-function cell is evaluated with its symbols
-    bound to ``bindings`` (rational values raised to ``precision``-bit
-    BigFloats); a constant one becomes its Fraction; anything else is
-    returned as it is.
+    bound to ``bindings``: an exact Fraction when every binding is rational,
+    a BigFloat when one is a BigFloat.  A constant one becomes its Fraction;
+    anything else is returned as it is.
     """
     if not isinstance(v, RationalFunction):
         return v
@@ -335,24 +334,25 @@ def bind_cell(v, bindings: Optional[Mapping[str, object]], precision: int):
     missing = [s for s in v.symbols if s not in bindings]
     if missing:
         raise ScalarError(f"no numeric binding for symbol(s) {missing}; supply parameter values")
-    return v.evaluate({s: bindings[s] if isinstance(bindings[s], BigFloat)
-                       else BigFloat(Fraction(bindings[s]), precision) for s in v.symbols})
+    return v.evaluate(bindings)
 
 
-def decide_cells(cells, scale, bindings, precision: int,
+def decide_cells(cells, scale, bindings, precision: Optional[int] = None,
                  nonpositive: bool = False) -> list[CellRecord]:
     """:class:`CellRecord` for every ``(j, k, value)`` in ``cells``.
 
     Each value is bound by :func:`bind_cell` and the sign of it (of its
     negation when ``nonpositive``) is decided: exactly for rationals, and
-    for BigFloats against the noise scale ``scale(j, k, bound value)``.
+    for BigFloats against the noise scale ``scale(j, k, bound value)``, with
+    the band of ``precision`` bits (default: the value's own).
     """
     out = []
     for j, k, value in cells:
-        x = bind_cell(value, bindings, precision)
+        x = bind_cell(value, bindings)
         if nonpositive:
             x = -x
-        sv = sign_decide(x, scale(j, k, x)) if isinstance(x, BigFloat) else sign_decide(x)
+        sv = (sign_decide(x, scale(j, k, x), precision) if isinstance(x, BigFloat)
+              else sign_decide(x))
         out.append(CellRecord(j, k, value, sv.verdict, sv.margin))
     return out
 

@@ -26,7 +26,8 @@ Sign decisions over the float domain are heuristic, not rigorous interval
 arithmetic: ``sign_decide(x, scale)`` counts a value as NONNEGATIVE only
 when it clears a noise threshold ``eps = scale * 2**(-precision/2)``, as
 NEGATIVE only when it falls below ``-KAPPA*eps`` (``KAPPA = 4``), and reports
-INDETERMINATE in between.  Exact domains always decide.
+INDETERMINATE in between, with ``precision`` that of the value's inputs (an
+exact difference cell's tag is wider).  Exact domains always decide.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 __all__ = [
     "Rational",
@@ -352,11 +353,12 @@ def _packed(terms: Iterable[tuple[int, ...]], shifts: list[int]) -> list[int]:
     return [sum(map(lshift, e, shifts)) for e in terms]
 
 
-def _common_denominator(v: Iterable[Fraction]) -> tuple[int, list[int]]:
-    """``(d, [n, ...])`` with the values of ``v`` equal to n/d, in order."""
-    v = list(v)
-    d = lcm(*(c.denominator for c in v))
-    return d, [c.numerator * (d // c.denominator) for c in v]
+def _common_denominator(v: Iterable) -> tuple[int, list[int]]:
+    """``(d, [n, ...])`` with the values of ``v`` (ints, Fractions or finite
+    BigFloats) equal to n/d, in order."""
+    ratios = [c.as_integer_ratio() for c in v]
+    d = lcm(*(b for _, b in ratios))
+    return d, [a * (d // b) for a, b in ratios]
 
 
 def _dense(p: Polynomial) -> list[Fraction]:
@@ -708,6 +710,12 @@ class BigFloat:
     def is_finite(self) -> bool:
         return mpmath.isfinite(self.value)
 
+    def as_integer_ratio(self) -> tuple[int, int]:
+        """The exact value as ``(n, d)`` in lowest terms, ``d`` a power of two."""
+        if not self.is_finite():
+            raise NonFinite(f"{self} has no integer ratio")
+        return _mpf_to_fraction(self.value).as_integer_ratio()
+
     def _binary(self, other, op):
         if isinstance(other, BigFloat):
             prec = max(self.prec, other.prec)
@@ -834,11 +842,12 @@ def _unit_eps(prec: int) -> mpf:
 KAPPA = 4  # widens the indeterminate band on the negative side
 
 
-def sign_decide(x, scale=1.0) -> SignVerdict:
+def sign_decide(x, scale=1.0, precision: Optional[int] = None) -> SignVerdict:
     """Decide the sign of a scalar.  Exact domains never return INDETERMINATE.
 
     A float is NONNEGATIVE only at or above ``eps = scale * 2**(-prec/2)``,
-    NEGATIVE only below ``-KAPPA*eps``, INDETERMINATE between.
+    NEGATIVE only below ``-KAPPA*eps``, INDETERMINATE between; ``prec`` is
+    ``precision`` (the bits of the inputs of ``x``) if given, else ``x.prec``.
     """
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
@@ -853,7 +862,7 @@ def sign_decide(x, scale=1.0) -> SignVerdict:
         if not x.is_finite():
             raise NonFinite(f"cannot decide sign of {x}")
         with workprec(x.prec + 16):
-            eps = mpf(scale) * _unit_eps(x.prec)
+            eps = mpf(scale) * _unit_eps(precision or x.prec)
             if x.value >= eps:
                 return SignVerdict(Verdict.NONNEGATIVE, abs(x))
             if x.value < -eps * KAPPA:
@@ -889,18 +898,8 @@ def bigfloat_str(x: BigFloat) -> str:
 
 def parse_bigfloat(s: str) -> BigFloat:
     body, prec = s.rsplit("@", 1)
-    prec = int(prec)
-    neg = body.startswith("-")
-    if neg:
-        body = body[1:]
-    man_s, exp_s = body[2:].split("p")
-    man = int(man_s, 16)
-    exp = int(exp_s)
-    with workprec(max(prec, man.bit_length() + 8)):
-        v = mpf(man) * mpf(2) ** exp
-        if neg:
-            v = -v
-    return BigFloat(v, prec)
+    man, exp = body.replace("0x", "", 1).split("p")  # a signed hex mantissa
+    return BigFloat(mpmath.mp.make_mpf(from_man_exp(int(man, 16), int(exp))), int(prec))
 
 
 def serialize_scalar(v) -> object:

@@ -65,6 +65,21 @@ class TestCertifyCommand:
         assert data["verdict"] == "BOUNDED-PASS"
         assert data["metadata"]["retried_at_bits"] == 128
 
+    def test_deep_float_table_is_indeterminate_not_fail(self, tmp_path):
+        # Cells (26,16) and (28,14) are positive at 128 bits but read about
+        # -1e-13 from 64-bit moments: rounding, which a band as narrow as the
+        # exact cells' wide tag would call NEGATIVE.  With the band of the
+        # moments' precision they stay undecided, also after the retry.
+        out = tmp_path / "r.json"
+        code = main(["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "42",
+                     "--precision", "64", "--format", "json", "--output", str(out)])
+        assert code == 3
+        data = json.loads(out.read_text())
+        assert data["verdict"] == "INDETERMINATE"
+        assert data["metadata"]["retried_at_bits"] == 128
+        assert data["metadata"]["verdict_counts"] == {
+            "INDETERMINATE": 27, "NEGATIVE": 0, "NONNEGATIVE": 919}
+
     def test_symbolic_ramanujan_derivative_grid6(self, tmp_path):
         # Univariate fractions in q of high degree: the gcd in every
         # RationalFunction must stay cheap for this run to finish quickly.

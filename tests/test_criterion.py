@@ -254,7 +254,7 @@ class TestResolveBound:
         bindings = spec.bindings()
         rho, prov = criterion.resolve_bound(BoundPolicy(kind="first-root"), "rho",
                                             spec.elementary(10), f, True, 128, bindings)
-        bound = TruncatedSeries([hausdorff.bind_cell(c, bindings, 128) for c in f.coefficients])
+        bound = TruncatedSeries([hausdorff.bind_cell(c, bindings) for c in f.coefficients])
         assert rho == _mpf_to_fraction(_first_root_bound(bound, 128, SAFETY_DOWN).value)
         assert prov.endswith(" [exact dyadic]")
         assert 0.99 < float(rho) < 1  # the smallest root of the reduced sinc product is 1
@@ -338,7 +338,7 @@ class TestIntegerRoutes:
         for jk, want in want_series.items():
             assert F(series[jk], s_scale) == want
             assert F(diff[jk], d_scale) == want_diff[jk]
-        cells, worst = criterion._two_route_cells(f, p, rho, B, None, 192)
+        cells, worst = criterion._two_route_cells(f, p, rho, B, None)
         assert cells == want_series
         assert all(type(v) is F for v in cells.values())
         assert worst == 0 and type(worst) is F
@@ -362,7 +362,7 @@ class TestIntegerRoutes:
         monkeypatch.setattr(math, "gcd", counting)
         criterion._integer_route_cells(f, g, p, rho, B)
         assert calls == []
-        cells, _ = criterion._two_route_cells(f, p, rho, B, None, 192)
+        cells, _ = criterion._two_route_cells(f, p, rho, B, None)
         assert len(calls) == len(cells) + 1  # one reduction per cell, one for the defect
 
     @pytest.mark.parametrize("index, delta", [(0, F(1, 7)), (3, F(-2, 3)), (8, F(5))])
@@ -376,7 +376,7 @@ class TestIntegerRoutes:
         bad[index] += delta
         bad = criterion.PowerSumSequence(bad)
         rho = F(9, 5)
-        cells, worst = criterion._two_route_cells(f, bad, rho, B, None, 192, g=g)
+        cells, worst = criterion._two_route_cells(f, bad, rho, B, None, g=g)
         want_series = fraction_series_cells(g, rho, B)
         want_diff = fraction_difference_cells(bad.values, rho, B)
         want = max(abs(v - want_diff[jk]) for jk, v in want_series.items())
@@ -683,6 +683,29 @@ class TestIndeterminateRetry:
         f = TruncatedSeries([F(1), F(-1)] + [F(0)] * 20)
         rep = certify_moment(SeriesSpec(f), 4)
         assert rep.verdict == "BOUNDED-PASS"
+
+
+def product_coefficients(atoms):
+    """Coefficients of ``prod (1 - l z)`` over the atoms ``l``, exactly."""
+    c = [F(1)]
+    for l in atoms:
+        c = [a - l * b for a, b in zip(c + [F(0)], [F(0)] + c)]
+    return c
+
+
+class TestFiniteProducts:
+    @settings(max_examples=30)
+    @given(st.lists(st.fractions(F(1, 50), F(1)), min_size=1, max_size=6, unique=True),
+           st.fractions(F(1), F(2)), st.sampled_from([64, 96, 128]), st.integers(30, 45))
+    def test_float_cells_are_never_negative(self, atoms, stretch, prec, B):
+        # Every exact cell sum_n x_n^(k+1) (1 - x_n)^j, x_n = l_n/lam, is >= 0,
+        # so no float verdict may be NEGATIVE.  At these depths a band as narrow
+        # as the exact cells' wide tag calls rounding NEGATIVE: the single atom
+        # 1/50 at lam = 1/50, 64 bits and B = 34 has two such cells.
+        f = TruncatedSeries([BigFloat(c, prec) for c in product_coefficients(atoms)])
+        rep = certify_moment(SeriesSpec(f, precision=prec, mode="float"), B,
+                             LambdaPolicy(kind="explicit", value=max(atoms) * stretch))
+        assert rep.counts()["NEGATIVE"] == 0
 
 
 class TestExitCodeMapping:

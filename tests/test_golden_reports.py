@@ -32,11 +32,18 @@ pins were re-recorded when each verb began to take only the flags it reads:
 ``moments`` lost ``--format``, ``--nu``, ``--q`` and ``--symbolic``, and
 ``powersums`` lost ``--format``, which neither ever read (both only ever wrote
 JSON).  Each new pin is the hash of the earlier report with those keys of
-``metadata.config_echo`` deleted.  A change that alters any byte of any of
-these reports fails here.  Those eight also carry a values-only pin, recorded
-before the integer node sums and re-recorded with the echo keys deleted (the
-three ``moments`` ones twice), that no change of the quadrature's bound or grid
-may move.  Criterion 11 only checks that two runs of one tree agree.  A
+``metadata.config_echo`` deleted.  The two ``ramanujan-symbolic`` pins were
+re-recorded when cells at rational bindings began to be decided exactly: only
+their ``margin`` fields moved, from BigFloats to exact rationals, and every
+value and verdict stayed.  The two ``riemann`` pins at B=40 with the
+coefficient bound and at B=42 with 64 bits were added when float difference
+tables became exact integer triangles decided with the band of their moments'
+precision: the first has cells the earlier guard bits rounded, and the second
+was a FAIL that rounding decided.  A change that alters any byte of any of
+these reports fails here.  The eight quadrature-backed reports above, and
+those two, also carry a values-only pin, recorded before the integer node sums
+and re-recorded with the echo keys deleted (the three ``moments`` ones twice),
+that no change of the quadrature's bound or grid may move.  Criterion 11 only checks that two runs of one tree agree.  A
 certificate runs with ``--format both`` unless its arguments name a format.
 """
 
@@ -59,12 +66,12 @@ GOLDEN = {
     "ramanujan-symbolic-moment-B6": (
         ["certify", "--function", "ramanujan-aq", "--symbolic", "--q", "1/2",
          "--mode", "moment", "--grid", "6"],
-        "f7e7ea36178a5e3554dd967b8947215388abc3b3e931fb722cee742049c55ea4",
+        "5a903b94faf17d274b53eb157b85f95f6ff89397fdca1c5f1d89829534fbd067",
         "a54085963ff19a0b8793641c2b5534ee4dff5163374d13739a6462b3add3b509"),
     "ramanujan-symbolic-derivative-B4": (
         ["certify", "--function", "ramanujan-aq", "--symbolic", "--q", "1/2",
          "--mode", "derivative", "--grid", "4"],
-        "1c73b852bf63de068eb60b866eec0aa52cdfaea9c4b965771aa589b1bdef0531",
+        "58492ea228b3dcd872e808c44775819aa7e6513fc8b91d54faac7985face3f4d",
         "eb832affebddfda7a2b38e031c398eabfb5b1d5a7352b7217957937186559a91"),
     "bessel-nu1-derivative-B8": (
         ["certify", "--function", "bessel", "--nu", "1", "--mode", "derivative",
@@ -114,6 +121,20 @@ GOLDEN = {
          "--precision", "256"],
         "28368693eb0e4b940b8a19fad6e6b22da02bcdac956f535214041a79a2807246",
         "b7340bc0b9f19638b672a82eb60970e9e2336f52c00a4e5fb6a0ad3aacd23299"),
+    # Fast-decaying moments: the exact triangle's cells (38,0)..(40,0) need
+    # more bits than P + len + J, so every cell is tagged with the widest.
+    "riemann-coefficient-bound-moment-B40": (
+        ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "40",
+         "--precision", "320", "--lambda-policy", "coefficient-bound"],
+        "408de577eb3e99c06e745c5472d8a98f732a41fee8826dd1741efa8b82adbae4",
+        "6553469e5f833ab8c9ec5a33dac6f590698fc832461b9a324bdc4aa65086d920"),
+    # Deeper than 64-bit moments can decide: INDETERMINATE (exit 3) after the
+    # retry at 128 bits, where a band narrowed to the cells' tag said FAIL.
+    "riemann-moment-B42-64": (
+        ["certify", "--function", "riemann-xi", "--mode", "moment", "--grid", "42",
+         "--precision", "64"],
+        "dfdec564953fe9d98325fe5ee21440ef95ba1ff9476e7a413a93cbb5312f5d0a",
+        "8b63adac16cec753f67a9ea6cae66c211bc1fbe8a8a293d0d5c4da3ba9d8bafc"),
     "riemann-derivative-B4": (
         ["certify", "--function", "riemann-xi", "--mode", "derivative", "--grid", "4",
          "--precision", "256"],
@@ -206,10 +227,14 @@ VALUES_ONLY = {
         "17ded0d0a22ccf99407fa862e4612c72d648520909db6044e75619f1e4e3c8bf",
     "moments-riemann-1024":
         "066a6c0e52d1f594834ea30ea32ac959e84fda9ef34ec1d5ce04c52a7aaebc63",
+    "riemann-coefficient-bound-moment-B40":
+        "75949c295cd961f9a30093ac496767d2d4f126bd8254a7eea5d952ceda385a9b",
     "riemann-derivative-B4":
         "58337ee6b552b028c2a6dbc88e8bc1d8734cbdfde20ea248f7103beff8436766",
     "riemann-moment-B4":
         "77dadd5eb599f0ac30068639844f0f04ad36f990ac48793c353f371d8808de5a",
+    "riemann-moment-B42-64":
+        "a91de27f5fbc2146ea38587f5f3b0b41c5bf9dec31e29699926c68dcbb55d90f",
 }
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -21,7 +22,13 @@ from posroot.hausdorff import (
     difference_table,
     moment_criterion,
 )
-from posroot.scalars import DEFAULT_PRECISION_BITS, BigFloat, ScalarError, Verdict
+from posroot.scalars import (
+    DEFAULT_PRECISION_BITS,
+    BigFloat,
+    ScalarError,
+    Verdict,
+    _mpf_to_fraction,
+)
 from posroot.symfun import (
     InsufficientCoefficients,
     PowerSumSequence,
@@ -169,6 +176,77 @@ class TestDifferenceTable:
         assert calls == []
 
 
+def printed_fraction(text):
+    """The exact value of a report's ``[-]0x<mantissa>p<exp>@<bits>`` cell."""
+    body = text.split("@")[0]
+    man, exp = body.lstrip("-")[2:].split("p")
+    value = int(man, 16) * F(2) ** int(exp)
+    return -value if body.startswith("-") else value
+
+
+def one_ulp(x: BigFloat, direction: int) -> BigFloat:
+    """``x`` moved by one unit in the last place of its ``prec``-bit tag."""
+    _, _, exp, bc = x.value._mpf_
+    with mpmath.workprec(x.prec + 8):
+        return BigFloat(x.value + direction * mpmath.mpf(2) ** (exp + bc - x.prec), x.prec)
+
+
+class TestExactFloatTable:
+    """A float table is the exact triangle of its row 0; no cell is rounded."""
+
+    @pytest.mark.parametrize("function", ["riemann-xi", "airy"])
+    def test_report_cells_are_the_exact_triangle_of_row0(self, tmp_path, function):
+        # Riemann's coefficient-bound moments decay fast: cells (38,0), (39,0)
+        # and (40,0) need more bits than P + len + J, so the table's tag widens.
+        # Airy's needs none; it is the control.
+        from posroot.cli import main
+
+        out = tmp_path / "r.json"
+        argv = ["certify", "--function", function, "--mode", "moment", "--grid", "40",
+                "--precision", "320", "--lambda-policy", "coefficient-bound",
+                "--format", "json", "--output", str(out)]
+        assert main(argv) == 0
+        cells = {(c["j"], c["k"]): c["value"] for c in json.loads(out.read_text())["cells"]}
+        rows = [[printed_fraction(cells[(0, k)]) for k in range(41)]]
+        for j in range(1, 41):
+            rows.append([a - b for a, b in zip(rows[-1], rows[-1][1:])])
+        assert len(cells) == 41 * 42 // 2
+        for (j, k), text in cells.items():
+            assert printed_fraction(text) == rows[j][k], (j, k)
+        assert {text.split("@")[1] for text in cells.values()} == \
+            ({"408"} if function == "riemann-xi" else {"401"})
+
+    @pytest.mark.parametrize("j, k", [(1, 0), (4, 3), (7, 0), (7, 3)])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_cross_check_catches_one_ulp(self, j, k, direction):
+        vals = [BigFloat(F(1, 3) ** n, 128) for n in range(12)]
+        t = difference_table(vals, 11)
+        t.rows[j][k] = one_ulp(t.rows[j][k], direction)
+        with pytest.raises(ScalarError, match=r"cross-check failed at \(%d,%d\)" % (j, k)):
+            hausdorff._cross_check(t)
+
+    @settings(max_examples=40)
+    @given(st.data(), st.integers(64, 1024), st.integers(1, 40), st.integers(0, 80))
+    def test_float_table_equals_fraction_triangle(self, data, prec, B, decay):
+        # mantissas of up to prec bits, each on an exponent that falls by about
+        # ``decay`` bits per column: decay 0 keeps the row on one scale, a large
+        # one makes the fast-decaying rows whose differences need the widest tag
+        row = []
+        for k in range(B + 1):
+            man = data.draw(st.integers(-(2 ** prec - 1), 2 ** prec - 1))
+            exp = data.draw(st.integers(-2, 2)) - decay * k - prec
+            row.append(F(man) * F(2) ** exp)
+        t = difference_table([BigFloat(x, prec) for x in row], B)
+        rows = [row]
+        for _ in range(B):
+            rows.append([a - b for a, b in zip(rows[-1], rows[-1][1:])])
+        for j, k, cell in t.iter_cells():
+            assert _mpf_to_fraction(cell.value) == rows[j][k], (j, k)
+        tags = {cell.prec for _, _, cell in t.iter_cells()}
+        widest = max(cell.value._mpf_[3] for _, _, cell in t.iter_cells())
+        assert tags == {max(prec + 2 * B + 1, widest)} and t.precision == prec
+
+
 class TestMomentCriterion:
     def test_all_ones_boundary_pass(self):
         p = PowerSumSequence([F(1)] * 13)
@@ -195,10 +273,18 @@ class TestMomentCriterion:
         p = power_sums_from_elementary(e, 21)
         with mpmath.workprec(280):
             pi2 = BigFloat(mpmath.pi ** 2, 256)
-        t = moment_criterion(p, F(1), J=20, bindings={"t": pi2},
-                             verdict_precision=256)
+        t = moment_criterion(p, F(1), J=20, bindings={"t": pi2})
         assert t.is_pass()
         assert t.counts()["NONNEGATIVE"] == 21 * 22 // 2
+
+    def test_rational_bindings_decide_exactly(self):
+        # q = 1/2 binds every cell to a Fraction: an exact verdict and margin
+        spec = FunctionSpec(FunctionKind.RAMANUJAN_AQ, params={"q": F(1, 2)}, mode="ratfunc")
+        rep = certify_moment(spec, 6)
+        assert rep.verdict == "BOUNDED-PASS"
+        for c in rep.cells:
+            value = bind_cell(c.value, spec.bindings())
+            assert type(c.margin) is F and c.margin == abs(value) and value >= 0
 
     def test_positive_rational_sequence_passes_exactly(self):
         rng = random.Random(64)
@@ -235,8 +321,8 @@ class TestNoiseScales:
     @pytest.mark.parametrize("kind, params, mode, precision, B", [
         (FunctionKind.AIRY_PRODUCT, {}, "float", 320, 40),
         (FunctionKind.RIEMANN_XI, {}, "float", 1024, 24),
-        (FunctionKind.RAMANUJAN_AQ, {"q": F(1, 2)}, "ratfunc", DEFAULT_PRECISION_BITS, 8),
-    ], ids=["airy", "riemann-xi", "ramanujan-symbolic"])
+        (FunctionKind.SINC, {}, "ratfunc", DEFAULT_PRECISION_BITS, 8),
+    ], ids=["airy", "riemann-xi", "sinc-symbolic"])
     def test_pascal_equals_binomial_scale(self, monkeypatch, kind, params, mode, precision, B):
         seen = []
         real = hausdorff.decide_table_verdicts
@@ -249,12 +335,12 @@ class TestNoiseScales:
         spec = FunctionSpec(kind, params=params, mode=mode, precision=precision)
         assert certify_moment(spec, B).verdict == "BOUNDED-PASS"
         (table, kw), = seen
-        bindings, prec = kw["bindings"], kw["verdict_precision"]
-        floats = [bind_cell(x, bindings, prec) for x in table.rows[0]]
+        bindings = kw["bindings"]
+        floats = [bind_cell(x, bindings) for x in table.rows[0]]
         scales = _noise_scales(floats, len(table.rows))
         cells = 0
         for j, k, cell in table.iter_cells():
-            cell_prec = bind_cell(cell, bindings, prec).prec
+            cell_prec = bind_cell(cell, bindings).prec
             assert scales[j][k] == max(1.0, float(binomial_scale(floats, j, k, cell_prec).value))
             cells += 1
         assert cells == (B + 1) * (B + 2) // 2
