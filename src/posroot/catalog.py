@@ -476,8 +476,9 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
     The node sums are exact integers (``_node_sums``): ``T_h = h^(2n+1) 2^-F
     S_n`` with ``S_n = sum c_i W_i i^(2n)``, ``W_i = round(f(i h) 2^F)``.  The
     error, rounded up to 53 bits, bounds ``|values[n] - b_2n|``: the strip
-    bound at h, the rounding to ``precision`` bits and ``2^-(precision+16)
-    |T_h|`` for the three roundings left in ``T_h``:
+    bound at h, half an ulp of ``values[n]`` for its rounding to ``precision``
+    bits (so the error does not follow the last bits of ``T_h``) and
+    ``2^-(precision+16) |T_h|`` for the three roundings left in ``T_h``:
 
     - the kernel values, each of one sign and within ``2^-(precision+22)`` of
       its size: the theta series stop at ``2^-(precision+24)`` of their
@@ -534,7 +535,9 @@ def _even_line_moments(kernel: Callable[[object], object], K: int, precision: in
             if abs(I[n] - I_prev[n]) > at_h[n] + at_2h[n] + 2 * allowance:
                 raise QuadratureNotConverged(
                     f"{kernel_name}: |T_h - T_2h| of b_{2 * n} exceeds its strip bound")
-            err = (at_h[n] + allowance + abs(values[n].value - I[n]))._mpf_
+            _, man, exp, bc = values[n].value._mpf_     # I[n] rounded to nearest
+            half_ulp = mpmath.ldexp(1, exp + bc - precision - 1) if man else 0
+            err = (at_h[n] + allowance + half_ulp)._mpf_
             errs.append(BigFloat(_make_mpf(mpf_pos(err, 53, round_ceiling)), precision))
     meta = {"kernel": kernel_name, "precision_bits": precision, "T": float(T),
             "h_final": h, "levels_used": 1, "nodes": nodes, "orders": K}

@@ -51,7 +51,6 @@ from typing import Optional
 
 import mpmath
 from mpmath import mpf, workprec
-from mpmath.libmp import from_int
 
 from .catalog import (
     MOMENT_KINDS,
@@ -66,7 +65,6 @@ from .catalog import (
 from .hausdorff import (
     CellRecord,
     CellVerdicts,
-    _noise_scale,
     bind_cell,
     decide_cells,
     derivative_cells_from_power_sums,
@@ -80,6 +78,7 @@ from .scalars import (
     RationalFunction,
     ScalarError,
     Verdict,
+    _band_cmp,
     _common_denominator,
     _mpf_to_fraction,
     _to_mp,
@@ -500,9 +499,11 @@ def _over_one_scale(values, rho, B):
 
 
 def _deriv_scale(j, k, v):
-    """Noise scale ``max(1, |v|, (j+k)!)`` of a float derivative cell ``v``, set by
-    the factorial growth of the cells: a float while finite, else an exact mpf."""
-    return _noise_scale(abs(v).value, mpmath.mp.make_mpf(from_int(factorial(j + k))))
+    """Noise scale ``max(|v|, (j+k)!)``, at least 1, of a float derivative cell ``v``,
+    set by the factorial growth of the cells: exactly, as ``(a, b)`` for ``a/b``."""
+    n, d = v.as_integer_ratio()
+    f = factorial(j + k)
+    return (abs(n), d) if abs(n) > f * d else (f, 1)
 
 
 def _spec_metadata(spec) -> dict:
@@ -693,12 +694,12 @@ def shifted_reduced_series(G: TruncatedSeries, c, precision: int) -> TruncatedSe
             t = -t if (n - j) % 4 else t
             acc = t if acc is None else acc + t
         x.append(BigFloat(acc, precision))
-    with workprec(precision + 16):
-        maxmag = max(abs(v.value) for v in x)
-        if maxmag == 0:
-            raise ShiftedNormalizationZero("shifted combination is identically zero")
-        if abs(x[0].value) <= mpf(2) ** (-Fraction(precision, 2)) * maxmag:
-            raise ShiftedNormalizationZero("G(ic) is numerically zero")
+    _, nums = _common_denominator(x)
+    top = max(map(abs, nums))
+    if top == 0:
+        raise ShiftedNormalizationZero("shifted combination is identically zero")
+    if _band_cmp(nums[0], top, 1, precision) <= 0:   # |x_0| <= max |x_j| 2^(-precision/2)
+        raise ShiftedNormalizationZero("G(ic) is numerically zero")
     return TruncatedSeries(x).normalized()
 
 

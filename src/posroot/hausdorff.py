@@ -33,17 +33,21 @@ A float table is exact: its moments are put on their least binary exponent
 as Python ints, the triangle is built by integer subtraction, and each cell
 becomes a BigFloat once, without rounding.  Every cell is therefore the exact
 triangle of the printed row 0.  Its verdicts take their noise band from the
-moments' precision, not from the wider tag the exact cells carry.
+moments' precision ``P``, not from the wider tag the exact cells carry, with
+the scale ``max(1, sum_i C(j,i) |m_(k+i)|)``: the Pascal sum of ``|row 0|``,
+in integers.  A derivative-form cell ``v`` has the scale ``max(1, |v|,
+(j+k)!)`` and the band of its own tag.  Both are compared exactly, so every
+float verdict can be recomputed from the printed report alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, inf
+from math import comb, factorial
 from typing import Mapping, Optional, Sequence
 
-from mpmath import mp, workprec
+from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from .scalars import (
@@ -52,7 +56,6 @@ from .scalars import (
     ScalarError,
     Verdict,
     _common_denominator,
-    _to_mp,
     serialize_scalar,
     sign_decide,
 )
@@ -100,11 +103,10 @@ class CellRecord:
 
     def as_dict(self) -> dict:
         value = serialize_scalar(self.value)
-        if isinstance(self.value, Fraction):
-            # an exact margin is |value|: the value's digits without the sign
-            margin = value.lstrip("-")
-        else:
-            margin = serialize_scalar(self.margin)
+        # the margin is |value|, the value's digits without the sign, unless the
+        # value is symbolic and the margin that of its bound number
+        margin = (serialize_scalar(self.margin) if isinstance(self.value, RationalFunction)
+                  else value.lstrip("-"))
         return {
             "j": self.j,
             "k": self.k,
@@ -225,7 +227,7 @@ def binomial_scale(values, j: int, k: int, prec: int) -> BigFloat:
     """Magnitude of the cell before cancellation; the honest noise scale.
 
     The per-cell definition, ``sum_i C(j,i) |m_(k+i)|``; the verdicts read
-    the same magnitudes from :func:`_magnitudes`.
+    the same magnitudes, exactly, from :func:`_noise_scales`.
     """
     acc = BigFloat(0, prec)
     for i in range(j + 1):
@@ -235,34 +237,21 @@ def binomial_scale(values, j: int, k: int, prec: int) -> BigFloat:
     return acc
 
 
-def _magnitudes(values, rows: int) -> list:
-    """``binomial_scale(values, j, k)`` for every cell of rows ``j < rows``, as raw mpf.
-
-    The magnitudes obey Pascal's rule, ``S_0[k] = |m_k|`` and ``S_j[k] =
-    S_(j-1)[k] + S_(j-1)[k+1]``, so the whole triangle costs ``O(B^2)``
-    additions instead of ``O(j)`` per cell.  The sums run at the largest
-    precision of the BigFloat ``values``.
-    """
-    prec = max(v.prec for v in values if isinstance(v, BigFloat))
-    with workprec(prec):
-        s = [abs(_to_mp(v, prec)) for v in values]
-        out = [s]
-        for _ in range(1, rows):
-            s = [s[k] + s[k + 1] for k in range(len(s) - 1)]
-            out.append(s)
-    return out
-
-
-def _noise_scale(*terms):
-    """``max(1, *terms)`` of nonnegative mpfs, the noise scale of a float verdict:
-    a float while it is finite, else the largest term itself."""
-    scale = max(1.0, *map(float, terms))
-    return scale if scale < inf else max(terms)
-
-
 def _noise_scales(values, rows: int) -> list:
-    """The verdicts' noise scales, :func:`_noise_scale` of each ``binomial_scale(values, j, k)``."""
-    return [[_noise_scale(x) for x in row] for row in _magnitudes(values, rows)]
+    """``max(1, binomial_scale(values, j, k))`` exactly, as ``(S, D)`` for ``S/D``,
+    for every cell of rows ``j < rows``.
+
+    Over one denominator ``D`` the magnitudes are ints that obey Pascal's
+    rule, ``S_0[k] = |m_k| D`` and ``S_j[k] = S_(j-1)[k] + S_(j-1)[k+1]``, so
+    the whole triangle costs ``O(B^2)`` integer additions.
+    """
+    d, s = _common_denominator(values)
+    s = [abs(n) for n in s]
+    out = [s]
+    for _ in range(1, rows):
+        s = [s[k] + s[k + 1] for k in range(len(s) - 1)]
+        out.append(s)
+    return [[(max(n, d), d) for n in row] for row in out]
 
 
 def moment_criterion(
@@ -305,16 +294,14 @@ def decide_table_verdicts(
     table: DifferenceTable,
     bindings: Optional[Mapping[str, object]] = None,
 ) -> None:
-    """Decide every cell ``>= 0``; float cells against their Pascal noise scale."""
-    scales = []
-
-    def pascal_scale(j, k, _value):
-        if not scales:
-            row0 = [bind_cell(x, bindings) for x in table.rows[0]]
-            scales.extend(_noise_scales(row0, len(table.rows)))
-        return scales[j][k]
-
-    table.cells = decide_cells(table.iter_cells(), pascal_scale, bindings, table.precision)
+    """Decide every cell ``>= 0``; float cells (of a float table or at a float
+    binding) against their Pascal noise scale."""
+    scales = None
+    if table.domain == "float" or any(isinstance(v, BigFloat)
+                                      for v in (bindings or {}).values()):
+        scales = _noise_scales([bind_cell(x, bindings) for x in table.rows[0]], len(table.rows))
+    table.cells = decide_cells(table.iter_cells(), lambda j, k, _x: scales[j][k], bindings,
+                               table.precision)
 
 
 def bind_cell(v, bindings: Optional[Mapping[str, object]]):
@@ -343,8 +330,9 @@ def decide_cells(cells, scale, bindings, precision: Optional[int] = None,
 
     Each value is bound by :func:`bind_cell` and the sign of it (of its
     negation when ``nonpositive``) is decided: exactly for rationals, and
-    for BigFloats against the noise scale ``scale(j, k, bound value)``, with
-    the band of ``precision`` bits (default: the value's own).
+    for BigFloats against the noise scale ``scale(j, k, bound value)`` (as
+    :func:`sign_decide` takes it), with the band of ``precision`` bits
+    (default: the value's own).
     """
     out = []
     for j, k, value in cells:

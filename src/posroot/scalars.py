@@ -27,13 +27,16 @@ arithmetic: ``sign_decide(x, scale)`` counts a value as NONNEGATIVE only
 when it clears a noise threshold ``eps = scale * 2**(-precision/2)``, as
 NEGATIVE only when it falls below ``-KAPPA*eps`` (``KAPPA = 4``), and reports
 INDETERMINATE in between, with ``precision`` that of the value's inputs (an
-exact difference cell's tag is wider).  Exact domains always decide.
+exact difference cell's tag is wider).  The band is compared exactly, in
+integers (:func:`_band_cmp`), with exact scales: ``max(1, sum_i C(j,i)
+|m_(k+i)|)`` for a moment cell and ``max(1, |v|, (j+k)!)`` for a
+derivative-form cell ``v``.  So any float verdict can be recomputed from the
+printed report alone.  Exact domains always decide.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -707,14 +710,13 @@ class BigFloat:
         with workprec(prec):
             return BigFloat(+mpmath.pi, prec)
 
-    def is_finite(self) -> bool:
-        return mpmath.isfinite(self.value)
-
     def as_integer_ratio(self) -> tuple[int, int]:
-        """The exact value as ``(n, d)`` in lowest terms, ``d`` a power of two."""
-        if not self.is_finite():
+        """The exact value as ``(n, d)`` in lowest terms (an mpf's mantissa is odd)."""
+        sign, man, exp, _ = self.value._mpf_
+        if not man and exp:     # an infinity or NaN
             raise NonFinite(f"{self} has no integer ratio")
-        return _mpf_to_fraction(self.value).as_integer_ratio()
+        n = -man if sign else man
+        return (n << exp, 1) if exp >= 0 else (n, 1 << -exp)
 
     def _binary(self, other, op):
         if isinstance(other, BigFloat):
@@ -832,14 +834,15 @@ class SignVerdict:
     margin: object  # |x| in the input domain
 
 
-@functools.cache
-def _unit_eps(prec: int) -> mpf:
-    """``eps`` at ``scale = 1``: ``2**(-prec/2)`` at ``prec + 16`` bits, once per precision."""
-    with workprec(prec + 16):
-        return mpf(2) ** (-Fraction(prec, 2))
-
-
 KAPPA = 4  # widens the indeterminate band on the negative side
+
+
+def _band_cmp(x, a: int, b: int, prec: int) -> int:
+    """The sign of ``|x| - (a/b) 2**(-prec/2)`` for a finite ``x = n/d`` (int,
+    Fraction or BigFloat), exactly: that of ``(n b)**2 2**prec - (a d)**2``."""
+    n, d = x.as_integer_ratio()
+    left, right = (n * b) ** 2 << prec, (a * d) ** 2
+    return (left > right) - (left < right)
 
 
 def sign_decide(x, scale=1.0, precision: Optional[int] = None) -> SignVerdict:
@@ -848,6 +851,7 @@ def sign_decide(x, scale=1.0, precision: Optional[int] = None) -> SignVerdict:
     A float is NONNEGATIVE only at or above ``eps = scale * 2**(-prec/2)``,
     NEGATIVE only below ``-KAPPA*eps``, INDETERMINATE between; ``prec`` is
     ``precision`` (the bits of the inputs of ``x``) if given, else ``x.prec``.
+    ``scale`` is a number or an ``(a, b)`` pair of ints for ``a/b``.
     """
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
@@ -859,15 +863,16 @@ def sign_decide(x, scale=1.0, precision: Optional[int] = None) -> SignVerdict:
         raise DomainMismatch(
             "sign of a non-constant rational function; bind its symbols first")
     if isinstance(x, BigFloat):
-        if not x.is_finite():
+        sign, man, exp, bc = x.value._mpf_
+        if not man and exp:     # an infinity or NaN
             raise NonFinite(f"cannot decide sign of {x}")
-        with workprec(x.prec + 16):
-            eps = mpf(scale) * _unit_eps(precision or x.prec)
-            if x.value >= eps:
-                return SignVerdict(Verdict.NONNEGATIVE, abs(x))
-            if x.value < -eps * KAPPA:
-                return SignVerdict(Verdict.NEGATIVE, abs(x))
-        return SignVerdict(Verdict.INDETERMINATE, abs(x))
+        a, b = scale if isinstance(scale, tuple) else scale.as_integer_ratio()
+        prec, v = precision or x.prec, Verdict.INDETERMINATE
+        if not sign and _band_cmp(x, a, b, prec) >= 0:
+            v = Verdict.NONNEGATIVE
+        elif sign and _band_cmp(x, KAPPA * a, b, prec) > 0:
+            v = Verdict.NEGATIVE
+        return SignVerdict(v, BigFloat._exact(mpmath.mp.make_mpf((0, man, exp, bc)), x.prec))
     raise DomainMismatch(f"cannot decide sign of {type(x).__name__}")
 
 

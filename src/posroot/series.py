@@ -23,7 +23,8 @@ from typing import Sequence
 from .scalars import (
     BigFloat,
     ScalarError,
-    workprec,
+    _band_cmp,
+    _common_denominator,
 )
 from .symfun import (
     ElementarySequence,
@@ -195,15 +196,12 @@ def even_sqrt_reduce(G: TruncatedSeries) -> TruncatedSeries:
     ``max(1, max|c|) * 2**(-prec/2)`` in the float domain.
     """
     coeffs = G.coefficients
-    tol = 0
-    if any(isinstance(c, BigFloat) for c in coeffs):
-        prec = max(c.prec for c in coeffs if isinstance(c, BigFloat))
-        scale = max(abs(c) for c in coeffs if isinstance(c, BigFloat))
-        if scale < 1:
-            scale = BigFloat(1, prec)
-        with workprec(prec):
-            tol = scale * BigFloat(2, prec) ** Fraction(-prec, 2)
+    floats = [c for c in coeffs if isinstance(c, BigFloat)]
+    if floats:
+        prec = max(c.prec for c in floats)
+        d, nums = _common_denominator(floats)
+        scale = max(d, *map(abs, nums))
     for i in range(1, len(coeffs), 2):
-        if coeffs[i] != 0 and not (tol and abs(coeffs[i]) <= tol):
+        if coeffs[i] != 0 and not (floats and _band_cmp(coeffs[i], scale, d, prec) <= 0):
             raise NotEven(f"odd coefficient a_{i} = {coeffs[i]} exceeds tolerance")
     return TruncatedSeries(coeffs[0::2])

@@ -30,7 +30,7 @@ from posroot.catalog import (
 )
 from posroot import catalog
 from posroot.characters import kronecker_character
-from posroot.scalars import BigFloat, RationalFunction, ScalarError
+from posroot.scalars import BigFloat, RationalFunction, ScalarError, bigfloat_str
 from posroot.symfun import power_sums_from_elementary
 
 
@@ -943,6 +943,33 @@ class TestIntegerNodeSums:
             assert sums == [sum((1 if i == 0 else 2) * v * 2 ** shift * i ** (2 * n)
                                 for i, v in enumerate(values) if i % 2 == parity)
                             for n in range(K + 1)]
+
+    @pytest.mark.parametrize("ulps", [1, 2 ** 8, 2 ** 40], ids=["1ulp", "2^8ulps", "2^40ulps"])
+    @pytest.mark.parametrize("run", [
+        lambda: riemann_moments(24, 1024),
+        lambda: dirichlet_moments(kronecker_character(-4), 6, 192),
+        lambda: besselk_moments(1, 6, 192),
+    ], ids=["riemann", "dirichlet-4", "besselk"])
+    def test_errors_do_not_follow_the_kernels_last_bits(self, monkeypatch, run, ulps):
+        # every kernel value some ulps of the working precision up (one ulp is
+        # below the node sums' fixed-point grid, 2^40 is 2^-(precision+24) of
+        # the value): a moment whose value does not move keeps its recorded
+        # error, bit for bit
+        base, even_line_moments = run(), catalog._even_line_moments
+
+        def perturbed(kernel, *args, **kw):
+            def up(t):
+                w = kernel(t)
+                _, man, exp, bc = w._mpf_
+                return w + ulps * mpmath.ldexp(1, exp + bc - mpmath.mp.prec) if man else w
+            return even_line_moments(up, *args, **kw)
+
+        monkeypatch.setattr(catalog, "_even_line_moments", perturbed)
+        moved = run()
+        kept = [n for n in range(len(base)) if bigfloat_str(moved[n]) == bigfloat_str(base[n])]
+        assert kept
+        assert [bigfloat_str(moved.errors[n]) for n in kept] == \
+            [bigfloat_str(base.errors[n]) for n in kept]
 
     @pytest.mark.parametrize("unit", [1, -1])
     @pytest.mark.parametrize("run", [

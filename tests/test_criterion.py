@@ -271,18 +271,11 @@ class TestDerivScale:
     @pytest.mark.parametrize("n", [0, 7, 170, 171, 180])
     @pytest.mark.parametrize("v", ["3", "-2.5e100", "6e329"])
     def test_scale_covers_value_and_factorial(self, n, v):
-        # a float scale (the value for every cell in float range) holds each
-        # term rounded to a double; beyond that range it is an exact mpf
+        # the scale is max(|v|, (j+k)!) exactly, as an (a, b) pair for a/b, in
+        # and beyond the float range alike
         x = BigFloat(v, 192)
-        scale = criterion._deriv_scale(n // 3, n - n // 3, x)
-        if isinstance(scale, float):
-            assert n <= 170 and v != "6e329"
-            assert scale == max(1.0, abs(float(x)), float(factorial(n)))
-        else:
-            assert n >= 171 or v == "6e329"
-            exact = _mpf_to_fraction(scale)
-            assert exact >= abs(_mpf_to_fraction(x.value))
-            assert exact >= factorial(n)
+        a, b = criterion._deriv_scale(n // 3, n - n // 3, x)
+        assert F(a, b) == max(abs(F(*x.as_integer_ratio())), factorial(n))
 
 
 def fraction_series_cells(g, rho, B):
@@ -706,6 +699,43 @@ class TestFiniteProducts:
         rep = certify_moment(SeriesSpec(f, precision=prec, mode="float"), B,
                              LambdaPolicy(kind="explicit", value=max(atoms) * stretch))
         assert rep.counts()["NEGATIVE"] == 0
+
+    @settings(max_examples=40)
+    @given(st.lists(st.fractions(F(1, 50), F(1), max_denominator=60), min_size=1, max_size=5,
+                    unique=True),
+           st.fractions(F(1), F(2), max_denominator=60), st.sampled_from([64, 128, 256]),
+           st.integers(4, 20))
+    def test_cells_are_the_closed_form(self, atoms, stretch, prec, B):
+        # With x_n = l_n/lam, moment cell (j, k) is
+        # sum_n x_n^(k+1) (1 - x_n)^j, and derivative cell (j, k) at rho = 1/lam is
+        # -(j+k)! times it: exactly in exact mode, and in float mode within the
+        # cell's own band, scale 2^(-P/2), which is the premise of the band.  P is
+        # the moments' precision, prec, also after a retry: the series' float
+        # coefficients keep their bits.
+        lam = max(atoms) * stretch
+        coeffs = product_coefficients(atoms)
+
+        def closed(j, k):
+            return sum((l / lam) ** (k + 1) * (1 - l / lam) ** j for l in atoms)
+
+        moment, rho = LambdaPolicy(kind="explicit", value=lam), RhoPolicy(kind="explicit",
+                                                                          value=1 / lam)
+        exact = SeriesSpec(TruncatedSeries(coeffs))
+        for c in certify_moment(exact, B, moment).cells:
+            assert c.value == closed(c.j, c.k)
+        for c in certify_derivative(exact, B, rho).cells:
+            assert c.value == -factorial(c.j + c.k) * closed(c.j, c.k)
+
+        floats = SeriesSpec(TruncatedSeries([BigFloat(c, prec) for c in coeffs]),
+                            precision=prec, mode="float")
+        cells = certify_moment(floats, B, moment).cells
+        value = {(c.j, c.k): F(*c.value.as_integer_ratio()) for c in cells}
+        for (j, k), v in value.items():
+            scale = max(1, sum(comb(j, i) * abs(value[(0, k + i)]) for i in range(j + 1)))
+            assert (v - closed(j, k)) ** 2 * 2 ** prec <= scale ** 2, (j, k)
+        for c in certify_derivative(floats, B, rho).cells:
+            v, n = F(*c.value.as_integer_ratio()), factorial(c.j + c.k)
+            assert (v + n * closed(c.j, c.k)) ** 2 * 2 ** c.value.prec <= max(abs(v), n) ** 2
 
 
 class TestExitCodeMapping:

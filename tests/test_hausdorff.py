@@ -315,6 +315,14 @@ class TestMomentCriterion:
         assert t1.is_pass() and t2.is_pass()
 
 
+def exact_binomial_scale(values, j, k, scales):
+    """``binomial_scale`` of the values widened to enough bits to be exact (those
+    of the largest numerator of ``scales``, the integer Pascal sums), as a Fraction."""
+    bits = max(64, max(n.bit_length() for row in scales for n, _ in row))
+    wide = [BigFloat(v, bits) for v in values]
+    return F(*binomial_scale(wide, j, k, bits).as_integer_ratio())
+
+
 class TestNoiseScales:
     """The Pascal-triangle noise scales of the verdicts against ``binomial_scale``."""
 
@@ -339,9 +347,8 @@ class TestNoiseScales:
         floats = [bind_cell(x, bindings) for x in table.rows[0]]
         scales = _noise_scales(floats, len(table.rows))
         cells = 0
-        for j, k, cell in table.iter_cells():
-            cell_prec = bind_cell(cell, bindings).prec
-            assert scales[j][k] == max(1.0, float(binomial_scale(floats, j, k, cell_prec).value))
+        for j, k, _ in table.iter_cells():
+            assert F(*scales[j][k]) == max(1, exact_binomial_scale(floats, j, k, scales))
             cells += 1
         assert cells == (B + 1) * (B + 2) // 2
 
@@ -354,26 +361,21 @@ class TestNoiseScales:
         for c in t.cells:
             assert c.verdict is (Verdict.NEGATIVE if c.j % 2 == 0 else Verdict.NONNEGATIVE)
         row0 = list(t.rows[0])
-        scale = _noise_scales(row0, 4)[3][0]
-        assert isinstance(scale, mpmath.mpf)
-        assert scale == hausdorff._magnitudes(row0, 4)[3][0] >= mpmath.mpf(2) ** 4400
-
-    @pytest.mark.parametrize("terms, want", [
-        (("0.25",), 1.0),
-        (("3", "7"), 7.0),
-        (("1e300", "2.5e299"), 1e300),
-    ])
-    def test_scale_in_float_range_is_a_float(self, terms, want):
-        scale = hausdorff._noise_scale(*map(mpmath.mpf, terms))
-        assert type(scale) is float and scale == want
+        scales = _noise_scales(row0, 4)
+        assert F(*scales[3][0]) == exact_binomial_scale(row0, 3, 0, scales) >= F(2) ** 4400
 
     @pytest.mark.parametrize("terms", [
-        (mpmath.mpf(3), mpmath.mp.make_mpf(mpmath.libmp.from_int(factorial(171)))),
-        (mpmath.mpf(2) ** 1100 + 1, mpmath.mpf(7)),
+        ("0.25",), ("3", "7"), ("1e300", "2.5e299"), (3, factorial(171)), (2 ** 1100 + 1, 7),
     ])
-    def test_scale_beyond_float_range_is_the_exact_max(self, terms):
-        scale = hausdorff._noise_scale(*terms)
-        assert scale is max(terms)
+    def test_scales_are_exact_pascal_sums(self, terms):
+        # every scale is max(1, sum_i C(j,i) |m_(k+i)|) with nothing rounded, in
+        # and beyond the float range alike
+        row0 = [BigFloat(t, 2048) for t in terms]
+        scales = _noise_scales(row0, len(row0))
+        m = [abs(F(*x.as_integer_ratio())) for x in row0]
+        for j, row in enumerate(scales):
+            for k, (n, d) in enumerate(row):
+                assert F(n, d) == max(1, sum(comb(j, i) * m[k + i] for i in range(j + 1)))
 
 
 class TestDerivativeForm:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from math import comb
@@ -400,6 +401,26 @@ def test_heuristic_gcd_retries_at_a_larger_point(monkeypatch):
     assert points == [2 ** 16]
 
 
+def band_rule(x: F, scale: F, prec: int) -> Verdict:
+    """``sign_decide``'s float rule on Fractions alone: NONNEGATIVE iff ``x >=
+    scale 2^(-prec/2)``, NEGATIVE iff ``x < -4 scale 2^(-prec/2)``, each side
+    squared."""
+    if x >= 0 and x * x * 2 ** prec >= scale * scale:
+        return Verdict.NONNEGATIVE
+    if x < 0 and x * x * 2 ** prec > 16 * scale * scale:
+        return Verdict.NEGATIVE
+    return Verdict.INDETERMINATE
+
+
+def band_edge_floor(scale: F, prec: int, bits: int) -> tuple[int, int]:
+    """``(n, e)``: ``n 2^-e`` is the largest ``bits``-bit dyadic at or below
+    ``scale 2^(-prec/2)``, by an integer square root."""
+    e = bits + prec // 2 + scale.denominator.bit_length() + 2   # eps 2^e > 2^(bits+1)
+    t = math.isqrt((scale.numerator ** 2 << 2 * e - prec) // scale.denominator ** 2)
+    shift = t.bit_length() - bits
+    return t >> shift, e - shift
+
+
 class TestSignDecide:
     def test_rational_zero_boundary(self):
         sv = sign_decide(F(0))
@@ -435,22 +456,45 @@ class TestSignDecide:
 
     @pytest.mark.parametrize("prec", [64, 96, 161, 320, 1024])
     def test_eps_equals_uncached_formula(self, prec):
-        # the verdicts change exactly at eps and at -KAPPA*eps, to the ulp at prec+16 bits
-        def at(value):
-            x = BigFloat(0, prec)
-            x.value = value
-            return x
+        # The verdicts change exactly at eps = scale 2^(-prec/2) and at -KAPPA eps.
+        # On grids of prec + 16 and 3 prec bits, the last value at or below eps is
+        # NONNEGATIVE only if it is eps itself, and the next one is; the last one at
+        # or below KAPPA eps, negated, stays INDETERMINATE, and the next is NEGATIVE.
+        # At prec = 161 the 177-bit value nearest to 2^-80.5 lies below it.
+        for scale in (1, 3.5, 1e30, 2 ** 1100):
+            s = F(scale)
+            for bits in (prec + 16, 3 * prec):
+                n, e = band_edge_floor(s, prec, bits)
+                exact = (n * F(2) ** -e) ** 2 * 2 ** prec == s * s
+                at = [BigFloat(m * F(2) ** -e, bits + 1) for m in (n, n + 1)]
+                assert sign_decide(at[0], scale, prec).verdict is (
+                    Verdict.NONNEGATIVE if exact else Verdict.INDETERMINATE)
+                assert sign_decide(at[1], scale, prec).verdict is Verdict.NONNEGATIVE
+                n, e = band_edge_floor(4 * s, prec, bits)
+                at = [BigFloat(-m * F(2) ** -e, bits + 1) for m in (n, n + 1)]
+                assert sign_decide(at[0], scale, prec).verdict is Verdict.INDETERMINATE
+                assert sign_decide(at[1], scale, prec).verdict is Verdict.NEGATIVE
+        n, e = band_edge_floor(F(1), 161, 177)
+        with mpmath.workprec(177):
+            nearest = mpmath.mpf(2) ** mpmath.mpf(-80.5)
+        assert nearest == mpmath.ldexp(n, -e)
 
-        for scale in (1, 3.5, 1e30):
-            with mpmath.workprec(prec + 16):
-                want = mpmath.mpf(scale) * mpmath.mpf(2) ** (-F(prec, 2))
-                ulp = mpmath.mpf(2) ** (mpmath.frexp(want)[1] - prec - 16)
-                below, low, lower = want - ulp, -4 * want, -4 * (want + ulp)
-            for _ in range(2):
-                assert sign_decide(at(want), scale).verdict is Verdict.NONNEGATIVE
-                assert sign_decide(at(below), scale).verdict is Verdict.INDETERMINATE
-                assert sign_decide(at(low), scale).verdict is Verdict.INDETERMINATE
-                assert sign_decide(at(lower), scale).verdict is Verdict.NEGATIVE
+    @settings(max_examples=150)
+    @example(prec=64, scale=1, edge=1, offset=0, extra=0)
+    @example(prec=65, scale=2 ** 1100 + 1, edge=-4, offset=1, extra=40)
+    @given(st.integers(64, 700),
+           st.one_of(st.integers(1, 2 ** 1200),
+                     st.fractions(F(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6),
+                     st.floats(1e-300, 1e300)),
+           st.sampled_from([1, -4]), st.integers(-3, 3), st.integers(-16, 64))
+    def test_matches_fraction_rule(self, prec, scale, edge, offset, extra):
+        # values a few ulps either side of eps and of -KAPPA eps, on grids coarser
+        # and finer than prec bits
+        bits = max(64, prec + extra)
+        n, e = band_edge_floor(abs(edge) * F(scale), prec, bits)
+        x = (n + offset) * F(2) ** -e * (1 if edge > 0 else -1)
+        got = sign_decide(BigFloat(x, bits + 1), scale, prec).verdict
+        assert got is band_rule(x, F(scale), prec)
 
     def test_exact_domains_never_indeterminate(self):
         rng = random.Random(5)
