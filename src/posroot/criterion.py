@@ -516,11 +516,15 @@ def _spec_metadata(spec) -> dict:
 
 
 def _run_with_retry(once, spec, B, *args) -> CertificateReport:
-    """``once(spec, B, *args)``, rerun once at doubled precision if INDETERMINATE."""
+    """``once(spec, B, *args)``, rerun once at doubled precision if INDETERMINATE.
+
+    Only a catalog function recomputes its coefficients at the new precision;
+    an explicit series keeps its own, so it is not rerun.
+    """
     if B < 0:
         raise ValueError("grid bound must be nonnegative")
     report = once(spec, B, *args)
-    if report.verdict == "INDETERMINATE":
+    if report.verdict == "INDETERMINATE" and isinstance(spec, FunctionSpec):
         new_prec = min(spec.precision * 2, MAX_RETRY_PRECISION)
         if new_prec > spec.precision:
             report = once(replace(spec, precision=new_prec), B, *args)

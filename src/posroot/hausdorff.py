@@ -223,23 +223,10 @@ def _cross_check(table: DifferenceTable) -> None:
                 raise ScalarError(f"difference-table cross-check failed at ({j},{k})")
 
 
-def binomial_scale(values, j: int, k: int, prec: int) -> BigFloat:
-    """Magnitude of the cell before cancellation; the honest noise scale.
-
-    The per-cell definition, ``sum_i C(j,i) |m_(k+i)|``; the verdicts read
-    the same magnitudes, exactly, from :func:`_noise_scales`.
-    """
-    acc = BigFloat(0, prec)
-    for i in range(j + 1):
-        v = values[k + i]
-        av = abs(v) if isinstance(v, BigFloat) else abs(BigFloat(v, prec))
-        acc = acc + av * comb(j, i)
-    return acc
-
-
 def _noise_scales(values, rows: int) -> list:
-    """``max(1, binomial_scale(values, j, k))`` exactly, as ``(S, D)`` for ``S/D``,
-    for every cell of rows ``j < rows``.
+    """The noise scale of every cell of rows ``j < rows``: the magnitude of the
+    cell before cancellation, ``max(1, sum_i C(j,i) |m_(k+i)|)``, exactly, as
+    ``(S, D)`` for ``S/D``.
 
     Over one denominator ``D`` the magnitudes are ints that obey Pascal's
     rule, ``S_0[k] = |m_k| D`` and ``S_j[k] = S_(j-1)[k] + S_(j-1)[k+1]``, so

@@ -14,13 +14,19 @@ Symbols inside a rational function are treated as independent
 transcendentals: there is no simplification of algebraic relations such as
 ``sqrt(3)**2 == 3``.  Multivariate fractions are kept canonical only up to
 removal of shared monomial factors and the rational content of the
-denominator; equality is therefore decided by cross multiplication, which is
-exact regardless of representation.  Univariate fractions are fully reduced,
-which keeps deep recurrences over one parameter small.  Their gcd comes from
-the heuristic GCDHEU algorithm (Char, Geddes & Gonnet, J. Symbolic Comput. 7,
-1989): one big-integer gcd of the two integer coefficient vectors evaluated
-at a point, read back as a polynomial and accepted only when it divides both
-exactly.  A Euclidean gcd over ``Fraction`` is the fallback.
+denominator; their equality is therefore decided by cross multiplication,
+which is exact regardless of representation.  Univariate fractions are fully
+reduced, which keeps deep recurrences over one parameter small and gives each
+value one stored form, so equality compares terms and the hash reads them.
+Their gcd comes from the heuristic GCDHEU algorithm (Char, Geddes & Gonnet,
+J. Symbolic Comput. 7, 1989): one big-integer gcd of the two integer
+coefficient vectors evaluated at a point, read back as a polynomial and
+accepted only when it divides both exactly.  A Euclidean gcd over
+``Fraction`` is the fallback.  Operations whose result is provably in
+normal form already (a rational scalar on either side of ``+ - * /``, unary
+minus, a sum over the denominator 1, a power, the constant and variable
+constructors) skip the normalization and its gcd; see
+:class:`RationalFunction`.
 
 Sign decisions over the float domain are heuristic, not rigorous interval
 arithmetic: ``sign_decide(x, scale)`` counts a value as NONNEGATIVE only
@@ -289,26 +295,34 @@ class Polynomial:
             if s not in bindings:
                 raise UnboundSymbol(f"symbol {s!r} not bound")
         values = [bindings[s] for s in self.symbols]
+
+        def powers(vals):
+            """Each ``v ** p`` the terms use, computed once."""
+            return [{p: v ** p for p in {e[i] for e in self.terms} if p}
+                    for i, v in enumerate(vals)]
+
         exact = all(isinstance(v, (int, Fraction)) for v in values)
         if exact:
+            pows = powers([Fraction(v) for v in values])
             total = Fraction(0)
             for e, c in self.terms.items():
                 term = c
-                for v, p in zip(values, e):
+                for pw, p in zip(pows, e):
                     if p:
-                        term *= Fraction(v) ** p
+                        term *= pw[p]
                 total += term
             return total
         prec = max((v.prec for v in values if isinstance(v, BigFloat)),
                    default=DEFAULT_PRECISION_BITS)
         fvals = [_to_mp(v, prec) for v in values]
         with workprec(prec + 10):
+            pows = powers(fvals)
             total = mpf(0)
             for e, c in self.terms.items():
                 term = mpf(c.numerator) / c.denominator
-                for v, p in zip(fvals, e):
+                for pw, p in zip(pows, e):
                     if p:
-                        term *= v ** p
+                        term *= pw[p]
                 total += term
         return BigFloat(total, prec)
 
@@ -481,6 +495,17 @@ def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], li
     return g, _divexact_int(a, g), _divexact_int(b, g)
 
 
+def _unit_denominator(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """``num/den`` scaled so that ``den`` has content 1 and a positive lead."""
+    c = den.content()
+    if den.lead_coefficient() < 0:
+        c = -c
+    if c != 1:
+        inv = 1 / c
+        num, den = num.scale(inv), den.scale(inv)
+    return num, den
+
+
 class RationalFunction:
     """Quotient of two sparse polynomials over the rationals.
 
@@ -491,8 +516,26 @@ class RationalFunction:
     GCDHEU and verified by exact integer trial division, whose quotients are
     the reduced numerator and denominator; when ``HEU_GCD_TRIES`` evaluation
     points all fail, a Euclidean gcd over ``Fraction`` is used instead.
-    Equality is decided by cross multiplication, so partly-reduced
-    (multivariate) representations are harmless.
+
+    So two nonzero one-symbol fractions are equal exactly when their term
+    dicts are, and a non-constant one hashes by its terms.  Zero keeps the
+    denominator it was made with (``0/d``), and several symbols may be
+    stored partly reduced: those are compared by cross multiplication, and
+    a non-constant multivariate value hashes by its symbol tuple alone.  A
+    constant hashes as its value, matching ``int`` and ``Fraction``.
+
+    Normalization is skipped where it provably changes nothing, and the
+    terms come out in the order it would give them (float evaluation sums
+    in that order).  With ``n/d`` in normal form and ``n`` nonzero, an int
+    or Fraction ``c`` gives ``(n + c*d)/d``, ``(c*d - n)/d`` and ``(c*n)/d``:
+    a factor of ``d`` that divides these divides ``n``, and ``d`` keeps
+    content 1 and a positive lead.  ``c/(n/d)`` and negative powers are
+    ``d/n`` with the content and sign of ``n`` moved to both sides.  Unary
+    minus, :meth:`constant`, :meth:`variable` and a sum of two fractions
+    over the denominator 1 change nothing either, and ``(n/d)**k`` is
+    ``n**k/d**k``, coprime as ``n`` and ``d`` are, with content and lead
+    multiplicative (Gauss's lemma; the lead monomial is the lexicographic
+    maximum).
     """
 
     __slots__ = ("symbols", "num", "den")
@@ -518,31 +561,29 @@ class RationalFunction:
                 ratio = cn / cd
                 num = Polynomial(self.symbols, {(i,): ratio * c for i, c in enumerate(a)})
                 den = Polynomial(self.symbols, {(i,): c for i, c in enumerate(b)})
-        # denominator content 1, positive leading coefficient
-        c = den.content()
-        if den.lead_coefficient() < 0:
-            c = -c
-        if c != 1:
-            inv = 1 / c
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _unit_denominator(num, den)
+
+    @classmethod
+    def _reduced(cls, symbols: tuple[str, ...], num: Polynomial,
+                 den: Polynomial) -> "RationalFunction":
+        """Wrap ``num/den`` as is: only for a pair ``__init__`` would leave unchanged."""
+        r = object.__new__(cls)
+        r.symbols, r.num, r.den = symbols, num, den
+        return r
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, symbols: Iterable[str], value) -> "RationalFunction":
         symbols = tuple(symbols)
-        value = Fraction(value)
-        return cls(Polynomial.constant(symbols, value),
-                   Polynomial.constant(symbols, 1))
+        return cls._reduced(symbols, Polynomial.constant(symbols, value),
+                            Polynomial.constant(symbols, 1))
 
     @classmethod
     def variable(cls, symbols: Iterable[str], name: str) -> "RationalFunction":
         symbols = tuple(symbols)
-        return cls(Polynomial.variable(symbols, name),
-                   Polynomial.constant(symbols, 1))
+        return cls._reduced(symbols, Polynomial.variable(symbols, name),
+                            Polynomial.constant(symbols, 1))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -558,41 +599,63 @@ class RationalFunction:
             f"cannot combine rational function with {type(other).__name__}")
 
     def __add__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)) and self.num.terms:
+            return RationalFunction._reduced(
+                self.symbols, self.num + self.den.scale(other), self.den)
         other = self._coerce(other)
         if self.den == other.den:
+            if self.den.is_constant():
+                return RationalFunction._reduced(self.symbols, self.num + other.num, self.den)
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
     def __sub__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            return self + -other
         return self + (-self._coerce(other))
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(self.symbols, -self.num, self.den)
 
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._reduced(self.symbols, self.num.scale(other), self.den)
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)) and other:
+            return RationalFunction._reduced(self.symbols, self.num.scale(1 / Fraction(other)),
+                                             self.den)
         other = self._coerce(other)
         if other.num.is_zero():
             raise DenominatorVanishes("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            return self._reciprocal() * other
         return self._coerce(other) / self
+
+    def _reciprocal(self) -> "RationalFunction":
+        if self.num.is_zero():
+            raise DenominatorVanishes("division by the zero rational function")
+        return RationalFunction._reduced(self.symbols, *_unit_denominator(self.den, self.num))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)) and self.num.terms:
+            return RationalFunction._reduced(
+                self.symbols, self.den.scale(other) + -self.num, self.den)
         return self._coerce(other) - self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
+            return self._reciprocal() ** (-n)
+        return RationalFunction._reduced(self.symbols, self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -601,14 +664,17 @@ class RationalFunction:
             return NotImplemented
         if self.symbols != other.symbols:
             return False
+        if len(self.symbols) == 1 and self.num.terms and other.num.terms:
+            return self.num.terms == other.num.terms and self.den.terms == other.den.terms
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        # Equal values may be stored unreduced, so hash only what every
-        # representation shares: the value itself when constant (matching
-        # int and Fraction), else the symbol tuple.
         c = self._constant_ratio()
-        return hash(self.symbols) if c is None else hash(c)
+        if c is not None:
+            return hash(c)
+        if len(self.symbols) == 1:
+            return hash((frozenset(self.num.terms.items()), frozenset(self.den.terms.items())))
+        return hash(self.symbols)
 
     def _constant_ratio(self) -> Optional[Fraction]:
         """The constant ``c`` with ``num == c*den``, or None if there is none."""
@@ -633,6 +699,10 @@ class RationalFunction:
 
     def evaluate(self, bindings: Mapping[str, object]):
         """Exact Fraction for rational bindings, BigFloat otherwise."""
+        if self.den.is_constant():
+            # a constant denominator is 1, and dividing by an exact 1 changes
+            # neither a Fraction nor a BigFloat
+            return self.num.evaluate(bindings)
         den = self.den.evaluate(bindings)
         if isinstance(den, Fraction):
             if den == 0:

@@ -657,19 +657,32 @@ class TestReport:
 
 
 class TestIndeterminateRetry:
-    def test_float_boundary_sequence_retries_then_reports(self):
+    def test_float_boundary_sequence_reports_without_retry(self):
         # all-ones float sequence: difference cells are exactly 0.0, which a
-        # float can never confidently call nonnegative, so the run doubles
-        # its precision once and still reports INDETERMINATE honestly
+        # float can never confidently call nonnegative; the series' float
+        # coefficients keep their bits, so a rerun could decide nothing more
+        # and the run reports INDETERMINATE at its own precision
         f = TruncatedSeries([BigFloat(1, 128), BigFloat(-1, 128)] +
                             [BigFloat(0, 128)] * 20)
         spec = SeriesSpec(f, precision=128, mode="float")
         rep = certify_moment(spec, 4)
         assert rep.verdict == "INDETERMINATE"
-        assert rep.metadata.get("retried_at_bits") == 256
+        assert rep.precision_bits == 128
+        assert "retried_at_bits" not in rep.metadata
         counts = rep.counts()
         assert counts["NEGATIVE"] == 0
         assert counts["INDETERMINATE"] > 0
+
+    def test_float_series_reports_the_precision_its_verdicts_used(self):
+        # the single atom 1/50 at lam = 1/50: cells (j, k) with j >= 1 are
+        # exactly 0, so INDETERMINATE; every cell was decided with the 64-bit band
+        f = TruncatedSeries([BigFloat(c, 64) for c in product_coefficients([F(1, 50)])])
+        rep = certify_moment(SeriesSpec(f, precision=64, mode="float"), 4,
+                             BoundPolicy(kind="explicit", value=F(1, 50)))
+        assert rep.verdict == "INDETERMINATE"
+        d = rep.as_dict()
+        assert d["precision_bits"] == 64
+        assert "retried_at_bits" not in d["metadata"]
 
     def test_exact_boundary_sequence_decides(self):
         # the same sequence in exact arithmetic passes on the boundary

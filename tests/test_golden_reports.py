@@ -43,8 +43,10 @@ was a FAIL that rounding decided.  The ten quadrature-backed pins (the
 values-only ones below) were re-recorded when each moment's recorded error
 began to bound its rounding to the report precision by half an ulp of the
 rounded value rather than by the rounding's own size, which moved only their
-``errors``/``moment_errors`` fields.  A change that alters any byte of any of
-these reports fails here.  The eight quadrature-backed reports above, and
+``errors``/``moment_errors`` fields.  The ``sinc-derivative-B8`` pin (cells
+over Q(t) with margins at a 256-bit t = pi^2) was recorded before arithmetic
+between rational functions and rational scalars skipped normalization.  A
+change that alters any byte of any of these reports fails here.  The eight quadrature-backed reports above, and
 those two, also carry a values-only pin, recorded before the integer node sums
 and re-recorded with the echo keys deleted (the three ``moments`` ones twice),
 that no change of the quadrature's bound or grid may move.  Criterion 11 only checks that two runs of one tree agree.  A
@@ -196,6 +198,11 @@ GOLDEN = {
          "--mode", "derivative", "--grid", "16", "--format", "both"],
         "41f655dfc17a22ac7cd1046a3d5d2658915591053cf91ac35bf560cc71494d67",
         "d66a9127456e06fecc6054605baa48eba8a02e66fca15dcbecd49472f21effdb"),
+    # Cells over Q(t), each decided at a 256-bit t = pi^2.
+    "sinc-derivative-B8": (
+        ["certify", "--function", "sinc", "--mode", "derivative", "--grid", "8"],
+        "42945cc5ad4a3df230f2d269e8c14410ad1cee0ac6318bb95fb655f9771d44ef",
+        "cb23f7de2209d0ae039043817e866fc9cd71afbe46123a75c4a6b4153296f7ce"),
     "zeros-nu0": (
         ["zeros", "--nu", "0", "--count", "5", "--precision", "128"],
         "46f94617d891db05fe5ce4950cd9b6633a0932d346a8f9fad5736de5d93845da", None),

@@ -401,6 +401,152 @@ def test_heuristic_gcd_retries_at_a_larger_point(monkeypatch):
     assert points == [2 ** 16]
 
 
+
+# -- operations that skip normalization ------------------------------------
+
+def general_path(op, a, c):
+    """``op`` on the fraction ``a`` and the scalar ``c`` as normalization
+    computes it: ``c`` as the fraction ``c/1``, the polynomial products and
+    sums of the operator, then ``RationalFunction.__init__``."""
+    n, d = a.num, a.den
+    cp, one = Polynomial.constant(a.symbols, c), Polynomial.constant(a.symbols, 1)
+    num, den = {
+        "add": (n * one + cp * d, d * one),
+        "sub": (n * one + (-cp) * d, d * one),
+        "rsub": (cp * d + (-n) * one, one * d),
+        "mul": (n * cp, d * one),
+        "truediv": (n * one, d * cp),
+        "rtruediv": (cp * d, one * n),
+    }[op]
+    return RationalFunction(num, den)
+
+
+def fractions_over(symbols, polys):
+    return st.tuples(polys, polys.filter(lambda p: not p.is_zero())).map(
+        lambda nd: RationalFunction(nd[0], nd[1]))
+
+
+one_or_two_symbol_fractions = fractions_over(X, univariate_polys) | fractions_over(XY, small_polys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_or_two_symbol_fractions, small_coeffs, st.integers(-3, 3))
+@example(RationalFunction(Polynomial(X, {}), Polynomial(X, {(1,): 2, (0,): 1})), 1, -1)
+@example(RationalFunction(Polynomial(X, {(1,): 3}), Polynomial(X, {(1,): 1, (0,): 1})), 0, 2)
+def test_scalar_operations_keep_the_general_terms(a, c, k):
+    """Every operation that skips normalization stores the terms, in order,
+    that normalization would: float evaluation sums in that order."""
+    cases = [(a + c, "add"), (c + a, "add"), (a - c, "sub"), (c - a, "rsub"),
+             (a * c, "mul"), (c * a, "mul")]
+    if c:
+        cases.append((a / c, "truediv"))
+    else:
+        with pytest.raises(DenominatorVanishes):
+            a / c
+    if a.is_zero():
+        with pytest.raises(DenominatorVanishes):
+            c / a
+        with pytest.raises(DenominatorVanishes):
+            a ** -1
+    else:
+        cases.append((c / a, "rtruediv"))
+    for got, op in cases:
+        assert stored_terms(got) == stored_terms(general_path(op, a, c)), op
+    assert stored_terms(-a) == stored_terms(RationalFunction(-a.num, a.den))
+    if k >= 0 or not a.is_zero():
+        r = a if k >= 0 else RationalFunction(a.den, a.num)
+        assert stored_terms(a ** k) == stored_terms(
+            RationalFunction(r.num ** abs(k), r.den ** abs(k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([X, XY]).flatmap(lambda sy: st.tuples(
+    *[st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(sy)), small_coeffs, max_size=3)
+      .map(lambda t, sy=sy: Polynomial(sy, t))] * 2)))
+def test_polynomial_sum_keeps_the_general_terms(pq):
+    """A sum over the constant denominator 1 skips normalization too."""
+    p, q = pq
+    one = Polynomial.constant(p.symbols, 1)
+    got = RationalFunction(p, one) + RationalFunction(q, one)
+    assert stored_terms(got) == stored_terms(RationalFunction(p + q, one))
+
+
+def test_constructors_keep_the_general_terms():
+    for sy in (X, XY, ()):
+        one = Polynomial.constant(sy, 1)
+        for c in (0, 3, F(-2, 7)):
+            assert stored_terms(RationalFunction.constant(sy, c)) == \
+                stored_terms(RationalFunction(Polynomial.constant(sy, c), one))
+        for s in sy:
+            assert stored_terms(RationalFunction.variable(sy, s)) == \
+                stored_terms(RationalFunction(Polynomial.variable(sy, s), one))
+
+
+nonzero_univariate = univariate_polys.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(univariate_polys, nonzero_univariate, nonzero_univariate, nonzero_univariate,
+       st.integers(-3, 3))
+@example(Polynomial(X, {}), Polynomial(X, {(0,): 1}), Polynomial(X, {(1,): 1, (0,): 2}),
+         Polynomial(X, {(2,): -3}), 0)
+def test_one_symbol_hash_consistent_with_structural_eq(num, den, common, den2, k):
+    """Over one symbol the stored form is unique: equality compares terms
+    with no products, and equal values hash alike, constants as int and
+    Fraction do and zeros over any denominator as 0."""
+    a = RationalFunction(num, den)
+    b = RationalFunction(num * common, den * common)
+    c = RationalFunction(common * k, common)
+    zeros = RationalFunction(num * 0, den), RationalFunction(num * 0, den2)
+    a_is_c = (a - c).is_zero()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "__mul__", None)
+        if not a.is_zero():
+            assert a == b
+            if k:
+                assert (a == c) == a_is_c
+    assert a == b and hash(a) == hash(b)
+    assert c == k and c == F(k) and hash(c) == hash(k) == hash(F(k))
+    if a == c:
+        assert hash(a) == hash(c)
+    assert zeros[0] == zeros[1] == 0 and hash(zeros[0]) == hash(zeros[1]) == 0
+
+
+def test_one_symbol_values_hash_apart():
+    t = rf_var("t")["t"]
+    values = [t, t + 1, 1 / (t + 1), t ** 2, t / 3, (t - 1) / (t + 2)]
+    assert len({hash(v) for v in values}) == len(values)
+    assert len(set(values + [v * 1 for v in values])) == len(values)
+
+
+def per_term_evaluate(p, bindings):
+    """``Polynomial.evaluate`` at BigFloat bindings with each power taken
+    anew in every term."""
+    prec = max(v.prec for v in bindings.values())
+    vals = [bindings[s].value for s in p.symbols]
+    with mpmath.workprec(prec + 10):
+        total = mpmath.mpf(0)
+        for e, c in p.terms.items():
+            term = mpmath.mpf(c.numerator) / c.denominator
+            for v, k in zip(vals, e):
+                if k:
+                    term *= v ** k
+            total += term
+    return BigFloat(total, prec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_polys, st.sampled_from([64, 128, 256]))
+def test_cached_powers_evaluate_bit_for_bit(p, prec):
+    bindings = {"x": BigFloat.pi(prec) ** 2, "y": BigFloat(F(1, 3), prec)}
+    got, want = p.evaluate(bindings), per_term_evaluate(p, bindings)
+    assert got.value._mpf_ == want.value._mpf_ and got.prec == want.prec
+    r = RationalFunction(p, Polynomial.constant(XY, 1))
+    assert r.evaluate(bindings).value._mpf_ == (got / BigFloat(1, prec)).value._mpf_
+    exact = {"x": F(2, 3), "y": -2}
+    assert r.evaluate(exact) == sum(
+        (c * F(2, 3) ** e[0] * F(-2) ** e[1] for e, c in p.terms.items()), F(0))
+
 def band_rule(x: F, scale: F, prec: int) -> Verdict:
     """``sign_decide``'s float rule on Fractions alone: NONNEGATIVE iff ``x >=
     scale 2^(-prec/2)``, NEGATIVE iff ``x < -4 scale 2^(-prec/2)``, each side
