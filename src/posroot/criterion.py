@@ -29,10 +29,9 @@ recurrence over the same ``e_k``: a log-derivative ``p_k`` that differs
 raises a ``ScalarError`` naming the first such ``k``.  In floats the check
 is exact too: both recurrences multiply the same operand pairs and add them
 in the same order, up to sign, and round-to-nearest is symmetric, so the two
-results are bit-identical.  Multivariate fractions are not checked, since
-their equality cross-multiplies unreduced fractions.  Exact rational cells
-are summed as integers over one common scale, and only the printed cells
-and the worst discrepancy are reduced to fractions.
+results are bit-identical.  Exact rational cells are summed as integers
+over one common scale, and only the printed cells and the worst
+discrepancy are reduced to fractions.
 
 Adversarial runs plant defects (negative or complex-conjugate entries) into
 a finite positive rational base sequence and report the smallest ``j+k``
@@ -609,10 +608,7 @@ def _log_derivative_inputs(spec, B: int, shift=None):
 
 
 def _check_newton(e: ElementarySequence, p: PowerSumSequence) -> None:
-    """Raise unless ``p`` equals the Newton power sums of ``e``; not for
-    fractions in several symbols (see the module docstring)."""
-    if len({s for v in p.values for s in getattr(v, "symbols", ())}) > 1:
-        return
+    """Raise unless ``p`` equals the Newton power sums of ``e``."""
     newton = power_sums_from_elementary(e, len(p))
     for k in range(1, len(p) + 1):
         if p[k] != newton[k]:

@@ -12,20 +12,24 @@ domains:
 
 Symbols inside a rational function are treated as independent
 transcendentals: there is no simplification of algebraic relations such as
-``sqrt(3)**2 == 3``.  Multivariate fractions are kept canonical only up to
-removal of shared monomial factors and the rational content of the
-denominator; their equality is therefore decided by cross multiplication,
-which is exact regardless of representation.  Univariate fractions are fully
-reduced, which keeps deep recurrences over one parameter small and gives each
-value one stored form, so equality compares terms and the hash reads them.
-Their gcd comes from the heuristic GCDHEU algorithm (Char, Geddes & Gonnet,
-J. Symbolic Comput. 7, 1989): one big-integer gcd of the two integer
-coefficient vectors evaluated at a point, read back as a polynomial and
-accepted only when it divides both exactly.  A Euclidean gcd over
-``Fraction`` is the fallback.  Operations whose result is provably in
-normal form already (a rational scalar on either side of ``+ - * /``, unary
-minus, a sum over the denominator 1, a power, the constant and variable
-constructors) skip the normalization and its gcd; see
+``sqrt(3)**2 == 3``.  Fractions are fully reduced, which keeps deep
+recurrences small.  The gcd comes from the heuristic GCDHEU algorithm (Char,
+Geddes & Gonnet, J. Symbolic Comput. 7, 1989).  Over one symbol it is one
+big-integer gcd of the two integer coefficient vectors evaluated at a point,
+read back as a polynomial and accepted only when it divides both exactly; a
+Euclidean gcd over ``Fraction`` is the fallback, so each value has one
+stored form, equality compares terms and the hash reads them.  Over several
+symbols the last symbol is set to a point, the gcd of the two images comes
+from the same algorithm over the other symbols, and its digits are read back
+as a candidate that must divide both sides exactly (Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 7).  When every point fails the
+fraction keeps a partial reduction (shared monomial factors and the rational
+content of the denominator removed), which is sound; so equality over
+several symbols is decided by cross multiplication, exact regardless of
+representation, and the hash reads the symbol tuple alone.  Operations
+whose result is provably in normal form already (a rational scalar on either
+side of ``+ - * /``, unary minus, a sum over the denominator 1, a power, the
+constant and variable constructors) skip the normalization and its gcd; see
 :class:`RationalFunction`.
 
 Sign decisions over the float domain are heuristic, not rigorous interval
@@ -45,6 +49,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from operator import eq, ge, gt, le, lshift, lt
@@ -419,7 +424,8 @@ def _euclid_gcd(x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
     return [c / x[-1] for c in x] if x else []
 
 
-# Evaluation points GCDHEU tries before falling back to the Euclidean gcd.
+# Evaluation points GCDHEU tries before falling back: to the Euclidean gcd over
+# one symbol, to a partial reduction over several.
 HEU_GCD_TRIES = 6
 
 
@@ -495,6 +501,140 @@ def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], li
     return g, _divexact_int(a, g), _divexact_int(b, g)
 
 
+# Integer polynomials in several symbols are dicts ``{exponents: nonzero int}``.
+IntPoly = dict[tuple[int, ...], int]
+
+
+def _scaled(a: IntPoly, c: int) -> IntPoly:
+    return {e: v * c for e, v in a.items()}
+
+
+def _at_last(a: IntPoly, xi: int) -> IntPoly:
+    """``a`` with its last symbol set to ``xi``, zero coefficients dropped."""
+    powers = [1]
+    for _ in range(max(e[-1] for e in a)):
+        powers.append(powers[-1] * xi)
+    out: IntPoly = {}
+    for e, c in a.items():
+        out[e[:-1]] = out.get(e[:-1], 0) + c * powers[e[-1]]
+    return {e: c for e, c in out.items() if c}
+
+
+def _lift(image: IntPoly, xi: int) -> IntPoly:
+    """The polynomial whose last symbol's coefficients are the symmetric
+    base-``xi`` digits of the image's coefficients: its value at ``xi`` is
+    ``image``."""
+    return {e + (j,): d for e, v in image.items()
+            for j, d in enumerate(_symmetric_digits(v, xi)) if d}
+
+
+def _gcd_of_images(a: IntPoly, b: IntPoly) -> Optional[tuple[IntPoly, IntPoly, IntPoly]]:
+    """``(g, a/g, b/g)`` for nonzero integer polynomials, with ``g`` their gcd
+    over the integers, integer content included; None when GCDHEU fails.
+    One symbol is the univariate path, several recurse through
+    :func:`_heu_gcd_cofactors`."""
+    ca, cb = gcd(*a.values()), gcd(*b.values())
+    c = gcd(ca, cb)
+    a = {e: v // ca for e, v in a.items()}
+    b = {e: v // cb for e, v in b.items()}
+    if len(next(iter(a))) == 1:
+        dense = []
+        for p in (a, b):
+            v = [0] * (max(e[0] for e in p) + 1)
+            for e, x in p.items():
+                v[e[0]] = x
+            dense.append(v)
+        found = [{(i,): x for i, x in enumerate(v) if x} for v in _gcd_cofactors(*dense)]
+    else:
+        found = _heu_gcd_cofactors(a, b)
+        if found is None:
+            return None
+    g, qa, qb = found
+    return _scaled(g, c), _scaled(qa, ca // c), _scaled(qb, cb // c)
+
+
+def _divexact_poly(a: IntPoly, g: IntPoly) -> Optional[IntPoly]:
+    """Quotient ``a/g`` of integer polynomials in several symbols, or None
+    when ``g`` does not divide ``a`` over the integers.
+
+    Long division, highest monomial first in the order of the packed
+    exponent keys (the last symbol most significant, a monomial order).
+    A quotient monomial must stay within the degrees of ``a`` less those of
+    ``g`` in each symbol, so every key fits the fields of ``a``'s largest
+    exponent.
+    """
+    n = len(next(iter(a)))
+    room = [max(e[i] for e in a) - max(e[i] for e in g) for i in range(n)]
+    if min(room) < 0:
+        return None
+    width = _max_exponent(a).bit_length()
+    shifts = [width * i for i in range(n)]
+    mask = (1 << width) - 1
+    rest = dict(zip(_packed(a, shifts), a.values()))
+    right = sorted(zip(_packed(g, shifts), g.values()), reverse=True)
+    lead, lc = right.pop(0)
+    lead_e = [lead >> s & mask for s in shifts]
+    heap = [-k for k in rest]
+    heapify(heap)
+    out: IntPoly = {}
+    while heap:
+        k = -heappop(heap)
+        c = rest.pop(k, 0)
+        if not c:
+            continue
+        e = [(k >> s & mask) - l for s, l in zip(shifts, lead_e)]
+        d, r = divmod(c, lc)
+        if r or any(x < 0 or x > m for x, m in zip(e, room)):
+            return None
+        out[tuple(e)] = d
+        k -= lead
+        for kg, cg in right:
+            kk = k + kg
+            s = rest.get(kk)
+            if s is None:
+                rest[kk] = -d * cg
+                heappush(heap, -kk)
+            elif s == d * cg:
+                del rest[kk]
+            else:
+                rest[kk] = s - d * cg
+    return out
+
+
+def _heu_gcd_cofactors(a: IntPoly, b: IntPoly) -> Optional[tuple[IntPoly, IntPoly, IntPoly]]:
+    """``(g, a/g, b/g)`` for primitive integer polynomials in two or more
+    symbols, with ``g`` their primitive gcd; None when every trial fails.
+
+    Multivariate GCDHEU: the last symbol is set to ``xi``, the gcd ``gamma``
+    of the two images comes from :func:`_gcd_of_images`, and the symmetric
+    ``xi``-adic digits of ``gamma`` lift to a polynomial whose primitive
+    part ``G`` is the candidate gcd.  With ``xi >= 2*min(|a|, |b|) + 2``
+    (max-norms), ``G`` is the gcd once it divides both sides, by the
+    argument of :func:`_gcd_cofactors`, since ``gamma`` is the gcd of the
+    images with their integer content.  A constant ``G`` is therefore 1.
+    Exact division of ``a`` and ``b`` by ``G`` checks the candidate and
+    gives the cofactors.  ``xi`` starts at ``2**16`` or more, for the reason
+    given there, and is squared after each failed trial, up to
+    ``HEU_GCD_TRIES`` trials.
+    """
+    xi = max(2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2, 1 << 16)
+    for _ in range(HEU_GCD_TRIES):
+        ia, ib = _at_last(a, xi), _at_last(b, xi)
+        images = ia and ib and _gcd_of_images(ia, ib)
+        if images:
+            g = _lift(images[0], xi)
+            if len(g) == 1 and not any(next(iter(g))):
+                return {next(iter(g)): 1}, a, b
+            c = gcd(*g.values())
+            g = {e: v // c for e, v in g.items()}
+            qa = _divexact_poly(a, g)
+            qb = None if qa is None else _divexact_poly(b, g)
+            if qb is not None:
+                return g, qa, qb
+        xi *= xi
+    return None
+
+
 def _unit_denominator(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """``num/den`` scaled so that ``den`` has content 1 and a positive lead."""
     c = den.content()
@@ -510,12 +650,15 @@ class RationalFunction:
     """Quotient of two sparse polynomials over the rationals.
 
     The denominator is normalized to rational content 1 with a positive
-    leading coefficient, and shared monomial factors are cancelled.  For a
-    single symbol the fraction is fully reduced, which makes it unique: both
-    sides are cleared to primitive integer vectors, their gcd is found by
-    GCDHEU and verified by exact integer trial division, whose quotients are
-    the reduced numerator and denominator; when ``HEU_GCD_TRIES`` evaluation
-    points all fail, a Euclidean gcd over ``Fraction`` is used instead.
+    leading coefficient, shared monomial factors are cancelled, and the
+    fraction is fully reduced: both sides are cleared to primitive integer
+    polynomials, their gcd is found by GCDHEU and verified by exact integer
+    division, whose quotients are the reduced numerator and denominator.
+    For a single symbol, when ``HEU_GCD_TRIES`` evaluation points all fail,
+    a Euclidean gcd over ``Fraction`` is used instead, which makes the form
+    unique.  For several symbols (:func:`_heu_gcd_cofactors`) the reduced
+    terms are stored in sorted order, and when every point fails the
+    fraction is kept as it is after the monomial and content steps.
 
     So two nonzero one-symbol fractions are equal exactly when their term
     dicts are, and a non-constant one hashes by its terms.  Zero keeps the
@@ -552,7 +695,7 @@ class RationalFunction:
             if any(mg):
                 num = num.shift_down(mg)
                 den = den.shift_down(mg)
-        # full reduction in one variable
+        # full reduction
         if len(self.symbols) == 1 and not num.is_zero() and not den.is_constant():
             cn, a = _primitive(_dense(num))
             cd, b = _primitive(_dense(den))
@@ -561,6 +704,14 @@ class RationalFunction:
                 ratio = cn / cd
                 num = Polynomial(self.symbols, {(i,): ratio * c for i, c in enumerate(a)})
                 den = Polynomial(self.symbols, {(i,): c for i, c in enumerate(b)})
+        elif len(self.symbols) > 1 and not num.is_zero() and not den.is_constant():
+            cn, a = _primitive(list(num.terms.values()))
+            cd, b = _primitive(list(den.terms.values()))
+            found = _heu_gcd_cofactors(dict(zip(num.terms, a)), dict(zip(den.terms, b)))
+            if found and any(map(any, found[0])):
+                ratio = cn / cd
+                num = Polynomial(self.symbols, {e: ratio * found[1][e] for e in sorted(found[1])})
+                den = Polynomial(self.symbols, {e: found[2][e] for e in sorted(found[2])})
         self.num, self.den = _unit_denominator(num, den)
 
     @classmethod

@@ -1,18 +1,26 @@
 import json
 import random
+import re
+import time
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from posroot.cli import main
-from posroot.scalars import parse_bigfloat
+from posroot.scalars import parse_bigfloat, parse_rational
 from posroot.zeros import bessel_zeros
 
 
 def run_cli(args, capsys=None):
     code = main(args)
     return code
+
+
+def evaluate_printed(text, **values):
+    """A printed rational function read at exact values of its symbols."""
+    expr = re.sub(r"\d+", lambda m: f"Fraction({m.group()})", text.replace("^", "**"))
+    return eval(expr, {"Fraction": Fraction}, values)
 
 
 class TestCertifyCommand:
@@ -93,11 +101,9 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize("args", [
         pytest.param(["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
-                      "--grid", "3", "--mode", "moment"],
-                     id="qbessel-moment", marks=pytest.mark.slow),
+                      "--grid", "3", "--mode", "moment"], id="qbessel-moment"),
         pytest.param(["--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
-                      "--grid", "3", "--mode", "derivative"],
-                     id="qbessel-derivative", marks=pytest.mark.slow),
+                      "--grid", "3", "--mode", "derivative"], id="qbessel-derivative"),
         pytest.param(["--function", "sinc", "--grid", "4", "--lambda-policy",
                       "coefficient-bound"], id="sinc-lambda"),
         pytest.param(["--function", "sinc", "--grid", "4", "--mode", "derivative",
@@ -116,6 +122,15 @@ class TestCertifyCommand:
         assert "/" in (data["lambda"] or data["rho"])
         if data["mode"] == "DERIVATIVE":
             assert data["metadata"]["route_equality_max_defect"] == "0"
+
+    def test_symbolic_qbessel_moment_grid4_finishes(self, tmp_path):
+        # every cell is a fraction over Q(q, t_nu); only their full
+        # reduction keeps this run small
+        out = tmp_path / "r.json"
+        assert main(["certify", "--function", "qbessel", "--symbolic", "--q", "1/2",
+                     "--nu", "1", "--mode", "moment", "--grid", "4",
+                     "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "BOUNDED-PASS"
 
     @pytest.mark.parametrize("args", [
         ["--function", "sinc"],
@@ -266,6 +281,23 @@ class TestPowerSumsCommand:
         data = json.loads(out.read_text())
         assert data["power_sums"]["1"] == "(1/4)/(nu+1)"
         assert data["domain"] == "ratfunc"
+
+    def test_symbolic_qbessel_matches_exact_pipeline(self, tmp_path):
+        # p_1..p_6 over Q(q, t_nu), read at q = 1/2 and t_nu = q^nu, are the
+        # exact run's rationals
+        out = tmp_path / "p.json"
+        start = time.process_time()
+        assert main(["powersums", "--function", "qbessel", "--symbolic", "--count", "6",
+                     "--output", str(out)]) == 0
+        assert time.process_time() - start < 2
+        symbolic = json.loads(out.read_text())["power_sums"]
+        q = Fraction(1, 2)
+        for nu in (0, 1):
+            assert main(["powersums", "--function", "qbessel", "--q", "1/2", "--nu", str(nu),
+                         "--count", "6", "--output", str(out)]) == 0
+            exact = json.loads(out.read_text())["power_sums"]
+            assert {k: evaluate_printed(v, q=q, t_nu=q ** nu) for k, v in symbolic.items()} \
+                == {k: parse_rational(v) for k, v in exact.items()}
 
     def test_refuses_format(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -166,11 +166,14 @@ class TestCertifyDerivative:
         (FunctionSpec(FunctionKind.BESSEL, params={"nu": F(0)}, mode="exact"), 8),
         (FunctionSpec(FunctionKind.SINC, mode="ratfunc"), 6),
         (FunctionSpec(FunctionKind.AIRY_PRODUCT, mode="float", precision=128), 8),
-    ], ids=["exact", "ratfunc", "float"])
+        (FunctionSpec(FunctionKind.QBESSEL, params={"q": F(1, 2), "nu": F(1)},
+                      mode="ratfunc"), 4),
+    ], ids=["exact", "ratfunc", "float", "ratfunc-two-symbols"])
     @pytest.mark.parametrize("k", [1, 4])
     def test_perturbed_log_derivative_power_sum_raises(self, monkeypatch, spec, B, k):
         # the route equality is 0 for any p; the Newton check is not, and in
-        # floats it sees a p_k moved by one unit in the last place
+        # floats it sees a p_k moved by one unit in the last place; q-Bessel
+        # power sums are fractions over Q(q, t_nu)
         real = criterion.power_sums_from_log_derivative
 
         def perturbed(f, K):

@@ -45,7 +45,14 @@ began to bound its rounding to the report precision by half an ulp of the
 rounded value rather than by the rounding's own size, which moved only their
 ``errors``/``moment_errors`` fields.  The ``sinc-derivative-B8`` pin (cells
 over Q(t) with margins at a 256-bit t = pi^2) was recorded before arithmetic
-between rational functions and rational scalars skipped normalization.  A
+between rational functions and rational scalars skipped normalization.  The
+four symbolic q-Bessel pins (the ν = 1/2 certificates at B=2 and the K = 3
+and K = 4 power sums) were re-recorded when fractions in several symbols
+began to be fully reduced: each printed fraction over Q(q, t_nu) equals its
+earlier form by cross multiplication, every verdict and ``verdict_counts``
+entry stayed, and only the certificates' float ``margin`` fields (of the
+cells and of ``min_margin_cell``) at t_nu = q^(1/2) moved, by at most
+2^-228 relative, since the float evaluation sums other terms.  A
 change that alters any byte of any of these reports fails here.  The eight quadrature-backed reports above, and
 those two, also carry a values-only pin, recorded before the integer node sums
 and re-recorded with the echo keys deleted (the three ``moments`` ones twice),
@@ -173,20 +180,20 @@ GOLDEN = {
     "qbessel-symbolic-nu1/2-moment-B2": (
         ["certify", "--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
          "--mode", "moment", "--grid", "2"],
-        "663c0de4f2909cc245bcff3bb5276aafdad2779d59abb7597f67ac82d8c582d0",
-        "58bd0fae40f07545c8e20175af8962c6f0dcb0ff96a0db566e950bb1576a07f9"),
+        "e8f98004c8661b23b41ceac7d589f1595ca2964c308ef5aeaf7e5e2f0642d4f1",
+        "998f06b1f0fab4fab91036c433932398c280612144c1ae7639f1d35da9244293"),
     "qbessel-symbolic-nu1/2-derivative-B2": (
         ["certify", "--function", "qbessel", "--symbolic", "--q", "1/2", "--nu", "1/2",
          "--mode", "derivative", "--grid", "2"],
-        "a5a7856769989a1db615556fe8c32c234b364254cf876d8cd083d255122f6c8f",
-        "183ffc23bc8f96e1f08334b6266960124a8f3007b180fa59e71f4e607d8f67dc"),
+        "4acfa1fd8f12963974066a612fe66cd591eb85c9b6eb19893049aab97c4a8a62",
+        "5161c856ac0bf415f022556d6a096079a92353e4cc25fb8f21659afb326c029d"),
     "powersums-qbessel-symbolic-K3": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "3"],
-        "817bcbcc16fc6142759ed47de7cb22391295a545fcc9adeb1c71492ee9e07d93", None),
+        "1bf71e7083d33deef5663f503752b25298d91af73d149416fc0bbf94cc5666cf", None),
     # The symbolic benchmark workload's q-Bessel job.
     "powersums-qbessel-symbolic-K4": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "4"],
-        "23a0dc697230264009350d93134a5b19675dc6fbddc556c868550cbc6eb8bc9f", None),
+        "1234da90e4d181be2a69e6aabb9b8e5dee0079cc8e18a0517feb684d2c38c97f", None),
     # Exact derivative cells summed over one integer scale; the B=24 run is
     # JSON-only, so no CSV is written.
     "bessel-nu0-derivative-B24-json": (

@@ -402,6 +402,40 @@ def test_heuristic_gcd_retries_at_a_larger_point(monkeypatch):
 
 
 
+# -- several symbols --------------------------------------------------------
+
+nonconstant_polys_xy = nonzero_polys.filter(lambda p: not p.is_constant())
+xy_fractions = st.tuples(nonzero_polys, nonzero_polys).map(lambda nd: RationalFunction(*nd))
+
+
+def term_dicts(r):
+    return r.num.terms, r.den.terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_polys, nonzero_polys, nonconstant_polys_xy, st.integers(1, 2))
+def test_two_symbol_common_factor_is_divided_out(a, b, c, k):
+    """(a*c^k)/(b*c^k) stores the terms of a/b: both are fully reduced."""
+    assert term_dicts(RationalFunction(a * c ** k, b * c ** k)) == \
+        term_dicts(RationalFunction(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(xy_fractions, xy_fractions)
+def test_two_symbol_field_identities_keep_the_reduced_form(x, y):
+    assert term_dicts(x + y - y) == term_dicts(x)
+    assert term_dicts(x * y / y) == term_dicts(x)
+
+
+def test_three_symbol_common_factor_is_divided_out():
+    g = rf_var("x", "y", "z")
+    x, y, z = g["x"], g["y"], g["z"]
+    h = (x * y - 3 * z + 1) * (z ** 2 + x - 2 * y)
+    r = (h * (x + y + z)) / (h * (x * z - 5))
+    assert term_dicts(r) == term_dicts((x + y + z) / (x * z - 5))
+    assert r.num.total_degree() == 1 and r.den.total_degree() == 2
+
+
 # -- operations that skip normalization ------------------------------------
 
 def general_path(op, a, c):

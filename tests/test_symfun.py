@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from posroot import scalars
+from posroot.catalog import qbessel_coeffs
 from posroot.scalars import RationalFunction
 from posroot.symfun import (
     ElementarySequence,
@@ -81,6 +83,26 @@ class TestExamples:
             got2 = p[2].evaluate({"t": F(1)})
             assert abs(float(got1) - float(z2 / pi2)) < 1e-12
             assert abs(float(got2) - float(z4 / pi2 ** 2)) < 1e-12
+
+
+class TestQBesselOverTwoSymbols:
+    """Newton over Q(q, t_nu) keeps every power sum fully reduced."""
+
+    def test_term_counts_of_the_reduced_power_sums(self):
+        # (numerator, denominator) term counts of p_1..p_4 in lowest terms,
+        # as an independent computer algebra system's cancel gives them
+        p = power_sums_from_elementary(qbessel_coeffs(None, None, 4), 4)
+        assert [(len(p[k].num.terms), len(p[k].den.terms)) for k in range(1, 5)] == \
+            [(1, 4), (3, 12), (8, 30), (25, 74)]
+
+    def test_partial_reduction_keeps_the_values(self, monkeypatch):
+        e = qbessel_coeffs(None, None, 3)
+        reduced = power_sums_from_elementary(e, 3)
+        monkeypatch.setattr(scalars, "HEU_GCD_TRIES", 0)
+        partial = power_sums_from_elementary(qbessel_coeffs(None, None, 3), 3)
+        for k in range(1, 4):
+            assert partial[k] == reduced[k]
+        assert len(partial[3].den.terms) > len(reduced[3].den.terms)
 
 
 class TestClosedForm:
