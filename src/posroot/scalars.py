@@ -29,8 +29,9 @@ several symbols is decided by cross multiplication, exact regardless of
 representation, and the hash reads the symbol tuple alone.  Operations
 whose result is provably in normal form already (a rational scalar on either
 side of ``+ - * /``, unary minus, a sum over the denominator 1, a power, the
-constant and variable constructors) skip the normalization and its gcd; see
-:class:`RationalFunction`.
+constant and variable constructors) skip the normalization and its gcd, and
+``+ - * /`` of two one-symbol fractions take gcds of the operands' parts only
+(Henrici's rule); see :class:`RationalFunction`.
 
 Sign decisions over the float domain are heuristic, not rigorous interval
 arithmetic: ``sign_decide(x, scale)`` counts a value as NONNEGATIVE only
@@ -50,7 +51,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, lcm
 from operator import eq, ge, gt, le, lshift, lt
 from typing import Iterable, Mapping, Optional, Union
@@ -174,6 +175,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.symbols, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "Polynomial":
@@ -469,6 +472,16 @@ def _divexact_int(a: list[int], g: list[int]) -> Optional[list[int]]:
     return None if any(r[:m]) else q
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient vectors."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
     """``(g, a/g, b/g)`` for primitive integer coefficient vectors, with ``g``
     their primitive gcd.
@@ -485,6 +498,8 @@ def _gcd_cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int], li
     trial division.
     After ``HEU_GCD_TRIES`` failures the Euclidean gcd decides.
     """
+    if len(a) == 1 or len(b) == 1:
+        return [1], a, b
     xi = max(2 * min(max(map(abs, a)), max(map(abs, b))) + 2, 1 << 16)
     for _ in range(HEU_GCD_TRIES):
         digits = _symmetric_digits(gcd(_horner(a, xi), _horner(b, xi)), xi)
@@ -668,17 +683,21 @@ class RationalFunction:
     constant hashes as its value, matching ``int`` and ``Fraction``.
 
     Normalization is skipped where it provably changes nothing, and the
-    terms come out in the order it would give them (float evaluation sums
-    in that order).  With ``n/d`` in normal form and ``n`` nonzero, an int
-    or Fraction ``c`` gives ``(n + c*d)/d``, ``(c*d - n)/d`` and ``(c*n)/d``:
-    a factor of ``d`` that divides these divides ``n``, and ``d`` keeps
-    content 1 and a positive lead.  ``c/(n/d)`` and negative powers are
-    ``d/n`` with the content and sign of ``n`` moved to both sides.  Unary
-    minus, :meth:`constant`, :meth:`variable` and a sum of two fractions
-    over the denominator 1 change nothing either, and ``(n/d)**k`` is
-    ``n**k/d**k``, coprime as ``n`` and ``d`` are, with content and lead
-    multiplicative (Gauss's lemma; the lead monomial is the lexicographic
-    maximum).
+    terms come out in the order it would give them, so a polynomial keeps
+    the order of :class:`Polynomial` arithmetic: float evaluation sums in
+    that order, and the sinc reports read those sums.  Over one symbol,
+    ``+ - * /`` of two fractions, neither zero or constant and not both
+    polynomials, follow Henrici's rule (:meth:`_henrici`) and store their
+    terms in ascending order.  With ``n/d`` in normal form and ``n``
+    nonzero, an int or Fraction ``c`` gives ``(n + c*d)/d``, ``(c*d - n)/d``
+    and ``(c*n)/d``: a factor of ``d`` that divides these divides ``n``, and
+    ``d`` keeps content 1 and a positive lead.  ``c/(n/d)`` and negative
+    powers are ``d/n`` with the content and sign of ``n`` moved to both
+    sides.  Unary minus, :meth:`constant`, :meth:`variable` and a sum of two
+    fractions over the denominator 1 change nothing either, and
+    ``(n/d)**k`` is ``n**k/d**k``, coprime as ``n`` and ``d`` are, with
+    content and lead multiplicative (Gauss's lemma; the lead monomial is
+    the lexicographic maximum).
     """
 
     __slots__ = ("symbols", "num", "den")
@@ -749,11 +768,58 @@ class RationalFunction:
         raise DomainMismatch(
             f"cannot combine rational function with {type(other).__name__}")
 
+    def _henrici_applies(self, other: "RationalFunction") -> bool:
+        """One symbol, neither side zero or constant, and not both polynomials."""
+        return (len(self.symbols) == 1 and bool(self.num.terms) and bool(other.num.terms)
+                and not (self.is_constant() or other.is_constant())
+                and not (self.den.is_constant() and other.den.is_constant()))
+
+    def _henrici(self, other: "RationalFunction", product: bool) -> "RationalFunction":
+        """``self * other`` or ``self + other`` by Henrici's rule (J. ACM 3,
+        1956; Knuth, TAOCP vol. 2, 4.5.1), for :meth:`_henrici_applies`.
+
+        With ``self = x*a/b`` and ``other = y*c/d``, ``a, b, c, d`` primitive
+        integer vectors and both pairs coprime, the product is
+        ``(a/gcd(a,d)) (c/gcd(c,b))`` over ``(b/gcd(c,b)) (d/gcd(a,d))``.
+        With ``g = gcd(b, d)`` the sum is ``n = x*a*(d/g) + y*c*(b/g)`` over
+        ``(b/g) d``, where only ``h = gcd(n, g)`` can cancel, so no gcd runs
+        when ``g`` is 1.  Both results are reduced; their terms are stored in
+        ascending order.  A zero sum is ``0/b``, as over one denominator.
+        """
+        sy = self.symbols
+        x, a = _primitive(_dense(self.num))
+        y, c = _primitive(_dense(other.num))
+        b = [v.numerator for v in _dense(self.den)]
+        d = [v.numerator for v in _dense(other.den)]
+        (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+        if product:
+            _, a, d = _gcd_cofactors(a, d)
+            _, c, b = _gcd_cofactors(c, b)
+            k, m, num, den = p * r, q * s, _convolve(a, c), _convolve(b, d)
+        else:
+            g, b, dg = _gcd_cofactors(b, d)
+            n = [p * s * u + r * q * v for u, v in
+                 zip_longest(_convolve(a, dg), _convolve(c, b), fillvalue=0)]
+            while n and not n[-1]:
+                n.pop()
+            if not n:
+                return RationalFunction._reduced(sy, Polynomial(sy, {}), self.den)
+            k, m = gcd(*n), q * s
+            h, num, _ = _gcd_cofactors([v // k for v in n], g)
+            den = _convolve(b, d if len(h) == 1 else _divexact_int(d, h))
+        if den[-1] < 0:
+            k, den = -k, [-v for v in den]
+        return RationalFunction._reduced(sy, Polynomial._from_terms(
+            sy, {(i,): Fraction(k * v, m) for i, v in enumerate(num) if v}),
+            Polynomial._from_terms(sy, {(i,): Fraction(v) for i, v in enumerate(den) if v}))
+
     def __add__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)) and self.num.terms:
             return RationalFunction._reduced(
                 self.symbols, self.num + self.den.scale(other), self.den)
         other = self._coerce(other)
+        if self._henrici_applies(other):
+            return self._henrici(other, product=False)
         if self.den == other.den:
             if self.den.is_constant():
                 return RationalFunction._reduced(self.symbols, self.num + other.num, self.den)
@@ -773,6 +839,8 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return RationalFunction._reduced(self.symbols, self.num.scale(other), self.den)
         other = self._coerce(other)
+        if self._henrici_applies(other):
+            return self._henrici(other, product=True)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other) -> "RationalFunction":
@@ -780,6 +848,8 @@ class RationalFunction:
             return RationalFunction._reduced(self.symbols, self.num.scale(1 / Fraction(other)),
                                              self.den)
         other = self._coerce(other)
+        if len(self.symbols) == 1:
+            return self * other._reciprocal()
         if other.num.is_zero():
             raise DenominatorVanishes("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)

@@ -52,7 +52,10 @@ began to be fully reduced: each printed fraction over Q(q, t_nu) equals its
 earlier form by cross multiplication, every verdict and ``verdict_counts``
 entry stayed, and only the certificates' float ``margin`` fields (of the
 cells and of ``min_margin_cell``) at t_nu = q^(1/2) moved, by at most
-2^-228 relative, since the float evaluation sums other terms.  A
+2^-228 relative, since the float evaluation sums other terms.  The
+three one-symbol symbolic pins (Ramanujan K = 10 and Bessel K = 12 power
+sums, the Ramanujan certificate at q = 1/3, B=8) were recorded before sums
+and products of one-symbol fractions were reduced by Henrici's rule.  A
 change that alters any byte of any of these reports fails here.  The eight quadrature-backed reports above, and
 those two, also carry a values-only pin, recorded before the integer node sums
 and re-recorded with the echo keys deleted (the three ``moments`` ones twice),
@@ -194,6 +197,19 @@ GOLDEN = {
     "powersums-qbessel-symbolic-K4": (
         ["powersums", "--function", "qbessel", "--symbolic", "--count", "4"],
         "1234da90e4d181be2a69e6aabb9b8e5dee0079cc8e18a0517feb684d2c38c97f", None),
+    # The symbolic benchmark workload's one-symbol jobs: power sums over Q(q)
+    # and Q(nu), and a certificate over Q(q) decided at q = 1/3.
+    "powersums-ramanujan-symbolic-K10": (
+        ["powersums", "--function", "ramanujan-aq", "--symbolic", "--count", "10"],
+        "597cfa15ae204b7975d5e8904027ae80454a2f1794e26f04e0043b1e17b3f654", None),
+    "powersums-bessel-symbolic-K12": (
+        ["powersums", "--function", "bessel", "--symbolic", "--count", "12"],
+        "06427db51c831f68a1a833573f4622144617aa6ed0250184901cbf8a251e1266", None),
+    "ramanujan-symbolic-q1/3-moment-B8": (
+        ["certify", "--function", "ramanujan-aq", "--mode", "moment", "--grid", "8",
+         "--symbolic", "--q", "1/3"],
+        "b3914c7696d1b7addfa59e503e33b82bf4e26520201b0c6441a355cb84a0b92a",
+        "af3c9d0ff75897e65eac133458f68076398ba6bf391ce9687640e56f9592ddba"),
     # Exact derivative cells summed over one integer scale; the B=24 run is
     # JSON-only, so no CSV is written.
     "bessel-nu0-derivative-B24-json": (

@@ -189,6 +189,14 @@ def test_hash_consistent_with_eq(num, den, common, k):
         assert hash(a) == hash(c)
 
 
+def test_constant_polynomial_hashes_as_its_value():
+    for symbols in (("q",), XY, ()):
+        for v in (0, 3, F(-2, 7)):
+            p = Polynomial.constant(symbols, v)
+            assert p == v and hash(p) == hash(v)
+            assert len({p, v}) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6), st.sampled_from([64, 128, 256]),
        st.integers(-1, 1), st.integers(0, 400))
@@ -327,6 +335,7 @@ X = ("x",)
 univariate_polys = st.lists(small_coeffs, max_size=5).map(
     lambda cs: Polynomial(X, {(i,): c for i, c in enumerate(cs)}))
 nonconstant_polys = univariate_polys.filter(lambda p: p.total_degree() > 0)
+nonzero_univariate = univariate_polys.filter(lambda p: not p.is_zero())
 
 
 def fraction_divexact(a, y):
@@ -401,6 +410,47 @@ def test_heuristic_gcd_retries_at_a_larger_point(monkeypatch):
     assert points == [2 ** 16]
 
 
+def henrici_cases(x, y):
+    """Each operation on one-symbol fractions, with the reduction of its
+    whole product as computed by ``RationalFunction.__init__``."""
+    return [(x + y, RationalFunction(x.num * y.den + y.num * x.den, x.den * y.den)),
+            (x - y, RationalFunction(x.num * y.den - y.num * x.den, x.den * y.den)),
+            (x * y, RationalFunction(x.num * y.num, x.den * y.den)),
+            (x / y, RationalFunction(x.num * y.den, x.den * y.num))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(univariate_polys, nonzero_univariate, nonzero_univariate,
+       nonzero_univariate, nonconstant_polys, st.integers(0, 2))
+def test_one_symbol_operations_reduce_like_the_whole_product(a, b, c, d, h, k):
+    """``x = a/(b h^k)`` and ``y = (b c)/(d h^k)`` share ``b`` across and
+    ``h^k`` below, so Henrici's rule divides planted factors out of the
+    operands' parts.  Each result has the terms of the whole product's
+    reduction, compares and hashes equal to it, and a result with a
+    non-constant denominator stores its terms in ascending order."""
+    x, y = RationalFunction(a, b * h ** k), RationalFunction(b * c, d * h ** k)
+    expected = [want for _, want in henrici_cases(x, y)]
+    with pytest.MonkeyPatch.context() as mp:
+        for tries in (scalars.HEU_GCD_TRIES, 0):
+            mp.setattr(scalars, "HEU_GCD_TRIES", tries)  # 0: the Euclidean gcd decides
+            for (got, _), want in zip(henrici_cases(x, y), expected):
+                if want.is_zero():
+                    continue
+                assert term_dicts(got) == term_dicts(want)
+                assert got == want and hash(got) == hash(want)
+                if not got.den.is_constant():
+                    assert all(list(p.terms) == sorted(p.terms) for p in (got.num, got.den))
+    zero = x - x
+    assert zero.is_zero() and zero.den.terms == x.den.terms
+
+
+def test_zero_sum_keeps_its_denominator():
+    q = rf_var("q")["q"]
+    x = (q + 2) / (q - 1)
+    assert str(x - x) == "(0)/(q-1)"
+    assert str(x + (-x)) == "(0)/(q-1)"
+
+
 
 # -- several symbols --------------------------------------------------------
 
@@ -468,8 +518,9 @@ one_or_two_symbol_fractions = fractions_over(X, univariate_polys) | fractions_ov
 @example(RationalFunction(Polynomial(X, {}), Polynomial(X, {(1,): 2, (0,): 1})), 1, -1)
 @example(RationalFunction(Polynomial(X, {(1,): 3}), Polynomial(X, {(1,): 1, (0,): 1})), 0, 2)
 def test_scalar_operations_keep_the_general_terms(a, c, k):
-    """Every operation that skips normalization stores the terms, in order,
-    that normalization would: float evaluation sums in that order."""
+    """Every operation with a scalar operand stores the terms, in order,
+    that normalization would.  For a polynomial the order matters: float
+    evaluation sums in it, and the sinc reports read those sums."""
     cases = [(a + c, "add"), (c + a, "add"), (a - c, "sub"), (c - a, "rsub"),
              (a * c, "mul"), (c * a, "mul")]
     if c:
@@ -514,9 +565,6 @@ def test_constructors_keep_the_general_terms():
         for s in sy:
             assert stored_terms(RationalFunction.variable(sy, s)) == \
                 stored_terms(RationalFunction(Polynomial.variable(sy, s), one))
-
-
-nonzero_univariate = univariate_polys.filter(lambda p: not p.is_zero())
 
 
 @settings(max_examples=150, deadline=None)
