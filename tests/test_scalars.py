@@ -419,7 +419,7 @@ def henrici_cases(x, y):
             (x / y, RationalFunction(x.num * y.den, x.den * y.num))]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(univariate_polys, nonzero_univariate, nonzero_univariate,
        nonzero_univariate, nonconstant_polys, st.integers(0, 2))
 def test_one_symbol_operations_reduce_like_the_whole_product(a, b, c, d, h, k):
